@@ -1,13 +1,13 @@
 """Cache artifacts: serialized compiled code plus the symbolic pin
 table needed to re-link it into a different VM instance.
 
-An opt2 artifact is the generated Python source (optionally with a
-marshalled code object) plus one *pin descriptor* per runtime object the
-source closes over.  Descriptors name objects symbolically — class
-names, method keys, intrinsic names, hook roles — never by identity, so
-:func:`resolve_pin` can rebind them against the current VM's JTOC, TIB,
-and mutation-manager environment.  An opt1 artifact is serialized IR
-(see :mod:`repro.cache.irser`).
+An artifact (opt1 and opt2 alike) is the generated Python source
+(optionally with a marshalled code object), its modeled code size, and
+one *pin descriptor* per runtime object the source closes over.
+Descriptors name objects symbolically — class names, method keys,
+intrinsic names, hook roles — never by identity, so :func:`resolve_pin`
+can rebind them against the current VM's JTOC, TIB, and
+mutation-manager environment.
 
 Anything that cannot be described symbolically makes the compile
 *uncacheable* (reported, never mis-linked): correctness never depends
@@ -158,15 +158,18 @@ def hook_ref(hook: Any) -> list | None:
 
 
 # ---------------------------------------------------------------------------
-# opt2 artifacts
+# Generated-code artifacts
 # ---------------------------------------------------------------------------
 
-def opt2_artifact(fn_name: str, source: str, pins: dict[str, list],
-                  code: Any = None) -> dict:
+def code_artifact(opt_level: int, fn_name: str, source: str,
+                  pins: dict[str, list], code: Any,
+                  code_bytes: int) -> dict:
+    """The artifact for one generated function at ``opt_level``."""
     art = {
-        "kind": "opt2",
+        "kind": f"opt{opt_level}",
         "fn_name": fn_name,
         "source": source,
+        "code_bytes": code_bytes,
         "pins": [[name, list(desc)] for name, desc in pins.items()],
     }
     if code is not None:
@@ -179,8 +182,8 @@ def opt2_artifact(fn_name: str, source: str, pins: dict[str, list],
     return art
 
 
-def link_opt2(vm: Any, art: dict) -> tuple[str, Any]:
-    """Re-link a cached opt2 artifact; returns ``(source, executor)``.
+def link_code(vm: Any, art: dict) -> tuple[str, Any]:
+    """Re-link a cached artifact; returns ``(source, executor)``.
 
     The marshalled code object is preferred (skips re-parsing); the
     stored source is the portable fallback.  Pin resolution happens
@@ -198,7 +201,7 @@ def link_opt2(vm: Any, art: dict) -> tuple[str, Any]:
         except (ValueError, EOFError, TypeError):
             code = None
     if code is None:
-        code = compile(art["source"], "<jx-opt2:cached>", "exec")
+        code = compile(art["source"], f"<jx-{art['kind']}:cached>", "exec")
     exec(code, namespace)
     executor = namespace.get(art["fn_name"])
     if executor is None:

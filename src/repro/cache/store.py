@@ -80,7 +80,11 @@ from repro.cache.keys import compile_key, program_digest, stable_digest
 #: ``tv`` entry (toggle + the sorted enforcement-downgrade record), so
 #: a cache hit never resurrects a body the validator refused to run in
 #: the populating build; v8 artifacts carry no verdict digest.
-SCHEMA_VERSION = 9
+#: v10: opt1 emits generated Python code like opt2 — its artifacts
+#: share the opt2 format (source, marshalled code, pins) plus a
+#: ``code_bytes`` field for both tiers; v9 opt1 entries held serialized
+#: IR for the retired IR interpreter.
+SCHEMA_VERSION = 10
 
 
 def cache_stamp() -> str:

@@ -4,11 +4,14 @@ Pass schedules (paper §3.2.1: Jikes opt compiler at levels opt0–opt2;
 JxVM's opt0 is the interpreter, so the optimizing pipeline covers opt1
 and opt2):
 
-* **opt1** — lower, simplify, constant propagation, CFG cleanup, DCE;
-  executed by the IR interpreter.
+* **opt1** — lower, simplify, constant propagation, CFG cleanup, DCE.
 * **opt2** — opt1's pipeline plus inlining (with specialization
   inlining), strength reduction, and bounds-check elimination, iterated
-  to a fixpoint; emitted as Python code.
+  to a fixpoint.
+
+Both tiers emit Python code through :class:`PyCodegen`, like Jikes
+compiles every tier to machine code; opt1 code also counts back-edge
+ticks so hot methods are promoted to opt2.
 
 Specialized versions (``compile(..., bindings=...)``) run the
 specialization pass right after lowering/inlining so the bound state
@@ -26,12 +29,7 @@ from typing import Any
 from repro.telemetry.core import maybe as _tel_maybe
 
 from repro.analysis.estimates import bounds_may_help, cse_may_help
-from repro.cache.artifact import (
-    UnlinkableArtifact,
-    link_opt2,
-    opt2_artifact,
-)
-from repro.cache.irser import ir_from_dict, ir_to_dict
+from repro.cache.artifact import code_artifact, link_code
 from repro.opt.boundselim import eliminate_bounds_checks
 from repro.opt.branchfold import cleanup_cfg
 from repro.opt.constprop import constant_propagation
@@ -39,7 +37,6 @@ from repro.opt.cse import local_cse
 from repro.opt.dce import dead_code_elimination
 from repro.opt.inline import InlineConfig, inline_calls
 from repro.opt.ir import clone_ir
-from repro.opt.irinterp import execute_ir
 from repro.opt.lowering import lower_method
 from repro.opt.pycodegen import PyCodegen
 from repro.opt.simplify import simplify
@@ -49,6 +46,14 @@ from repro.vm.compiled import OptCompiled
 
 #: Modeled bytes per IR instruction for the opt1 code-size metric.
 IR_INSTR_BYTES = 16
+
+
+def _code_bytes(opt_level: int, fn: Any, source: str) -> int:
+    """Modeled code size (Fig. 10): opt1 counts IR instructions, opt2
+    the generated source."""
+    if opt_level == 1:
+        return fn.instr_count() * IR_INSTR_BYTES
+    return len(source)
 
 
 @dataclass
@@ -235,13 +240,10 @@ class OptCompiler:
             else:
                 self._pass("boundselim", eliminate_bounds_checks, fn)
             self._run_core_pipeline(fn)
-        if opt_level == 1:
-            def executor(vm, args, _fn=fn, _rm=rm):
-                return execute_ir(vm, _rm, _fn, args)
-
-            return executor, fn.instr_count() * IR_INSTR_BYTES
-        source, executor = PyCodegen(fn, func_name="_jx_osr").generate()
-        return executor, len(source)
+        source, executor = PyCodegen(
+            fn, opt_level, func_name="_jx_osr"
+        ).generate()
+        return executor, _code_bytes(opt_level, fn, source)
 
     def compile(
         self,
@@ -293,50 +295,37 @@ class OptCompiler:
                 return cm
         fn = self.build_ir(rm, opt_level, bindings)
         state_label = bindings.label if bindings else None
-        artifact = None
-        if opt_level == 1:
-            def executor(vm, args, _fn=fn, _rm=rm):
-                return execute_ir(vm, _rm, _fn, args)
-
-            cm = OptCompiled(
-                rm,
-                executor,
-                opt_level=1,
-                specialized_state=state_label,
-                code_size_bytes=fn.instr_count() * IR_INSTR_BYTES,
-                ir=fn,
-            )
-            if cache is not None:
-                try:
-                    artifact = {"kind": "opt1", "ir": ir_to_dict(fn)}
-                except UnlinkableArtifact:
-                    cache.uncacheable += 1
-        else:
-            gen = PyCodegen(fn)
-            source, executor = gen.generate()
-            cm = OptCompiled(
-                rm,
-                executor,
-                opt_level=2,
-                specialized_state=state_label,
-                code_size_bytes=len(source),
-                ir=fn,
-                source_text=source,
-            )
-            if cache is not None:
-                if gen.uncacheable:
-                    cache.uncacheable += 1
-                else:
-                    artifact = opt2_artifact(
-                        gen.func_name, source, gen.pin_refs, gen.code
-                    )
-        if cache is not None and artifact is not None:
-            cache.store(key, artifact, meta={
-                "cls": rm.rclass.name,
-                "method": rm.info.key,
-                "opt_level": opt_level,
-                "special": state_label,
-            })
+        # opt1 is never the top tier the compiler builds, so its code
+        # ticks back-edges on the way to opt2.
+        gen = PyCodegen(
+            fn, opt_level, tick_rm=rm if opt_level == 1 else None
+        )
+        source, executor = gen.generate()
+        code_bytes = _code_bytes(opt_level, fn, source)
+        cm = OptCompiled(
+            rm,
+            executor,
+            opt_level=opt_level,
+            specialized_state=state_label,
+            code_size_bytes=code_bytes,
+            # Only opt2 IR is read again (specials: TV, memo purity).
+            ir=fn if opt_level == 2 else None,
+            source_text=source,
+        )
+        if cache is not None:
+            if gen.uncacheable:
+                cache.uncacheable += 1
+            else:
+                artifact = code_artifact(
+                    opt_level, gen.func_name, source, gen.pin_refs,
+                    gen.code, code_bytes,
+                )
+                cache.store(key, artifact, meta={
+                    "cls": rm.rclass.name,
+                    "method": rm.info.key,
+                    "opt_level": opt_level,
+                    "special": state_label,
+                })
         # Under active telemetry, keep dispatch going through the
         # counting invoke() even for final-tier methods (the direct
         # executor binding would make their calls invisible).
@@ -362,31 +351,14 @@ class OptCompiler:
         if artifact is not None:
             state_label = bindings.label if bindings else None
             try:
-                if artifact.get("kind") == "opt1" and opt_level == 1:
-                    fn = ir_from_dict(self.vm, artifact["ir"])
-
-                    def executor(vm, args, _fn=fn, _rm=rm):
-                        return execute_ir(vm, _rm, _fn, args)
-
+                if artifact.get("kind") == f"opt{opt_level}":
+                    source, executor = link_code(self.vm, artifact)
                     cm = OptCompiled(
                         rm,
                         executor,
-                        opt_level=1,
+                        opt_level=opt_level,
                         specialized_state=state_label,
-                        code_size_bytes=(
-                            fn.instr_count() * IR_INSTR_BYTES
-                        ),
-                        ir=fn,
-                    )
-                elif artifact.get("kind") == "opt2" and opt_level == 2:
-                    source, executor = link_opt2(self.vm, artifact)
-                    cm = OptCompiled(
-                        rm,
-                        executor,
-                        opt_level=2,
-                        specialized_state=state_label,
-                        code_size_bytes=len(source),
-                        ir=None,
+                        code_size_bytes=artifact["code_bytes"],
                         source_text=source,
                     )
             except Exception:

@@ -1,16 +1,23 @@
-"""The opt2 backend: IR -> Python source -> executable function.
+"""The opt1/opt2 backend: IR -> Python source -> executable function.
 
 This is JxVM's "native code": each IR instruction becomes one or two
 Python statements, compiled once with :func:`compile`/``exec`` and then
-invoked directly.  Specialized methods whose dispatch chains were folded
-away become tiny straight-line Python functions — which is what makes
-the paper's speedups observable on this substrate.
+invoked directly.  Both optimizing tiers use it; they differ only in the
+pass schedule that built the IR (:mod:`repro.opt.pipeline`).
+Specialized methods whose dispatch chains were folded away become tiny
+straight-line Python functions — which is what makes the paper's
+speedups observable on this substrate.
 
 Code shape: single-block functions are emitted as straight-line bodies;
 multi-block functions use a block-dispatch loop (``_bb`` state variable).
 Runtime objects (runtime classes, JTOC cells, intrinsics, mutation
 hooks) are pinned into the function's globals, so the generated source
 is fully self-contained and cacheable.
+
+Code below the top tier keeps feeding the adaptive system: every taken
+back-edge (a jump to a block id not above the current one) adds one tick
+to the method's samples and asks for promotion once they cross the
+threshold, so hot methods climb from opt1 to opt2.
 
 Null-pointer checks are delegated to Python: dereferencing ``None``
 raises ``AttributeError``, which the function-level handler converts to
@@ -24,14 +31,13 @@ from typing import Any, Callable
 
 from repro.cache.artifact import UnlinkableArtifact, encode_value, hook_ref
 from repro.opt.ir import Const, IRFunction, IRInstr, Operand, Reg
-from repro.vm.interpreter import JxStackTrace, _is_ref
-from repro.vm.shapes import UnboxedField as _UnboxedField
+from repro.vm.interpreter import _is_ref
+from repro.vm.slots import UnboxedField as _UnboxedField
 from repro.vm.values import (
     ArrayBoundsError,
     ClassCastError,
     NullPointerError,
     VMArray,
-    VMRuntimeError,
     jx_rem,
     jx_str,
     jx_truncate_div,
@@ -145,9 +151,20 @@ def _build_loop_tree(fn: IRFunction) -> _LoopNode:
 class PyCodegen:
     """Generates one Python function from one IRFunction."""
 
-    def __init__(self, fn: IRFunction, func_name: str = "_jx") -> None:
+    def __init__(
+        self,
+        fn: IRFunction,
+        opt_level: int = 2,
+        func_name: str = "_jx",
+        tick_rm: Any = None,
+    ) -> None:
         self.fn = fn
+        self.opt_level = opt_level
         self.func_name = func_name
+        #: The method whose samples taken back-edges tick (code below
+        #: the top tier); ``None`` emits no ticks.
+        self.tick_rm = tick_rm
+        self._tick_pin: str | None = None
         self.globals: dict[str, Any] = {
             "_idiv": jx_truncate_div,
             "_irem": jx_rem,
@@ -444,10 +461,20 @@ class PyCodegen:
         else:  # pragma: no cover
             raise AssertionError(f"cannot codegen IR op {op!r}")
 
-    def _emit_goto(self, target: int, scope_ids: set[int], indent: int) -> None:
+    def _ticks(self, src: int, target: int) -> bool:
+        """Whether the edge ``src -> target`` is a ticking back-edge."""
+        return self._tick_pin is not None and target <= src
+
+    def _emit_goto(
+        self, src: int, target: int, scope_ids: set[int], indent: int
+    ) -> None:
         """Set _bb and either stay in the current loop level (continue)
         or bubble out one level (break) based on static membership."""
         E = self._emit
+        if self._ticks(src, target):
+            E(indent, "_smp.ticks += 1")
+            E(indent, "if _smp.ticks >= _smp.threshold:")
+            E(indent + 1, f"vm.adaptive.on_hot({self._tick_pin})")
         E(indent, f"_bb = {target}")
         E(indent, "continue" if target in scope_ids else "break")
 
@@ -460,20 +487,22 @@ class PyCodegen:
             self._emit_instr(instr, indent)
         term = body[-1]
         if term.op == "jump":
-            self._emit_goto(term.extra.target, scope_ids, indent)
+            self._emit_goto(block.id, term.extra.target, scope_ids, indent)
         elif term.op == "br":
             cond = self._operand(term.args[0])
             t, f = term.extra.if_true, term.extra.if_false
             t_in = t in scope_ids
             f_in = f in scope_ids
-            if t_in == f_in:
+            if t_in == f_in and not (
+                self._ticks(block.id, t) or self._ticks(block.id, f)
+            ):
                 E(indent, f"_bb = {t} if {cond} else {f}")
                 E(indent, "continue" if t_in else "break")
             else:
                 E(indent, f"if {cond}:")
-                self._emit_goto(t, scope_ids, indent + 1)
+                self._emit_goto(block.id, t, scope_ids, indent + 1)
                 E(indent, "else:")
-                self._emit_goto(f, scope_ids, indent + 1)
+                self._emit_goto(block.id, f, scope_ids, indent + 1)
         else:
             self._emit_instr(term, indent)
 
@@ -562,6 +591,16 @@ class PyCodegen:
         ):
             for i in range(fn.num_args, fn.max_locals):
                 E(2, f"v_l{i} = None")
+        if self.tick_rm is not None and any(
+            target <= block.id
+            for block in blocks
+            for target in block.successors()
+        ):
+            rm = self.tick_rm
+            self._tick_pin = self._pin(
+                "rm", rm, ["method", rm.rclass.name, rm.info.key]
+            )
+            E(2, f"_smp = {self._tick_pin}.samples")
         if len(blocks) == 1 and blocks[0].terminator.op == "ret":
             for instr in blocks[0].instrs:
                 self._emit_instr(instr, 2)
@@ -572,19 +611,10 @@ class PyCodegen:
         E(2, "raise _NPE(str(exc)) from exc")
         source = "\n".join(self.lines) + "\n"
         namespace: dict[str, Any] = dict(self.globals)
-        code = compile(source, f"<jx-opt2:{fn.name}>", "exec")
+        code = compile(
+            source, f"<jx-opt{self.opt_level}:{fn.name}>", "exec"
+        )
         self.code = code
         exec(code, namespace)
         return source, namespace[self.func_name]
 
-
-def generate_python(
-    fn: IRFunction, rm: Any = None
-) -> tuple[str, Callable[[Any, list[Any]], Any]]:
-    """Compile ``fn`` to a Python executor; returns ``(source, fn)``.
-
-    The raw generated function is returned directly — stack-trace
-    annotation happens in :meth:`repro.vm.compiled.OptCompiled.invoke`
-    (one fewer Python frame on the hot call path).
-    """
-    return PyCodegen(fn).generate()

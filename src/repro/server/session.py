@@ -1,7 +1,7 @@
 """One tenant's session over a shared :class:`CodeSpace`.
 
 A Session *is a* VM for everything the runtime touches — the
-interpreter, the IR interpreter, generated opt2 code, the mutation
+interpreter, generated opt1/opt2 code, the mutation
 hooks, and the quickened dispatch all take ``vm`` parameters and find
 the same attribute surface here.  The difference is in what the
 attributes point at:

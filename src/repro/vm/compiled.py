@@ -15,13 +15,14 @@ JxVM mirrors Jikes RVM's compile-only model (paper §3.2.1):
 
 Execution tiers:
 
-====== ============================== =======================
+====== ============================== ===================================
 level  class                          engine
-====== ============================== =======================
+====== ============================== ===================================
 opt0   :class:`BaselineCompiled`      bytecode interpreter
-opt1   :class:`OptCompiled`           optimized-IR interpreter
-opt2   :class:`OptCompiled`           generated Python code
-====== ============================== =======================
+opt1   :class:`OptCompiled`           generated Python code (opt1 passes,
+                                      back-edge ticks)
+opt2   :class:`OptCompiled`           generated Python code (opt2 passes)
+====== ============================== ===================================
 """
 
 from __future__ import annotations

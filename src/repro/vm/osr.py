@@ -15,10 +15,10 @@ code.  This module adds both transfers:
   are nulled from the instruction-level liveness analysis
   (:mod:`repro.analysis.liveness`) so the transferred frame carries no
   stale state.  Continuations compile at the *final* tier directly: the
-  frame has already proven itself hot, and re-entering the gradual
-  opt1 -> opt2 ladder mid-frame would strand a single-invocation frame
-  at opt1 forever (generated code has no back-edge counters to climb
-  out on).
+  frame has already proven itself hot, and a continuation is a one-off
+  executor outside the method's tier ladder (nothing installs it), so
+  an opt1 continuation would finish a single-invocation frame at opt1
+  even after its back-edge ticks promoted the method.
 
 * **deopt** (specialized -> opt0) — specialized code elides state
   dispatch with **no value guards** (paper §2.2); the TIB-swap protocol

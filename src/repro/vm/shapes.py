@@ -41,12 +41,9 @@ from typing import Any
 
 from repro.bytecode.classfile import CONSTRUCTOR_NAME, FieldInfo, ProgramUnit
 from repro.bytecode.opcodes import CALL_OPS, Op
-from repro.mutation.lifetime import (
-    ctor_constant_fields,
-    fields_assigned_outside_ctors,
-)
 from repro.telemetry.core import maybe as _tel_maybe
 from repro.vm.heap import OBJECT_HEADER_BYTES, WORD_BYTES
+from repro.vm.slots import ShapeField, UnboxedField
 
 #: Modeled widths of packed primitive fields; everything else (class
 #: references, strings, arrays) is one machine word.
@@ -79,67 +76,6 @@ def packed_bytes(field_infos: list) -> int:
     return OBJECT_HEADER_BYTES + align8(
         sum(field_width(f.type) for f in field_infos)
     )
-
-
-class ShapeField(int):
-    """A packed slot index for a pinnable state field.
-
-    Subclasses ``int`` so that *being* the index keeps every slot
-    consumer working (dict keys, frozensets, sorted cache payloads,
-    inline-cache idiom checks); the dispatch surfaces discriminate with
-    ``type(slot) is int``, which is ``False`` here, and route reads and
-    writes through :meth:`read`/:meth:`store` so truncated tail storage
-    is consulted on the shape (reads) or rematerialized (writes).
-    (No ``__slots__``: variable-length builtins like ``int`` reject
-    nonempty slot declarations.)
-    """
-
-    def __new__(cls, index: int, name: str) -> "ShapeField":
-        self = super().__new__(cls, index)
-        self.name = name
-        return self
-
-    def read(self, obj: Any) -> Any:
-        f = obj.fields
-        return f[self] if self < len(f) else obj.tib.shape.pinned[self]
-
-    def store(self, vm: Any, obj: Any, value: Any) -> None:
-        f = obj.fields
-        if self >= len(f):
-            # Writing a pinned slot: rematerialize the tail from the
-            # current shape first, then overwrite.  The following state
-            # hook re-evaluates the TIB and re-truncates if the object
-            # lands in another hot state.
-            shape = obj.tib.shape
-            f.extend(shape.tail)
-            vm.heap.pinned_bytes_restored += shape.tail_bytes
-        f[self] = value
-
-
-class UnboxedField:
-    """A field unboxed out of the instance entirely.
-
-    Installed as ``FieldInfo.slot`` for fields proven lifetime-constant
-    across every constructor.  Reads return the proven constant; the
-    constructor's own store of that same literal is dropped.
-    """
-
-    __slots__ = ("key", "name", "value")
-
-    def __init__(self, declaring_class: str, name: str, value: Any) -> None:
-        self.key = f"{declaring_class}.{name}"
-        self.name = name
-        self.value = value
-
-    def read(self, obj: Any) -> Any:
-        return self.value
-
-    def store(self, vm: Any, obj: Any, value: Any) -> None:
-        # Provably the same literal the shape already holds.
-        pass
-
-    def __repr__(self) -> str:
-        return f"<unboxed {self.key}={self.value!r}>"
 
 
 class Shape:
@@ -311,6 +247,13 @@ def unboxable_fields(
     and the assignment provably happens before the receiver escapes
     (:func:`_ctor_assignment_clean`, :func:`_super_ctors_clean`).
     """
+    # Imported here: the mutation package imports this module (through
+    # its manager), so a module-level import would be a cycle.
+    from repro.mutation.lifetime import (
+        ctor_constant_fields,
+        fields_assigned_outside_ctors,
+    )
+
     cls = unit.classes.get(class_name)
     if cls is None or cls.is_interface:
         return {}

@@ -11,7 +11,7 @@ from repro.mutation import MutationPlan, build_mutation_plan
 AGGRESSIVE = AdaptiveConfig(opt1_ticks=16, opt2_ticks=32)
 #: Interpreter only.
 INTERP_ONLY = AdaptiveConfig(enabled=False)
-#: Stop at opt1 (IR interpreter tier).
+#: Stop at opt1 (generated code from the opt1 pass schedule).
 OPT1_ONLY = AdaptiveConfig(opt1_ticks=16, max_opt_level=1)
 
 

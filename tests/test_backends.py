@@ -1,29 +1,20 @@
-"""Backend-specific tests: pycodegen shapes, IR interpreter parity,
-interface dispatch through conflict stubs end-to-end."""
+"""Backend-specific tests: pycodegen shapes at opt1 and opt2, opt1
+back-edge ticks, interface dispatch through conflict stubs end-to-end."""
 
-from repro import VM, compile_source
-from repro.opt.irinterp import execute_ir
+import pytest
+
+from repro import AdaptiveConfig, VM, compile_source
 from repro.opt.lowering import lower_method
-from repro.opt.pycodegen import generate_python
+from repro.opt.pipeline import OptCompiler
 from repro.vm.imt import ConflictStub, imt_slot_for
+from repro.vm.interpreter import JxStackTrace
 from repro.vm.linker import Linker
-from tests.helpers import AGGRESSIVE, assert_all_tiers_agree, run_vm
-
-
-def compile_method_both_ways(source, cls, key, args, adaptive=None):
-    """Lower + run one method through the IR interpreter and the Python
-    backend; returns (ir_result, py_result)."""
-    unit = compile_source(source)
-    vm = VM(unit, adaptive_config=adaptive or AGGRESSIVE)
-    vm.initialize()
-    rm = vm.lookup(cls, key)
-    fn = lower_method(rm.info)
-    ir_result = execute_ir(vm, rm, fn, list(args))
-    fn2 = lower_method(rm.info)
-    _, executor = generate_python(fn2, rm)
-    py_result = executor(vm, list(args))
-    return ir_result, py_result
-
+from tests.helpers import (
+    AGGRESSIVE,
+    INTERP_ONLY,
+    assert_all_tiers_agree,
+    run_vm,
+)
 
 ARITH = """
 class M {
@@ -37,13 +28,88 @@ class M {
 class Main { static void main() { } }
 """
 
+SUM = """
+class M {
+    static int sum(int n) {
+        int acc = 0;
+        for (int i = 0; i < n; i++) { acc += i % 7; }
+        return acc;
+    }
+}
+class Main { static void main() { } }
+"""
 
-def test_ir_and_python_backends_agree_on_arith():
+
+def _method(source, cls, key, adaptive=INTERP_ONLY):
+    vm = VM(compile_source(source), adaptive_config=adaptive)
+    vm.initialize()
+    return vm, vm.lookup(cls, key)
+
+
+def test_arith_agrees_at_opt0_opt1_and_opt2():
+    vm, rm = _method(ARITH, "M", "mix")
+    compiler = OptCompiler(vm)
+    opt1 = compiler.compile(rm, 1)
+    opt2 = compiler.compile(rm, 2)
     for a, b in [(0, 1), (5, 3), (-7, 2), (100, -41), (9999, 7)]:
-        ir_result, py_result = compile_method_both_ways(
-            ARITH, "M", "mix", [a, b]
-        )
-        assert ir_result == py_result, (a, b)
+        expected = rm.compiled.invoke(vm, [a, b])
+        assert rm.compiled.opt_level == 0
+        assert opt1.executor(vm, [a, b]) == expected, (a, b)
+        assert opt2.executor(vm, [a, b]) == expected, (a, b)
+
+
+def test_opt1_is_generated_python():
+    vm, rm = _method(SUM, "M", "sum")
+    cm = OptCompiler(vm).compile(rm, 1)
+    assert cm.opt_level == 1
+    assert cm.source_text
+    assert cm.executor.__code__.co_filename.startswith("<jx-opt1:")
+    assert cm.ir is None
+    # opt1 keeps its IR-instruction code-size model (Fig. 10).
+    fn = lower_method(rm.info)
+    assert cm.code_size_bytes % 16 == 0
+    assert 0 < cm.code_size_bytes <= fn.instr_count() * 16
+    assert cm.executor(vm, [100]) == sum(i % 7 for i in range(100))
+
+
+def test_opt1_back_edge_ticks_promote_a_single_invocation():
+    """One opt1 call with a long loop crosses ``opt2_ticks`` on its own
+    back-edge ticks; the promotion lands mid-call and the next call
+    runs opt2 code."""
+    vm, rm = _method(
+        SUM, "M", "sum", AdaptiveConfig(opt1_ticks=16, opt2_ticks=1000)
+    )
+    vm.adaptive.on_hot(rm)
+    assert rm.compiled.opt_level == 1
+    assert rm.samples.ticks < 1000
+    assert rm.compiled.invoke(vm, [5000]) == sum(i % 7 for i in range(5000))
+    assert rm.samples.invocations == 1
+    assert rm.samples.ticks >= 1000
+    assert rm.compiled.opt_level == 2
+    assert rm.compiled.invoke(vm, [10]) == sum(i % 7 for i in range(10))
+
+
+def test_opt1_exception_gets_one_opt1_frame():
+    source = """
+    class M {
+        static int at(int[] a, int i) { return a[i]; }
+    }
+    class Main {
+        static void main() {
+            int[] a = new int[4];
+            int acc = 0;
+            for (int r = 0; r < 200; r++) { acc += M.at(a, r % 4); }
+            acc += M.at(a, 9);
+        }
+    }
+    """
+    vm = VM(compile_source(source),
+            adaptive_config=AdaptiveConfig(opt1_ticks=16, opt2_ticks=1 << 40))
+    with pytest.raises(JxStackTrace) as err:
+        vm.run()
+    assert vm.lookup("M", "at").compiled.opt_level == 1
+    opt1_frames = [f for f in err.value.frames if "(opt1)" in f]
+    assert opt1_frames == ["M.at (opt1)"]
 
 
 def test_single_block_function_is_straight_line():
@@ -55,9 +121,6 @@ def test_single_block_function_is_straight_line():
     vm = VM(unit, adaptive_config=AGGRESSIVE)
     vm.initialize()
     rm = vm.lookup("M", "f")
-    fn = lower_method(rm.info)
-    from repro.opt.pipeline import OptCompiler
-
     cm = OptCompiler(vm).compile(rm, 2)
     assert "while True" not in cm.source_text
     assert cm.executor(vm, [21]) == 43
@@ -78,8 +141,6 @@ def test_multi_block_function_uses_loop_dispatch():
     vm = VM(unit, adaptive_config=AGGRESSIVE)
     vm.initialize()
     rm = vm.lookup("M", "f")
-    from repro.opt.pipeline import OptCompiler
-
     cm = OptCompiler(vm).compile(rm, 2)
     assert "while True" in cm.source_text
     assert cm.executor(vm, [100]) == 4950
@@ -105,8 +166,6 @@ def test_generated_code_handles_negative_index_check():
     rm = vm.lookup("M", "f")
     assert rm.compiled.opt_level == 2
     from repro.vm.values import ArrayBoundsError, VMArray
-    from repro.vm.interpreter import JxStackTrace
-    import pytest
 
     arr = VMArray("int", 3, 0)
     with pytest.raises((ArrayBoundsError, JxStackTrace)):

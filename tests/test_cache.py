@@ -7,12 +7,12 @@ import json
 
 from repro import VM, compile_source
 from repro.cache import CompileCache, cache_stamp, compile_key
-from repro.cache.keys import method_digest, program_digest
+from repro.cache.keys import method_digest, program_digest, stable_digest
 from repro.harness.cli import main as cli_main
 from repro.mutation import build_mutation_plan
 from repro.opt.pipeline import OptConfig
 from repro.opt.specialize import SpecBindings
-from tests.helpers import AGGRESSIVE, INTERP_ONLY
+from tests.helpers import AGGRESSIVE, INTERP_ONLY, OPT1_ONLY
 
 LOOP = """
 class Main {
@@ -144,6 +144,60 @@ def test_version_stamp_isolates_entries(tmp_path):
     assert stats["entries"] == 0 and stats["stale_entries"] == 1
     assert cache.clear() == 1
     assert not (tmp_path / "v0-0.0.1-cpython-000").exists()
+
+
+def test_opt1_warm_start_links_every_method_from_cache(tmp_path):
+    """opt1 shares opt2's artifact path: a warm start relinks every
+    opt1 method from its cached code object."""
+    cache_dir = str(tmp_path / "jxcache")
+    cold = _vm(adaptive_config=OPT1_ONLY, compile_cache=cache_dir)
+    out_cold = cold.run().output
+    assert cold.compile_cache.stores > 0
+    warm = _vm(adaptive_config=OPT1_ONLY, compile_cache=cache_dir)
+    assert warm.run().output == out_cold
+    assert warm.compile_cache.hit_rate == 1.0
+    opt1 = [
+        rm.compiled
+        for rc in warm.classes.values()
+        for rm in rc.own_methods.values()
+        if getattr(rm.compiled, "opt_level", 0) == 1
+    ]
+    assert opt1 and all(getattr(cm, "from_cache", False) for cm in opt1)
+    assert all(cm.source_text for cm in opt1)
+    assert (warm.compile_stats.total_code_bytes
+            == cold.compile_stats.total_code_bytes)
+
+
+def test_schema_v9_opt1_ir_entry_is_a_miss(tmp_path):
+    """Before schema v10 an opt1 entry held serialized IR.  Such an
+    entry is stale by stamp, and even one planted under a current key
+    is a counted link error and a recompile, never a crash."""
+    assert cache_stamp().startswith("v10-")
+    cache_dir = tmp_path / "jxcache"
+    out_cold = _vm(adaptive_config=OPT1_ONLY,
+                   compile_cache=str(cache_dir)).run().output
+    ir_entry = {
+        "kind": "opt1",
+        "ir": {
+            "name": "Main.work", "num_args": 1, "max_locals": 3,
+            "returns_value": True, "entry": 0, "next_block_id": 1,
+            "param_kinds": [],
+            "blocks": {"0": [{"op": "ret", "dest": None,
+                              "args": [{"c": 7}], "extra": {},
+                              "line": 0}]},
+        },
+    }
+    entries = list(cache_dir.glob("*/*/*.json"))
+    assert entries
+    for path in entries:
+        entry = json.loads(path.read_text())
+        entry["artifact"] = ir_entry
+        entry["artifact_sha"] = stable_digest(ir_entry)
+        path.write_text(json.dumps(entry))
+    vm = _vm(adaptive_config=OPT1_ONLY, compile_cache=str(cache_dir))
+    assert vm.run().output == out_cold
+    assert vm.compile_cache.hits == 0
+    assert vm.compile_cache.link_errors == len(entries)
 
 
 def test_stats_counts_by_tier(tmp_path):

@@ -1,5 +1,5 @@
-"""Cross-tier equivalence: opt0 (interpreter), opt1 (IR interpreter),
-and opt2 (generated Python) must produce identical program output."""
+"""Cross-tier equivalence: opt0 (interpreter), opt1 and opt2 (generated
+Python from two pass schedules) must produce identical program output."""
 
 import pytest
 
