@@ -1,10 +1,11 @@
 """repro.cache — the persistent specialization compile cache.
 
-Memoizes opt1/opt2 and state-specialized (special-TIB) compilation
-across VM instances: generated Python source is keyed by a stable
-digest of everything that can change it (program bytecode,
-method, opt tier, state-field bindings, opt-pass config, mutation
-environment) and re-linked against the loading VM's JTOC/TIB world.
+Memoizes opt1/opt2, state-specialized (special-TIB) and OSR
+continuation compilation across VM instances: generated Python source
+is keyed by a stable digest of everything that can change it (program
+bytecode, method, opt tier, state-field bindings, OSR entry pc,
+opt-pass config, mutation environment) and re-linked against the
+loading VM's JTOC/TIB world.
 
 Usage::
 

@@ -10,6 +10,10 @@ a compile key commits to
   method bytecode) is the conservative closure;
 * the **method identity** (declaring class + method key) and **opt
   tier**;
+* the **OSR entry pc** for an on-stack-replacement continuation
+  (``None`` for general and specialized compiles): a continuation is
+  the method lowered with its entry at that loop header, so each pc is
+  its own artifact;
 * the **specialization bindings** (state-field slots and values, per
   :class:`~repro.opt.specialize.SpecBindings`);
 * the **opt-pass configuration** (every :class:`OptConfig` /
@@ -17,7 +21,8 @@ a compile key commits to
 * the **mutation environment** — the full mutation plan (hooked fields,
   hot states, lifetime constants, trade-off constants) plus whether
   telemetry is attached, both of which select different hook closures
-  and therefore different generated source.
+  and therefore different generated source.  The key carries this
+  environment's digest, not its rendering.
 
 The VM-version stamp is *not* part of the per-entry key: it is baked
 into the cache directory name (see :mod:`repro.cache.store`), so a
@@ -103,6 +108,7 @@ def bindings_payload(bindings: Any) -> list:
 def opt_config_payload(config: Any) -> dict:
     return {
         "max_iterations": config.max_iterations,
+        "budget_gate": config.budget_gate,
         "inline": asdict(config.inline),
     }
 
@@ -165,17 +171,25 @@ def compile_key(
     opt_level: int,
     bindings: Any,
     config: Any,
+    entry_pc: int | None = None,
+    *,
     program_dig: str | None = None,
+    method_dig: str | None = None,
+    env_dig: str | None = None,
 ) -> str:
-    """The cache key for one (method, tier, bindings) compile request."""
+    """The cache key for one (method, tier, bindings, OSR entry pc)
+    compile request.  The ``*_dig`` arguments pass digests a caller has
+    memoised (see :meth:`repro.cache.store.CompileCache.key_for`);
+    omitted ones are computed here."""
     payload = {
         "program": program_dig or program_digest(vm.unit),
         "class": rm.rclass.name,
         "method": rm.info.key,
-        "method_code": method_digest(rm.info),
+        "method_code": method_dig or method_digest(rm.info),
         "opt_level": opt_level,
+        "entry_pc": entry_pc,
         "bindings": bindings_payload(bindings),
         "opt_config": opt_config_payload(config),
-        "env": environment_payload(vm),
+        "env": env_dig or stable_digest(environment_payload(vm)),
     }
     return stable_digest(payload)

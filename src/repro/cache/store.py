@@ -45,7 +45,13 @@ from pathlib import Path
 from typing import Any
 
 from repro import __version__
-from repro.cache.keys import compile_key, program_digest, stable_digest
+from repro.cache.keys import (
+    compile_key,
+    environment_payload,
+    method_digest,
+    program_digest,
+    stable_digest,
+)
 
 #: Bump when the artifact or key format changes incompatibly.
 #: v2: unified swap accounting — generated code counts swaps on
@@ -84,12 +90,37 @@ from repro.cache.keys import compile_key, program_digest, stable_digest
 #: share the opt2 format (source, marshalled code, pins) plus a
 #: ``code_bytes`` field for both tiers; v9 opt1 entries held serialized
 #: IR for the retired IR interpreter.
-SCHEMA_VERSION = 10
+#: v11: OSR continuations are cached — ``compile_key`` gained the
+#: ``entry_pc`` field, the key carries the environment's digest instead
+#: of its rendering, the opt config renders ``budget_gate``, and entry
+#: ``meta`` records ``osr_pc``.
+SCHEMA_VERSION = 11
 
 
 def cache_stamp() -> str:
     """The versioned subdirectory name for entries this build can use."""
     return f"v{SCHEMA_VERSION}-{__version__}-{sys.implementation.cache_tag}"
+
+
+def _environment_digest(vm: Any) -> str:
+    """The digest of :func:`~repro.cache.keys.environment_payload`,
+    memoised on the VM.  After construction only three of its inputs
+    change: the mutation manager (online activation attaches one
+    mid-run), the attach-time audit's downgraded classes, and TV's
+    downgrade record (TV can downgrade mid-run).  They are the memo's
+    token, so a change to any of them recomputes the digest."""
+    manager = getattr(vm, "mutation_manager", None)
+    token = (
+        manager,
+        tuple(getattr(vm, "tv_downgrades", None) or ()),
+        tuple(manager.downgraded_classes) if manager is not None else (),
+    )
+    memo = getattr(vm, "_jxcache_env", None)
+    if memo is None or memo[0] != token:
+        memo = vm._jxcache_env = (
+            token, stable_digest(environment_payload(vm))
+        )
+    return memo[1]
 
 
 class CompileCache:
@@ -149,13 +180,22 @@ class CompileCache:
     # -- keys ---------------------------------------------------------------
 
     def key_for(self, vm: Any, rm: Any, opt_level: int,
-                bindings: Any, config: Any) -> str:
-        digest = getattr(vm.unit, "_jxcache_program_digest", None)
-        if digest is None:
-            digest = program_digest(vm.unit)
-            vm.unit._jxcache_program_digest = digest
-        return compile_key(vm, rm, opt_level, bindings, config,
-                           program_dig=digest)
+                bindings: Any, config: Any,
+                entry_pc: int | None = None) -> str:
+        """:func:`~repro.cache.keys.compile_key` with its program,
+        method and environment digests memoised (on the unit, the
+        ``MethodInfo`` and the VM)."""
+        program = getattr(vm.unit, "_jxcache_program_digest", None)
+        if program is None:
+            program = program_digest(vm.unit)
+            vm.unit._jxcache_program_digest = program
+        info = rm.info
+        method = getattr(info, "_jxcache_method_digest", None)
+        if method is None:
+            method = info._jxcache_method_digest = method_digest(info)
+        return compile_key(vm, rm, opt_level, bindings, config, entry_pc,
+                           program_dig=program, method_dig=method,
+                           env_dig=_environment_digest(vm))
 
     def _path(self, key: str) -> Path:
         return self.dir / key[:2] / f"{key}.json"
@@ -249,9 +289,12 @@ class CompileCache:
                         total_bytes += path.stat().st_size
                         with open(path, encoding="utf-8") as handle:
                             meta = json.load(handle).get("meta", {})
-                        tier = "special" if meta.get("special") else (
-                            f"opt{meta.get('opt_level', '?')}"
-                        )
+                        if meta.get("special"):
+                            tier = "special"
+                        elif meta.get("osr_pc") is not None:
+                            tier = "osr"
+                        else:
+                            tier = f"opt{meta.get('opt_level', '?')}"
                         by_tier[tier] = by_tier.get(tier, 0) + 1
                     except (OSError, ValueError):
                         continue

@@ -60,6 +60,10 @@ class Measurement:
     #: cold and warm compile costs of the same workload.
     cold_compile_seconds: float = 0.0
     warm_compile_seconds: float = 0.0
+    #: The last VM's compile events, and how many of them it linked
+    #: from the compile cache (all of them on a fully warm start).
+    compile_events: int = 0
+    cached_methods: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -173,6 +177,8 @@ def run_workload(
         cache_misses=cache.misses if cache is not None else 0,
         cold_compile_seconds=cold_compile,
         warm_compile_seconds=warm_compile,
+        compile_events=len(stats.events),
+        cached_methods=stats.cached_methods,
     )
 
 

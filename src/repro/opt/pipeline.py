@@ -37,7 +37,7 @@ from repro.opt.cse import local_cse
 from repro.opt.dce import dead_code_elimination
 from repro.opt.inline import InlineConfig, inline_calls
 from repro.opt.ir import clone_ir
-from repro.opt.lowering import lower_method
+from repro.opt.lowering import lower_method, lower_method_osr
 from repro.opt.pycodegen import PyCodegen
 from repro.opt.simplify import simplify
 from repro.opt.specialize import SpecBindings, specialize_ir
@@ -159,6 +159,7 @@ class OptCompiler:
         rm: Any,
         opt_level: int,
         bindings: SpecBindings | None = None,
+        entry_pc: int | None = None,
     ):
         """Produce optimized IR for ``rm`` at ``opt_level``.
 
@@ -167,6 +168,11 @@ class OptCompiler:
         instead of re-lowering and re-inlining (Fig. 5 generates the
         general and all special versions together, so the snapshot is
         always fresh when the manager asks for specials).
+
+        ``entry_pc`` builds an OSR continuation instead: the method
+        lowered with its entry at that loop header
+        (:func:`~repro.opt.lowering.lower_method_osr`), never
+        snapshotted, since specials start from the general body.
         """
         fn = None
         if opt_level >= 2 and bindings:
@@ -174,9 +180,12 @@ class OptCompiler:
             if snapshot is not None:
                 fn = clone_ir(snapshot)
         if fn is None:
-            fn = self._pass(
-                "lower", lambda _f: lower_method(rm.info), None
-            )
+            if entry_pc is None:
+                fn = self._pass(
+                    "lower", lambda _f: lower_method(rm.info), None
+                )
+            else:
+                fn = lower_method_osr(rm.info, entry_pc)
             if opt_level >= 2:
                 self._pass(
                     "inline",
@@ -185,7 +194,8 @@ class OptCompiler:
                     ),
                     fn,
                 )
-                self._ir_snapshots[id(rm)] = clone_ir(fn)
+                if entry_pc is None:
+                    self._ir_snapshots[id(rm)] = clone_ir(fn)
         if bindings:
             self._pass(
                 "specialize", lambda f: specialize_ir(f, bindings), fn
@@ -213,37 +223,20 @@ class OptCompiler:
             self._run_core_pipeline(fn)
         return fn
 
-    def compile_osr_continuation(self, rm: Any, pc: int, opt_level: int):
+    def compile_osr_continuation(
+        self, rm: Any, pc: int, opt_level: int
+    ) -> OptCompiled:
         """Compile an OSR continuation of ``rm`` entered at bytecode
-        ``pc`` and return ``(executor, code_size_bytes)``.
+        ``pc``.
 
         The executor's signature matches the normal one —
         ``executor(vm, args)`` — but ``args`` is the *full captured
         locals frame* (``max_locals`` values), not the parameter list.
-        Continuations are per-frame-shape artifacts keyed by runtime
-        state, so they are never cached or snapshotted; the entry-point
-        cache lives on the RuntimeMethod (``rm.osr_entries``)."""
-        from repro.opt.lowering import lower_method_osr
-
-        fn = lower_method_osr(rm.info, pc)
-        if opt_level >= 2:
-            self._pass(
-                "inline",
-                lambda f: inline_calls(f, self.vm, rm, self.config.inline),
-                fn,
-            )
-        self._run_core_pipeline(fn)
-        if opt_level >= 2:
-            self._pass("strength", strength_reduce, fn)
-            if self.config.budget_gate and not _bounds_may_help(fn):
-                self._gated("boundselim")
-            else:
-                self._pass("boundselim", eliminate_bounds_checks, fn)
-            self._run_core_pipeline(fn)
-        source, executor = PyCodegen(
-            fn, opt_level, func_name="_jx_osr"
-        ).generate()
-        return executor, _code_bytes(opt_level, fn, source)
+        A continuation is one more version of the method, so it takes
+        the same compile-cache path as general and special compiles,
+        keyed by its entry pc; nothing installs the returned
+        ``OptCompiled`` (the caller keeps its executor)."""
+        return self._compile(rm, opt_level, None, pc)
 
     def compile(
         self,
@@ -260,24 +253,34 @@ class OptCompiler:
         re-linked instead of recompiled; misses populate the cache."""
         if opt_level not in (1, 2):
             raise ValueError(f"opt_level must be 1 or 2, got {opt_level}")
+        return self._compile(rm, opt_level, bindings, None)
+
+    def _compile(
+        self,
+        rm: Any,
+        opt_level: int,
+        bindings: SpecBindings | None,
+        entry_pc: int | None,
+    ) -> OptCompiled:
         cache = getattr(self.vm, "compile_cache", None)
-        key = None
-        if cache is not None:
-            key = cache.key_for(self.vm, rm, opt_level, bindings,
-                                self.config)
-            # The whole load→compile→store sequence runs under the
-            # key's lock: a concurrent compiler of the same key waits
-            # here and then hits what the first one stored, instead of
-            # recompiling (and the load can never race a store).
-            with cache.key_lock(key) as waited:
-                if waited:
-                    tel = _tel_maybe(self.vm.telemetry)
-                    if tel is not None:
-                        tel.observe("cache.lock_wait_seconds", waited)
-                return self._compile_exclusive(
-                    cache, key, rm, opt_level, bindings
-                )
-        return self._compile_exclusive(cache, key, rm, opt_level, bindings)
+        if cache is None:
+            return self._compile_exclusive(
+                None, None, rm, opt_level, bindings, entry_pc
+            )
+        key = cache.key_for(self.vm, rm, opt_level, bindings,
+                            self.config, entry_pc)
+        # The whole load→compile→store sequence runs under the key's
+        # lock: a concurrent compiler of the same key waits here and
+        # then hits what the first one stored, instead of recompiling
+        # (and the load can never race a store).
+        with cache.key_lock(key) as waited:
+            if waited:
+                tel = _tel_maybe(self.vm.telemetry)
+                if tel is not None:
+                    tel.observe("cache.lock_wait_seconds", waited)
+            return self._compile_exclusive(
+                cache, key, rm, opt_level, bindings, entry_pc
+            )
 
     def _compile_exclusive(
         self,
@@ -286,6 +289,7 @@ class OptCompiler:
         rm: Any,
         opt_level: int,
         bindings: SpecBindings | None,
+        entry_pc: int | None,
     ) -> OptCompiled:
         """The compile body; the caller holds ``key``'s lock when a
         cache is attached."""
@@ -293,13 +297,17 @@ class OptCompiler:
             cm = self._link_cached(cache, key, rm, opt_level, bindings)
             if cm is not None:
                 return cm
-        fn = self.build_ir(rm, opt_level, bindings)
+        fn = self.build_ir(rm, opt_level, bindings, entry_pc)
         state_label = bindings.label if bindings else None
-        # opt1 is never the top tier the compiler builds, so its code
-        # ticks back-edges on the way to opt2.
-        gen = PyCodegen(
-            fn, opt_level, tick_rm=rm if opt_level == 1 else None
-        )
+        if entry_pc is None:
+            # opt1 is never the top tier the compiler builds, so its
+            # code ticks back-edges on the way to opt2.
+            gen = PyCodegen(
+                fn, opt_level, tick_rm=rm if opt_level == 1 else None
+            )
+        else:
+            # Continuations are built at the final tier: no ticks.
+            gen = PyCodegen(fn, opt_level, func_name="_jx_osr")
         source, executor = gen.generate()
         code_bytes = _code_bytes(opt_level, fn, source)
         cm = OptCompiled(
@@ -325,6 +333,7 @@ class OptCompiler:
                     "method": rm.info.key,
                     "opt_level": opt_level,
                     "special": state_label,
+                    "osr_pc": entry_pc,
                 })
         # Under active telemetry, keep dispatch going through the
         # counting invoke() even for final-tier methods (the direct

@@ -116,9 +116,9 @@ class CompileStats:
     total_code_bytes: int = 0
     special_code_bytes: int = 0
     special_seconds: float = 0.0
-    #: Recompiles served by re-linking a persistent-cache artifact
-    #: (their seconds still count toward the totals — link time is the
-    #: real cost a warm start pays).
+    #: Events (recompiles and OSR continuations) served by re-linking
+    #: a persistent-cache artifact (their seconds still count toward
+    #: the totals — link time is the real cost a warm start pays).
     cached_methods: int = 0
 
     def record(self, event: CompileEvent) -> None:

@@ -18,7 +18,11 @@ code.  This module adds both transfers:
   frame has already proven itself hot, and a continuation is a one-off
   executor outside the method's tier ladder (nothing installs it), so
   an opt1 continuation would finish a single-invocation frame at opt1
-  even after its back-edge ticks promoted the method.
+  even after its back-edge ticks promoted the method.  A continuation
+  is otherwise one more version of the method: it goes through the
+  persistent compile cache keyed by its entry pc, so a warm start links
+  it instead of compiling it.  ``rm.osr_entries`` only spares repeat
+  crossings within one VM the lookup.
 
 * **deopt** (specialized -> opt0) — specialized code elides state
   dispatch with **no value guards** (paper §2.2); the TIB-swap protocol
@@ -95,17 +99,15 @@ class OSRManager:
         # The compensation set: locals dead at the entry pc are nulled
         # so the transferred frame carries exactly the state the
         # abstract interpreter frame would.
-        dead = tuple(
-            i
-            for i in range(rm.info.max_locals)
-            if i not in live_locals(rm.info.code)[pc]
-        )
+        live = live_locals(rm.info.code)[pc]
+        dead = tuple(i for i in range(rm.info.max_locals) if i not in live)
         if getattr(vm.config, "tv", False):
             # Translation validation: the entry pc must be a
             # stack-depth-0 loop header and the compensation set must
             # agree with an independent liveness run; an unprovable
-            # entry is rejected before paying for the compile (the
-            # caller caches the permanent-miss sentinel).
+            # entry is rejected before the compile-cache lookup, so a
+            # stored continuation is never linked for it (the caller
+            # caches the permanent-miss sentinel).
             from repro.analysis.tv import check_osr_entry
 
             if not check_osr_entry(vm, rm, pc, dead):
@@ -122,9 +124,7 @@ class OSRManager:
             )
         start = time.perf_counter()
         try:
-            executor, code_size = vm.opt_compiler.compile_osr_continuation(
-                rm, pc, level
-            )
+            cm = vm.opt_compiler.compile_osr_continuation(rm, pc, level)
         except Exception:
             # An OSR miss must never take down a program the plain
             # interpreter would finish; the frame just keeps
@@ -145,6 +145,9 @@ class OSRManager:
                 tel.count("osr.compile_failed")
             return None
         seconds = time.perf_counter() - start
+        code_size = cm.code_size_bytes
+        if getattr(cm, "from_cache", False):
+            vm.compile_stats.cached_methods += 1
         vm.compile_stats.record(
             CompileEvent(
                 qualified_name=qualified,
@@ -170,7 +173,7 @@ class OSRManager:
         def entry(
             vm: Any,
             locals_: list,
-            _executor=executor,
+            _executor=cm.executor,
             _rm=rm,
             _pc=pc,
             _level=level,

@@ -68,6 +68,7 @@ def test_opt_level_and_config_change_key():
     vm = _vm()
     assert _key(vm, opt_level=1) != _key(vm, opt_level=2)
     assert _key(vm, config=OptConfig(max_iterations=3)) != _key(vm)
+    assert _key(vm, config=OptConfig(budget_gate=True)) != _key(vm)
 
 
 def test_state_bindings_change_key():
@@ -86,6 +87,24 @@ def test_telemetry_attachment_changes_key():
     """Telemetry selects instrumented hook closures, so its presence is
     part of the environment digest."""
     assert _key(_vm()) != _key(_vm(telemetry=True))
+
+
+def test_tv_downgrade_after_first_key_changes_later_keys(tmp_path):
+    """``key_for`` memoises the environment digest on the VM; a TV
+    downgrade recorded mid-run still reaches every later key."""
+    from repro.analysis.tv import _record_downgrade
+
+    vm = _vm()
+    cache = CompileCache(tmp_path)
+    rm = vm.classes["Main"].own_methods["work"]
+    config = OptConfig()
+    first = cache.key_for(vm, rm, 2, None, config)
+    assert first == _key(vm)
+    assert cache.key_for(vm, rm, 2, None, config) == first
+    _record_downgrade(vm, "osr", "Main.work@4", "unprovable")
+    later = cache.key_for(vm, rm, 2, None, config)
+    assert later != first
+    assert later == _key(vm)
 
 
 # -- store behavior ----------------------------------------------------------
@@ -172,7 +191,7 @@ def test_schema_v9_opt1_ir_entry_is_a_miss(tmp_path):
     """Before schema v10 an opt1 entry held serialized IR.  Such an
     entry is stale by stamp, and even one planted under a current key
     is a counted link error and a recompile, never a crash."""
-    assert cache_stamp().startswith("v10-")
+    assert cache_stamp().startswith("v11-")
     cache_dir = tmp_path / "jxcache"
     out_cold = _vm(adaptive_config=OPT1_ONLY,
                    compile_cache=str(cache_dir)).run().output
@@ -211,6 +230,22 @@ def test_stats_counts_by_tier(tmp_path):
     assert stats["bytes"] > 0
     assert sum(stats["by_tier"].values()) == stats["entries"]
     assert cache_stamp() in stats["dir"]
+    # OSR continuations are stored at opt2 but reported as their own
+    # tier (none exist when OSR is switched off).
+    continuations = sum(
+        1
+        for rc in vm.classes.values()
+        for rm in rc.own_methods.values()
+        for entry in (rm.osr_entries or {}).values()
+        if entry
+    )
+    assert stats["by_tier"].get("osr", 0) == continuations
+    assert stats["by_tier"].get("opt2", 0) == sum(
+        1
+        for rc in vm.classes.values()
+        for rm in rc.own_methods.values()
+        if getattr(rm.compiled, "opt_level", 0) == 2
+    )
 
 
 def test_jx_cache_dir_env_enables_cache(tmp_path, monkeypatch):

@@ -189,7 +189,8 @@ def test_all_configurations_byte_identical(name, tmp_path):
 
 def test_warm_start_reuses_every_entry(tmp_path):
     """On an identical program + plan + config, the warm VM must link
-    every compile from the cache (hit rate 100%)."""
+    every compile from the cache (hit rate 100%), OSR continuations
+    included: a warm start compiles nothing."""
     spec = get_workload("salarydb")
     source = spec.source(SCALE)
     plan = build_mutation_plan(source, entry_class=spec.entry_class)
@@ -199,3 +200,5 @@ def test_warm_start_reuses_every_entry(tmp_path):
     _, warm_vm = _run(spec, source, AGGRESSIVE, plan=plan, cache=cache_dir)
     assert warm_vm.compile_cache.misses == 0
     assert warm_vm.compile_cache.hits == cold_vm.compile_cache.misses
+    stats = warm_vm.compile_stats
+    assert stats.cached_methods == len(stats.events)

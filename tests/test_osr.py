@@ -16,9 +16,14 @@ arbitrary iteration of the specialized loop.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import VM, VMConfig, compile_source
+from repro.cache import compile_key
+from repro.cache.keys import stable_digest
+from repro.opt.pipeline import OptConfig
 from repro.vm.adaptive import ENTRY_TICKS, AdaptiveConfig
 from repro.vm.values import VMArray
 from tests.helpers import INTERP_ONLY
@@ -283,3 +288,128 @@ def test_osr_disabled_vm_has_no_manager():
     assert vm.osr is None
     out = vm.run().output
     assert out and vm.mutation_stats.osr_enters == 0
+
+
+# ---------------------------------------------------------------------------
+# Continuations in the persistent compile cache
+# ---------------------------------------------------------------------------
+
+#: Crossings on these back-edges enter the first loop's header and the
+#: tail loop's header: two distinct entry pcs of one method.
+_FIRST_LOOP_N = 30
+_TAIL_LOOP_N = 280
+
+
+def _osr_run(n, cache_dir=None, config=None):
+    vm = VM(
+        compile_source(PROMOTE_SOURCE),
+        adaptive_config=AdaptiveConfig(
+            opt1_ticks=ENTRY_TICKS + n, opt2_ticks=1 << 40
+        ),
+        config=config or VMConfig(osr=True),
+        compile_cache=str(cache_dir) if cache_dir else None,
+    )
+    return vm, vm.run().output
+
+
+def _osr_cache_files(cache_dir):
+    return [
+        path for path in cache_dir.glob("*/*/*.json")
+        if json.loads(path.read_text())["meta"].get("osr_pc") is not None
+    ]
+
+
+def test_warm_start_links_the_continuation_from_cache(tmp_path):
+    ref_out, ref_heap = _reference()
+    cold, _ = _osr_run(_FIRST_LOOP_N, tmp_path)
+    assert len(_osr_cache_files(tmp_path)) == 1
+    warm, out = _osr_run(_FIRST_LOOP_N, tmp_path)
+    assert out == ref_out and heap_digest(warm) == ref_heap
+    assert warm.mutation_stats.osr_enters == 1
+    assert warm.compile_cache.misses == 0
+    assert warm.compile_cache.hits == cold.compile_cache.misses
+    stats = warm.compile_stats
+    assert stats.cached_methods == len(stats.events) == 2
+    assert stats.total_code_bytes == cold.compile_stats.total_code_bytes
+
+
+def test_continuation_keys_commit_to_the_entry_pc():
+    pcs = []
+    for n in (_FIRST_LOOP_N, _TAIL_LOOP_N):
+        vm, _ = _osr_run(n)
+        pcs += list(vm.classes["Main"].own_methods["main"].osr_entries)
+    assert len(set(pcs)) == 2
+    rm = vm.classes["Main"].own_methods["main"]
+    general = compile_key(vm, rm, 2, None, OptConfig())
+    keys = {compile_key(vm, rm, 2, None, OptConfig(), pc) for pc in pcs}
+    assert len(keys) == 2 and general not in keys
+
+
+@pytest.mark.parametrize("poison", ["checksum", "pin"])
+def test_poisoned_continuation_is_a_miss_and_recompiles(tmp_path, poison):
+    """A corrupt entry (stale checksum) and an unlinkable one (a pin
+    this program cannot resolve) are both counted misses, followed by a
+    recompile that stores a fresh entry."""
+    ref_out, ref_heap = _reference()
+    _osr_run(_FIRST_LOOP_N, tmp_path)
+    (path,) = _osr_cache_files(tmp_path)
+    entry = json.loads(path.read_text())
+    artifact = entry["artifact"]
+    if poison == "checksum":
+        artifact["source"] = "def _jx_osr(vm, args): return 666\n"
+        artifact.pop("marshal", None)
+    else:
+        artifact["pins"].append(["_ghost", ["class", "NoSuchClass"]])
+        entry["artifact_sha"] = stable_digest(artifact)
+    path.write_text(json.dumps(entry))
+
+    warm, out = _osr_run(_FIRST_LOOP_N, tmp_path)
+    assert out == ref_out and heap_digest(warm) == ref_heap
+    assert warm.mutation_stats.osr_enters == 1
+    cache = warm.compile_cache
+    assert cache.misses == 1 and cache.stores == 1
+    assert cache.link_errors == (1 if poison == "pin" else 0)
+    stats = warm.compile_stats
+    assert stats.cached_methods == len(stats.events) - 1
+
+
+def test_rejected_entry_never_links_the_stored_continuation(
+    tmp_path, monkeypatch
+):
+    """TV's entry check runs before the cache lookup: with the check
+    rejecting, a warm VM looks up only the general compile and never
+    enters the stored continuation."""
+    import repro.analysis.tv as tv
+
+    ref_out, _ = _reference()
+    config = VMConfig(osr=True, tv=True)
+    _osr_run(_FIRST_LOOP_N, tmp_path, config)
+    assert len(_osr_cache_files(tmp_path)) == 1
+    monkeypatch.setattr(tv, "check_osr_entry", lambda *args: False)
+    warm, out = _osr_run(_FIRST_LOOP_N, tmp_path, config)
+    assert out == ref_out
+    assert warm.mutation_stats.osr_enters == 0
+    cache = warm.compile_cache
+    assert (cache.hits, cache.misses) == (1, 0)
+    assert len(warm.compile_stats.events) == 1
+
+
+def test_liveness_runs_once_per_entry_build(monkeypatch):
+    """``_build_entry`` computes the compensation set from one liveness
+    run per entry, not one per local slot (TV's cross-check imports its
+    own reference and is not counted)."""
+    import repro.vm.osr as osr
+
+    calls = []
+    real = osr.live_locals
+
+    def counting(code, **kwargs):
+        calls.append(len(code))
+        return real(code, **kwargs)
+
+    monkeypatch.setattr(osr, "live_locals", counting)
+    vm, _ = _osr_run(_FIRST_LOOP_N)
+    entries = vm.classes["Main"].own_methods["main"].osr_entries
+    assert len(entries) == 1
+    assert len(calls) == 1
+

@@ -376,7 +376,11 @@ def test_manager_field_is_read_only_alias():
 # Memoization
 # ---------------------------------------------------------------------------
 
-def test_pure_specials_get_memo_wrappers_and_hit():
+def test_pure_specials_get_memo_wrappers_and_hit(monkeypatch):
+    # Memo wrappers need the IR of a freshly compiled special; a
+    # cache-linked one carries none (see repro.vm.memo), so this test
+    # must not run on an environment-enabled compile cache.
+    monkeypatch.delenv("JX_CACHE_DIR", raising=False)
     vm, out = _share_vm(memo=True)
     rm = vm.lookup("Tariff", "rate")
     wrappers = [
@@ -415,7 +419,11 @@ def test_impure_specials_are_never_memoized():
     )
 
 
-def test_memo_invalidated_on_tib_swap():
+def test_memo_invalidated_on_tib_swap(monkeypatch):
+    # Memo wrappers need the IR of a freshly compiled special; a
+    # cache-linked one carries none (see repro.vm.memo), so this test
+    # must not run on an environment-enabled compile cache.
+    monkeypatch.delenv("JX_CACHE_DIR", raising=False)
     vm, _ = _share_vm(memo=True)
     band, _tag = _slots(vm)
     rm = vm.lookup("Tariff", "rate")
@@ -444,7 +452,11 @@ def test_memo_invalidated_on_tib_swap():
     assert vm.memo.hits == hits_after_swap + 1  # and hits again after
 
 
-def test_memo_is_per_session_under_shared_code_space():
+def test_memo_is_per_session_under_shared_code_space(monkeypatch):
+    # Memo wrappers need the IR of a freshly compiled special; a
+    # cache-linked one carries none (see repro.vm.memo), so this test
+    # must not run on an environment-enabled compile cache.
+    monkeypatch.delenv("JX_CACHE_DIR", raising=False)
     space = CodeSpace(
         compile_source(SHARE_SOURCE),
         mutation_plan=_share_plan(),

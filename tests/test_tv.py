@@ -265,10 +265,14 @@ def test_share_with_unequal_read_sets_refused():
 # Satellite: deopt-guard lint
 # ---------------------------------------------------------------------------
 
-def test_deopt_guard_strip_yields_one_finding():
+def test_deopt_guard_strip_yields_one_finding(monkeypatch):
     from repro.analysis.tv import _iter_special_irs
     from tests.test_osr import _deopt_run
 
+    # The guards live in the IR of freshly compiled specials; a
+    # cache-linked special carries none, so this test must not run on
+    # an environment-enabled compile cache.
+    monkeypatch.delenv("JX_CACHE_DIR", raising=False)
     agg = AdaptiveConfig(opt1_ticks=16, opt2_ticks=32)
     vm, _ = _deopt_run(100, agg, osr=True)
     assert vm.mutation_stats.osr_deopts >= 1
