@@ -9,6 +9,10 @@ Three transforms, iterated to fixpoint by the pipeline:
 * unreachable blocks are deleted;
 * trivial jump chains are threaded and single-predecessor blocks merged
   into their predecessor.
+
+Each transform walks the CFG a constant number of times per call; block
+merging patches predecessor lists as it splices instead of recomputing
+them after every merge.
 """
 
 from __future__ import annotations
@@ -87,30 +91,40 @@ def thread_jumps(fn: IRFunction) -> int:
 
 
 def merge_blocks(fn: IRFunction) -> int:
-    """Splice single-predecessor jump targets into their predecessor."""
+    """Splice single-predecessor jump targets into their predecessor.
+
+    One reverse-postorder pass: a block keeps absorbing its jump target
+    while that target has no other predecessor, and the predecessor
+    lists of the absorbed block's successors are patched in place.
+    Merging a block's only successor into it removes just that
+    successor from the reverse postorder and leaves every other block's
+    predecessor count unchanged, so this makes the same merges in the
+    same order as restarting the scan after each one would.
+    """
+    preds = predecessors(fn)
     changed = 0
-    while True:
-        preds = predecessors(fn)
-        merged = False
-        for block in list(fn.block_order()):
-            if block.id not in fn.blocks:
-                continue
+    for block in fn.block_order():
+        if block.id not in fn.blocks:
+            continue
+        while True:
             term = block.terminator
             if term.op != "jump":
-                continue
+                break
             target = term.extra.target
             if target == block.id or target == fn.entry:
-                continue
+                break
             if len(preds.get(target, [])) != 1:
-                continue
-            target_block = fn.blocks[target]
-            block.instrs = block.instrs[:-1] + target_block.instrs
-            del fn.blocks[target]
+                break
+            target_block = fn.blocks.pop(target)
+            del preds[target]
+            block.instrs.pop()
+            block.instrs.extend(target_block.instrs)
+            for s in target_block.successors():
+                preds[s] = [
+                    block.id if p == target else p for p in preds[s]
+                ]
             changed += 1
-            merged = True
-            break
-        if not merged:
-            return changed
+    return changed
 
 
 def cleanup_cfg(fn: IRFunction) -> int:

@@ -12,11 +12,13 @@ from repro.opt.ir import IRFunction
 
 
 def predecessors(fn: IRFunction) -> dict[int, list[int]]:
-    """Predecessor lists for every reachable block."""
-    preds: dict[int, list[int]] = {bid: [] for bid in fn.reachable_ids()}
-    for block in fn.block_order():
+    """Predecessor lists for every reachable block, each in reverse
+    postorder, from one walk of the CFG."""
+    order = fn.block_order()
+    preds: dict[int, list[int]] = {block.id: [] for block in order}
+    for block in order:
         for s in block.successors():
-            preds.setdefault(s, []).append(block.id)
+            preds[s].append(block.id)
     return preds
 
 

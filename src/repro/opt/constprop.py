@@ -7,10 +7,23 @@ register uses that are constant on *every* path with immediates and
 re-folds; the paper leans on exactly this to let specialized state
 fields erase dispatch chains (constant propagation is the first
 conventional optimization the mutation framework enables, §1).
+
+Block states are sparse: they carry only the registers some block reads
+before writing them (*upward-exposed* registers).  Every other register
+is written before it is read wherever it is read, so its value at a
+block boundary can never reach a use; a block's out-state is its
+in-state plus its own writes to exposed registers.  Block-local temps
+therefore never ride along through the meet, and each sweep costs the
+exposed set per block instead of every register the function assigns.
+Dropping the others can change which blocks the worklist revisits, not
+the fixpoint it reaches: when every register is assigned on each path
+to its reads, the transfer functions are monotone and the answer does
+not depend on visit order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 from repro.opt.cfg import predecessors
@@ -80,19 +93,46 @@ def _transfer_instr(instr, state: dict[str, Any]) -> None:
     state[name] = NAC
 
 
+def _exposed_registers(blocks) -> tuple[set[str], dict[int, list[str]]]:
+    """The upward-exposed registers of the function, and per block the
+    registers it writes that are not exposed anywhere (its local temps,
+    dropped from its out-state)."""
+    exposed: set[str] = set()
+    writes: dict[int, set[str]] = {}
+    for block in blocks:
+        written: set[str] = set()
+        for instr in block.instrs:
+            for a in instr.args:
+                if isinstance(a, Reg) and a.name not in written:
+                    exposed.add(a.name)
+            if instr.dest is not None:
+                written.add(instr.dest.name)
+        writes[block.id] = written
+    local = {
+        bid: [name for name in written if name not in exposed]
+        for bid, written in writes.items()
+    }
+    return exposed, local
+
+
 def constant_propagation(fn: IRFunction) -> int:
     """Run the analysis + rewrite; returns number of operands rewritten."""
     preds = predecessors(fn)
-    order = [b.id for b in fn.block_order()]
+    blocks = fn.block_order()
+    order = [b.id for b in blocks]
+    exposed, local = _exposed_registers(blocks)
     entry_state: dict[str, Any] = {
-        f"l{i}": NAC for i in range(fn.num_args)
+        f"l{i}": NAC for i in range(fn.num_args) if f"l{i}" in exposed
     }
     in_states: dict[int, dict[str, Any]] = {fn.entry: entry_state}
     out_states: dict[int, dict[str, Any]] = {}
 
-    work = list(order)
+    # A FIFO worklist with a membership set, seeded in reverse postorder.
+    work = deque(order)
+    queued = set(order)
     while work:
-        bid = work.pop(0)
+        bid = work.popleft()
+        queued.discard(bid)
         if bid == fn.entry:
             in_state = dict(entry_state)
         else:
@@ -108,10 +148,13 @@ def constant_propagation(fn: IRFunction) -> int:
         state = dict(in_state)
         for instr in fn.blocks[bid].instrs:
             _transfer_instr(instr, state)
+        for name in local[bid]:
+            del state[name]
         if out_states.get(bid) != state:
             out_states[bid] = state
             for s in fn.blocks[bid].successors():
-                if s not in work:
+                if s not in queued:
+                    queued.add(s)
                     work.append(s)
 
     # Rewrite sweep.

@@ -10,6 +10,8 @@ assumptions when deleting specialized-away code).
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.opt.cfg import predecessors
 from repro.opt.ir import IRFunction, PURE_OPS, Reg
 
@@ -21,9 +23,11 @@ def _block_liveness(fn: IRFunction) -> dict[int, set[str]]:
     live_in: dict[int, set[str]] = {bid: set() for bid in order}
     live_out: dict[int, set[str]] = {bid: set() for bid in order}
 
-    work = list(reversed(order))
+    work = deque(reversed(order))
+    queued = set(order)
     while work:
-        bid = work.pop(0)
+        bid = work.popleft()
+        queued.discard(bid)
         block = fn.blocks[bid]
         out: set[str] = set()
         for s in block.successors():
@@ -39,7 +43,8 @@ def _block_liveness(fn: IRFunction) -> dict[int, set[str]]:
         if new_in != live_in[bid]:
             live_in[bid] = new_in
             for p in preds.get(bid, []):
-                if p not in work:
+                if p not in queued:
+                    queued.add(p)
                     work.append(p)
     return live_out
 

@@ -20,12 +20,19 @@ Specialization interplay (paper §5):
   arguments at the call site and ``M`` the number of specializable
   state fields in the callee; inline iff ``N > M + k`` (``k`` tunable;
   very negative k => always inline, very positive => always specialize).
+
+Rounds: each round repeatedly scans for the first inlinable call in
+reverse postorder and splices it, until a scan finds none or the growth
+budget runs out.  A scan walks the CFG once; the register producers and
+``this`` aliases that only lifetime-constant receivers consult are built
+on demand, at most once per scan.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.opt.ir import Const, Extra, IRFunction, IRInstr, Reg
 from repro.opt.lowering import lower_method
@@ -101,15 +108,16 @@ class Inliner:
     # -- eligibility ------------------------------------------------------------
 
     def _receiver_lifetime_bindings(
-        self, instr: IRInstr, producers: dict[str, IRInstr],
-        aliases: set[str],
+        self, instr: IRInstr,
+        facts: Callable[[], tuple[dict[str, IRInstr], set[str]]],
     ) -> SpecBindings | None:
         """Object-lifetime-constant bindings for this call's receiver.
 
         Applies when the receiver is ``this.<ref>`` where ``<ref>`` is a
         private reference field with proven lifetime constants (paper
         §4/§5, e.g. ``deliveryScreen.<anything>()`` gets rows/cols
-        bound).
+        bound).  ``facts()`` gives the function's register producers and
+        ``this`` aliases.
         """
         lifetime = getattr(self.vm, "lifetime_constants", None)
         if not lifetime:
@@ -117,6 +125,7 @@ class Inliner:
         recv = instr.args[0]
         if not isinstance(recv, Reg):
             return None
+        producers, aliases = facts()
         producer = producers.get(recv.name)
         if producer is None or producer.op != "getfield":
             return None
@@ -299,14 +308,7 @@ class Inliner:
         if not self.config.enabled:
             return 0
         for _round in range(self.config.max_depth):
-            producers = {
-                instr.dest.name: instr
-                for block in self.fn.block_order()
-                for instr in block.instrs
-                if instr.dest is not None
-            }
-            aliases = this_aliases(self.fn)
-            site = self._find_site(producers, aliases)
+            site = self._find_site()
             inlined_this_round = 0
             while site is not None:
                 block_id, index, target_rm, olc = site
@@ -314,20 +316,28 @@ class Inliner:
                 inlined_this_round += 1
                 if self.budget <= 0:
                     return self.inlined_count
-                producers = {
-                    instr.dest.name: instr
-                    for block in self.fn.block_order()
-                    for instr in block.instrs
-                    if instr.dest is not None
-                }
-                aliases = this_aliases(self.fn)
-                site = self._find_site(producers, aliases)
+                site = self._find_site()
             if not inlined_this_round:
                 break
         return self.inlined_count
 
-    def _find_site(self, producers, aliases):
-        for block in self.fn.block_order():
+    def _find_site(self):
+        """The first inlinable call in reverse postorder.  One walk of
+        the CFG; the producers and aliases a lifetime-constant receiver
+        needs are built only if some site asks, once per scan."""
+        blocks = self.fn.block_order()
+
+        @functools.cache
+        def facts() -> tuple[dict[str, IRInstr], set[str]]:
+            producers = {
+                instr.dest.name: instr
+                for block in blocks
+                for instr in block.instrs
+                if instr.dest is not None
+            }
+            return producers, this_aliases(self.fn)
+
+        for block in blocks:
             for i, instr in enumerate(block.instrs):
                 if instr.op not in ("callsp", "calls", "callv"):
                     continue
@@ -336,9 +346,7 @@ class Inliner:
                     continue
                 olc = None
                 if instr.op == "callv":
-                    olc = self._receiver_lifetime_bindings(
-                        instr, producers, aliases
-                    )
+                    olc = self._receiver_lifetime_bindings(instr, facts)
                 if self._should_inline(instr, target_rm, olc):
                     return (block.id, i, target_rm, olc)
         return None

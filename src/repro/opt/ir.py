@@ -40,7 +40,6 @@ Terminators (exactly one, last in each block): ``jump`` (extra.target),
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -48,14 +47,19 @@ from typing import Any, Iterator
 
 
 class Reg:
-    """A virtual register."""
+    """A virtual register, identified by name.
+
+    Names come from the lowerer, per function: ``l<i>`` for locals,
+    ``s<block>_<depth>`` for block-entry stack slots and ``t<n>`` for
+    temps numbered from zero in each lowered function.  The inliner
+    prefixes a callee's registers with ``in<k>_``, so names stay unique
+    within one function.
+    """
 
     __slots__ = ("name",)
 
-    _counter = itertools.count()
-
-    def __init__(self, name: str | None = None) -> None:
-        self.name = name if name is not None else f"t{next(Reg._counter)}"
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __repr__(self) -> str:
         return f"%{self.name}"

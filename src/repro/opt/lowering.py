@@ -13,6 +13,7 @@ numbers, vtable offsets, JTOC cells, and intrinsic records.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any
 
 from repro.bytecode.classfile import MethodInfo
@@ -61,6 +62,9 @@ class Lowerer:
 
     def __init__(self, method: MethodInfo) -> None:
         self.method = method
+        #: Numbers this function's temps ``t0, t1, ...``, so a method's
+        #: IR does not depend on what else the process lowered.
+        self._temps = itertools.count()
         self.cfg = BytecodeCFG(method)
         self.depths = verify_method(method, _call_returns_map(method))
         self.fn = IRFunction(
@@ -88,6 +92,9 @@ class Lowerer:
     @staticmethod
     def _local(index: int) -> Reg:
         return Reg(f"l{index}")
+
+    def _temp(self) -> Reg:
+        return Reg(f"t{next(self._temps)}")
 
     def lower(self) -> IRFunction:
         # Create IR blocks 1:1 with bytecode blocks (same ids).
@@ -119,7 +126,7 @@ class Lowerer:
         if hazard:
             spilled: list[Operand] = []
             for v in values:
-                tmp = Reg()
+                tmp = self._temp()
                 out.append(IRInstr("mov", tmp, [v], line=line))
                 spilled.append(tmp)
             values = spilled
@@ -141,7 +148,7 @@ class Lowerer:
 
         def push_result(op: str, args: list[Operand], extra: Extra | None,
                         line: int) -> None:
-            dest = Reg()
+            dest = self._temp()
             out.append(IRInstr(op, dest, args, extra, line))
             stack.append(dest)
 
@@ -160,7 +167,7 @@ class Lowerer:
                 # Spill stack aliases of this local before overwriting.
                 for k, slot_val in enumerate(stack):
                     if slot_val == local:
-                        tmp = Reg()
+                        tmp = self._temp()
                         out.append(IRInstr("mov", tmp, [local], line=line))
                         for j in range(k, len(stack)):
                             if stack[j] == local:
@@ -176,12 +183,12 @@ class Lowerer:
             elif op in _BINOP:
                 b = stack.pop()
                 a = stack.pop()
-                dest = Reg()
+                dest = self._temp()
                 out.append(IRInstr(_BINOP[op], dest, [a, b], line=line))
                 stack.append(dest)
             elif op in _UNOP:
                 a = stack.pop()
-                dest = Reg()
+                dest = self._temp()
                 out.append(IRInstr(_UNOP[op], dest, [a], line=line))
                 stack.append(dest)
             elif op is Op.GETFIELD:

@@ -185,7 +185,11 @@ class OptCompiler:
                     "lower", lambda _f: lower_method(rm.info), None
                 )
             else:
-                fn = lower_method_osr(rm.info, entry_pc)
+                fn = self._pass(
+                    "lower",
+                    lambda _f: lower_method_osr(rm.info, entry_pc),
+                    None,
+                )
             if opt_level >= 2:
                 self._pass(
                     "inline",
@@ -308,7 +312,9 @@ class OptCompiler:
         else:
             # Continuations are built at the final tier: no ticks.
             gen = PyCodegen(fn, opt_level, func_name="_jx_osr")
-        source, executor = gen.generate()
+        source, executor = self._pass(
+            "codegen", lambda _f: gen.generate(), None
+        )
         code_bytes = _code_bytes(opt_level, fn, source)
         cm = OptCompiled(
             rm,

@@ -61,30 +61,33 @@ def this_aliases(fn: IRFunction) -> set[str]:
 
     ``l0`` is never reassigned (Jx has no assignment to ``this``); a
     register aliases ``this`` iff *every* assignment to it is a mov from
-    an aliasing register.
+    an aliasing register.  This is the least such set: a worklist grows
+    it from ``l0``, retiring one pending assignment of each mov
+    destination whenever that mov's source joins it.
     """
-    assignments: dict[str, list[IRInstr]] = {}
+    pending: dict[str, int] = {}
+    movs_from: dict[str, list[str]] = {}
+    blocked: set[str] = set()
     for block in fn.block_order():
         for instr in block.instrs:
-            if instr.dest is not None:
-                assignments.setdefault(instr.dest.name, []).append(instr)
-    if "l0" in assignments:
+            if instr.dest is None:
+                continue
+            name = instr.dest.name
+            if instr.op == "mov" and isinstance(instr.args[0], Reg):
+                pending[name] = pending.get(name, 0) + 1
+                movs_from.setdefault(instr.args[0].name, []).append(name)
+            else:
+                blocked.add(name)
+    if "l0" in pending or "l0" in blocked:
         return set()  # paranoia: someone wrote to the receiver slot
     aliases = {"l0"}
-    changed = True
-    while changed:
-        changed = False
-        for name, instrs in assignments.items():
-            if name in aliases:
-                continue
-            if all(
-                i.op == "mov"
-                and isinstance(i.args[0], Reg)
-                and i.args[0].name in aliases
-                for i in instrs
-            ):
+    work = ["l0"]
+    while work:
+        for name in movs_from.get(work.pop(), ()):
+            pending[name] -= 1
+            if not pending[name] and name not in blocked:
                 aliases.add(name)
-                changed = True
+                work.append(name)
     return aliases
 
 

@@ -282,3 +282,36 @@ def test_hookcall_codegen_runs_inlined_hook():
     if main_cm.opt_level == 2 and "allocate" in main_cm.source_text:
         # The ctor inlined into main: the hook body must appear inline.
         assert ".tib.type_info is" in main_cm.source_text
+
+
+def test_generated_code_does_not_depend_on_earlier_vms(monkeypatch):
+    """Temps are numbered per lowered function, so a second VM in the
+    same process generates exactly the first one's source."""
+    from repro.mutation import build_mutation_plan
+    from repro.opt.pycodegen import PyCodegen
+    from repro.workloads import get_workload
+
+    monkeypatch.delenv("JX_CACHE_DIR", raising=False)
+    sources: list[list[str]] = []
+    real = PyCodegen.generate
+
+    def generate(self):
+        source, executor = real(self)
+        sources[-1].append(source)
+        return source, executor
+
+    monkeypatch.setattr(PyCodegen, "generate", generate)
+    spec = get_workload("simlogic")
+    source = spec.source(0.02)
+    plan = build_mutation_plan(source, entry_class=spec.entry_class,
+                               entry_method=spec.entry_method)
+    code_bytes = []
+    for _ in range(2):
+        sources.append([])
+        vm = VM(compile_source(source, entry_class=spec.entry_class,
+                               entry_method=spec.entry_method),
+                mutation_plan=plan, seed=42)
+        vm.run()
+        code_bytes.append(vm.compile_stats.total_code_bytes)
+    assert sources[0] and sources[0] == sources[1]
+    assert code_bytes[0] == code_bytes[1]

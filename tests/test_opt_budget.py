@@ -110,13 +110,17 @@ def test_opt_pass_report_ranks_by_total_cost(monkeypatch):
     assert "budget-gated (skipped as provably no-op):" in report
     # Rows are sorted by total seconds, descending.
     totals = []
+    names = []
     for line in report.splitlines()[2:]:
         parts = line.split()
         if line.strip().startswith("budget-gated"):
             break
+        names.append(parts[0])
         totals.append(float(parts[2]))
     assert totals == sorted(totals, reverse=True)
     assert len(totals) >= 3
+    # Code generation counts in the budget like any pass.
+    assert "codegen" in names
 
 
 def test_opt_pass_report_empty_without_data():

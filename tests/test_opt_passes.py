@@ -1,17 +1,28 @@
 """Unit tests for the optimizing compiler's passes."""
 
+from repro import VM
 from repro.lang import compile_source
+from repro.mutation import build_mutation_plan
+from repro.opt import constprop
 from repro.opt.boundselim import eliminate_bounds_checks
-from repro.opt.branchfold import cleanup_cfg
-from repro.opt.constprop import constant_propagation
+from repro.opt.branchfold import cleanup_cfg, merge_blocks
+from repro.opt.cfg import predecessors
+from repro.opt.constprop import (
+    NAC,
+    _meet_states,
+    _transfer_instr,
+    constant_propagation,
+)
 from repro.opt.dce import dead_code_elimination
 from repro.opt.fold import NoFold, fold_op
-from repro.opt.ir import Const, IRFunction, Reg, clone_ir
+from repro.opt.inline import Inliner
+from repro.opt.ir import Const, Extra, IRFunction, IRInstr, Reg, clone_ir
 from repro.opt.lowering import lower_method
 from repro.opt.simplify import simplify
 from repro.opt.specialize import SpecBindings, specialize_ir, this_aliases
 from repro.opt.strength import strength_reduce
 from repro.vm.linker import Linker
+from repro.workloads import get_workload
 import pytest
 
 
@@ -191,6 +202,20 @@ def test_this_aliases_tracks_moves():
     aliases = this_aliases(fn)
     assert "l0" in aliases
 
+    fn = IRFunction("moves", 2, 2, False)
+    fn.new_block().instrs = [
+        IRInstr("mov", Reg("c"), [Reg("l0")]),
+        IRInstr("mov", Reg("e"), [Reg("c")]),
+        # A mov cycle: neither register is ever given ``this``.
+        IRInstr("mov", Reg("a"), [Reg("b")]),
+        IRInstr("mov", Reg("b"), [Reg("a")]),
+        # Assigned from ``this`` and from a non-alias.
+        IRInstr("mov", Reg("d"), [Reg("l0")]),
+        IRInstr("mov", Reg("d"), [Reg("l1")]),
+        IRInstr("ret", None, []),
+    ]
+    assert this_aliases(fn) == {"l0", "c", "e"}
+
 
 # -- strength reduction ----------------------------------------------------------
 
@@ -254,3 +279,284 @@ def test_simplify_algebraic_identities():
     assert count_ops(fn, "add") == 0
     assert count_ops(fn, "mul") == 0
     assert count_ops(fn, "sub") == 0
+
+
+# -- exactness oracles -------------------------------------------------------------
+#
+# Constant propagation carries sparse block states and block merging
+# patches predecessor lists in one pass.  The dense, restart-per-merge
+# versions below are their references: every IR function the pipeline
+# hands either pass on three workloads must come out of both identically.
+
+
+def _dense_constant_propagation(fn: IRFunction) -> int:
+    """Reference: every block state carries every assigned register, on
+    a list worklist."""
+    preds = predecessors(fn)
+    order = [b.id for b in fn.block_order()]
+    entry_state = {f"l{i}": NAC for i in range(fn.num_args)}
+    in_states = {fn.entry: entry_state}
+    out_states = {}
+
+    work = list(order)
+    while work:
+        bid = work.pop(0)
+        if bid == fn.entry:
+            in_state = dict(entry_state)
+        else:
+            incoming = [
+                out_states[p] for p in preds.get(bid, []) if p in out_states
+            ]
+            if not incoming:
+                continue
+            in_state = incoming[0]
+            for other in incoming[1:]:
+                in_state = _meet_states(in_state, other)
+        in_states[bid] = in_state
+        state = dict(in_state)
+        for instr in fn.blocks[bid].instrs:
+            _transfer_instr(instr, state)
+        if out_states.get(bid) != state:
+            out_states[bid] = state
+            for s in fn.blocks[bid].successors():
+                if s not in work:
+                    work.append(s)
+
+    rewritten = 0
+    for bid in order:
+        state = dict(in_states.get(bid, {}))
+        for instr in fn.blocks[bid].instrs:
+            new_args = []
+            for a in instr.args:
+                if isinstance(a, Reg):
+                    v = state.get(a.name, NAC)
+                    if v is not NAC:
+                        new_args.append(Const(v))
+                        rewritten += 1
+                        continue
+                new_args.append(a)
+            instr.args = new_args
+            _transfer_instr(instr, state)
+    return rewritten
+
+
+def _restart_merge_blocks(fn: IRFunction) -> int:
+    """Reference: merge the first mergeable block in reverse postorder,
+    then recompute predecessors and the order and start over."""
+    changed = 0
+    while True:
+        preds = predecessors(fn)
+        for block in list(fn.block_order()):
+            if block.id not in fn.blocks:
+                continue
+            term = block.terminator
+            if term.op != "jump":
+                continue
+            target = term.extra.target
+            if target == block.id or target == fn.entry:
+                continue
+            if len(preds.get(target, [])) != 1:
+                continue
+            block.instrs = block.instrs[:-1] + fn.blocks[target].instrs
+            del fn.blocks[target]
+            changed += 1
+            break
+        else:
+            return changed
+
+
+#: jxbench's smoke scales.
+ORACLE_WORKLOADS = (("java2xhtml", 0.01), ("jbb2005", 0.02),
+                    ("salarydb", 0.05))
+
+
+@pytest.fixture(scope="module")
+def pipeline_inputs():
+    """Clones of every IR function the pipeline hands to constant
+    propagation and to block merging while it compiles the oracle
+    workloads, each run with a mutation plan (general, special and OSR
+    compiles)."""
+    import repro.opt.branchfold as branchfold
+    import repro.opt.pipeline as pipeline
+
+    seen = {"constprop": [], "merge": []}
+
+    def capture(kind, real):
+        def wrapper(fn):
+            seen[kind].append(clone_ir(fn))
+            return real(fn)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        # A compile cache would link methods instead of compiling them.
+        mp.delenv("JX_CACHE_DIR", raising=False)
+        mp.setattr(pipeline, "constant_propagation",
+                   capture("constprop", pipeline.constant_propagation))
+        mp.setattr(branchfold, "merge_blocks",
+                   capture("merge", branchfold.merge_blocks))
+        for name, scale in ORACLE_WORKLOADS:
+            spec = get_workload(name)
+            source = spec.source(scale)
+            entry = dict(entry_class=spec.entry_class,
+                         entry_method=spec.entry_method)
+            plan = build_mutation_plan(source, **entry)
+            VM(compile_source(source, **entry), mutation_plan=plan).run()
+    return seen
+
+
+def test_constprop_matches_dense_reference_on_workloads(pipeline_inputs):
+    fns = pipeline_inputs["constprop"]
+    assert len(fns) > 100
+    for fn in fns:
+        ref, new = clone_ir(fn), clone_ir(fn)
+        assert constant_propagation(new) == \
+            _dense_constant_propagation(ref), fn.name
+        assert new.pretty() == ref.pretty(), fn.name
+
+
+def test_merge_blocks_matches_restart_reference_on_workloads(
+        pipeline_inputs):
+    fns = pipeline_inputs["merge"]
+    assert len(fns) > 100
+    merged = 0
+    for fn in fns:
+        ref, new = clone_ir(fn), clone_ir(fn)
+        count = merge_blocks(new)
+        assert count == _restart_merge_blocks(ref), fn.name
+        assert new.pretty() == ref.pretty(), fn.name
+        assert list(new.blocks) == list(ref.blocks), fn.name
+        merged += count
+    assert merged > 0
+
+
+def _jump(target):
+    return IRInstr("jump", None, [], Extra(target=target.id))
+
+
+def _br(cond, if_true, if_false):
+    return IRInstr("br", None, [cond],
+                   Extra(if_true=if_true.id, if_false=if_false.id))
+
+
+def test_constprop_loop_join_and_block_local_temps(monkeypatch):
+    """``l1`` is carried around the loop (0, then l1 + 5): not folded.
+    ``l3`` is 5 on both paths into the loop header: folded.  ``t0`` and
+    ``t1`` are read only in the block that writes them: they never
+    enter a block state."""
+    fn = IRFunction("loop", 1, 4, True)
+    entry, left, right, head, body, exit_ = (
+        fn.new_block() for _ in range(6)
+    )
+    entry.instrs = [
+        IRInstr("mov", Reg("l1"), [Const(0)]),
+        IRInstr("add", Reg("t0"), [Reg("l0"), Const(1)]),
+        _br(Reg("t0"), left, right),
+    ]
+    left.instrs = [IRInstr("mov", Reg("l3"), [Const(5)]), _jump(head)]
+    right.instrs = [IRInstr("mov", Reg("l3"), [Const(5)]), _jump(head)]
+    head.instrs = [
+        IRInstr("lt", Reg("t1"), [Reg("l1"), Const(10)]),
+        _br(Reg("t1"), body, exit_),
+    ]
+    body.instrs = [
+        IRInstr("add", Reg("l1"), [Reg("l1"), Reg("l3")]),
+        _jump(head),
+    ]
+    exit_.instrs = [IRInstr("ret", None, [Reg("l1")])]
+    ref = clone_ir(fn)
+
+    met = []
+
+    def spy(a, b):
+        met.extend((a, b))
+        return _meet_states(a, b)
+
+    monkeypatch.setattr(constprop, "_meet_states", spy)
+    assert constant_propagation(fn) == 1
+    assert _dense_constant_propagation(ref) == 1
+    assert fn.pretty() == ref.pretty()
+    assert body.instrs[0].args == [Reg("l1"), Const(5)]
+    assert head.instrs[0].args == [Reg("l1"), Const(10)]
+    assert exit_.instrs[0].args == [Reg("l1")]
+    assert met, "the loop header is a join"
+    assert all("t0" not in st and "t1" not in st for st in met)
+
+
+# -- cost pins ---------------------------------------------------------------------
+
+def _count_walks(monkeypatch, fn_filter=lambda fn: True):
+    walks = []
+    real = IRFunction.block_order
+
+    def block_order(self):
+        if fn_filter(self):
+            walks.append(self)
+        return real(self)
+
+    monkeypatch.setattr(IRFunction, "block_order", block_order)
+    return walks
+
+
+def test_merge_blocks_collapses_a_jump_chain_in_two_walks(monkeypatch):
+    fn = IRFunction("chain", 0, 0, False)
+    blocks = [fn.new_block() for _ in range(200)]
+    for i, block in enumerate(blocks[:-1]):
+        block.instrs = [
+            IRInstr("mov", Reg(f"t{i}"), [Const(i)]),
+            _jump(blocks[i + 1]),
+        ]
+    blocks[-1].instrs = [IRInstr("ret", None, [])]
+    ref = clone_ir(fn)
+    assert _restart_merge_blocks(ref) == 199
+
+    walks = _count_walks(monkeypatch)
+    assert merge_blocks(fn) == 199
+    assert len(walks) <= 2
+    assert list(fn.blocks) == [0] and len(fn.blocks[0].instrs) == 200
+    assert fn.pretty() == ref.pretty()
+
+
+def test_inliner_walks_once_per_site_scan(monkeypatch):
+    """Without lifetime constants no call site consults register
+    producers or ``this`` aliases, so a scan is one CFG walk and
+    ``this_aliases`` never runs."""
+    import repro.opt.inline as inline
+
+    monkeypatch.delenv("JX_CACHE_DIR", raising=False)
+    roots = []
+    active = []
+    walks = _count_walks(monkeypatch, lambda fn: fn in active)
+    scans = []
+    real_run, real_find = Inliner.run, Inliner._find_site
+
+    def run(self):
+        roots.append(self.fn)
+        active.append(self.fn)
+        try:
+            return real_run(self)
+        finally:
+            active.pop()
+
+    def find_site(self):
+        scans.append(self.fn)
+        return real_find(self)
+
+    aliases = []
+    real_aliases = inline.this_aliases
+    monkeypatch.setattr(Inliner, "run", run)
+    monkeypatch.setattr(Inliner, "_find_site", find_site)
+    monkeypatch.setattr(
+        inline, "this_aliases",
+        lambda fn: aliases.append(fn) or real_aliases(fn),
+    )
+    spec = get_workload("java2xhtml")
+    source = spec.source(0.01)
+    entry = dict(entry_class=spec.entry_class,
+                 entry_method=spec.entry_method)
+    vm = VM(compile_source(source, **entry),
+            mutation_plan=build_mutation_plan(source, **entry))
+    vm.run()
+    assert vm.lifetime_constants == {}
+    assert roots and len(scans) > len(roots), "some site was inlined"
+    assert len(walks) == len(scans)
+    assert aliases == []

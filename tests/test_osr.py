@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro import VM, VMConfig, compile_source
+from repro import VM, Telemetry, VMConfig, compile_source
 from repro.cache import compile_key
 from repro.cache.keys import stable_digest
 from repro.opt.pipeline import OptConfig
@@ -392,6 +392,25 @@ def test_rejected_entry_never_links_the_stored_continuation(
     cache = warm.compile_cache
     assert (cache.hits, cache.misses) == (1, 0)
     assert len(warm.compile_stats.events) == 1
+
+
+def test_osr_lowering_counts_in_the_pass_budget(monkeypatch):
+    """An OSR continuation's lowering is timed as a ``lower`` pass, so
+    with no specials every compile event lowers exactly once."""
+    monkeypatch.delenv("JX_CACHE_DIR", raising=False)
+    tel = Telemetry()
+    vm = VM(
+        compile_source(PROMOTE_SOURCE),
+        adaptive_config=AdaptiveConfig(
+            opt1_ticks=ENTRY_TICKS + _FIRST_LOOP_N, opt2_ticks=1 << 40
+        ),
+        config=VMConfig(osr=True),
+        telemetry=tel,
+    )
+    vm.run()
+    assert vm.mutation_stats.osr_enters == 1
+    lowered = tel.summary()["histograms"]["opt.pass_seconds.lower"]
+    assert lowered["count"] == len(vm.compile_stats.events)
 
 
 def test_liveness_runs_once_per_entry_build(monkeypatch):
