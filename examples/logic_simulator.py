@@ -92,9 +92,8 @@ def main() -> None:
     print(f"mutation on:  {r_on.output.strip()}  {r_on.wall_seconds:.3f}s")
     print(f"speedup: {r_off.wall_seconds / r_on.wall_seconds - 1:+.1%}")
     print()
-    manager = on.mutation_manager
     print(f"TIB swaps (includes the cycle-600 rewiring wave): "
-          f"{manager.tib_swaps}")
+          f"{on.mutation_stats.tib_swaps}")
     rc = on.classes["Gate"]
     print(f"Gate has {len(rc.special_tibs)} special TIBs "
           f"(one per hot gate kind)")

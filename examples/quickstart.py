@@ -69,7 +69,7 @@ def main() -> None:
     assert result_on.output == result_off.output, "behavior must not change!"
     speedup = result_off.wall_seconds / result_on.wall_seconds - 1
     print(f"speedup: {speedup:+.1%}   "
-          f"TIB swaps: {vm_on.mutation_manager.tib_swaps}")
+          f"TIB swaps: {vm_on.mutation_stats.tib_swaps}")
 
     print()
     print("=== 4. What the mutation framework generated ===")

@@ -11,13 +11,12 @@ A whole-program analysis layer over the bytecode IR:
 * :mod:`.specsafety` — hook-completeness and specialization-safety
   proofs (also the fact source for swap coalescing and the attach-time
   plan audit);
-* :mod:`.estimates` — the optimizer's budget-gate benefit estimates;
 * :mod:`.liveness` — per-instruction live-local sets (the OSR
   frame-mapping compensation sets);
 * :mod:`.symstate` — the symbolic lockstep machine (term-algebra
   abstract interpreter over pristine and quickened bytecode);
 * :mod:`.tv` — translation validation of every transformed code
-  surface (quicken/fusion, shapes, OSR, spec-share) plus the
+  surface (quicken/fusion, shapes, OSR) plus the
   deopt-guard safety lint; unprovable bodies are downgraded, not run;
 * :mod:`.lint` — the ``jx lint`` aggregation over a built VM.
 """
@@ -25,7 +24,6 @@ A whole-program analysis layer over the bytecode IR:
 from repro.analysis.cfg import MAY_RAISE, InstrCFG, may_raise
 from repro.analysis.dataflow import solve_backward, solve_forward
 from repro.analysis.escape import RefFieldFacts, analyze_ref_fields
-from repro.analysis.estimates import bounds_may_help, cse_may_help
 from repro.analysis.findings import Finding
 from repro.analysis.liveness import live_locals, local_effects
 from repro.analysis.lint import (
@@ -55,7 +53,6 @@ from repro.analysis.tv import (
     tv_osr_findings,
     tv_quicken_findings,
     tv_shapes_findings,
-    tv_share_findings,
     validate_quick_method,
 )
 
@@ -67,8 +64,6 @@ __all__ = [
     "solve_forward",
     "RefFieldFacts",
     "analyze_ref_fields",
-    "bounds_may_help",
-    "cse_may_help",
     "Finding",
     "live_locals",
     "local_effects",
@@ -92,6 +87,5 @@ __all__ = [
     "tv_osr_findings",
     "tv_quicken_findings",
     "tv_shapes_findings",
-    "tv_share_findings",
     "validate_quick_method",
 ]

@@ -21,10 +21,9 @@ quickened):
 * **plan downgrades** — classes the attach-time audit already had to
   detach are reported (the program runs correctly but unspecialized);
 * **translation validation** (``--tv``) — every transformed code
-  surface (quickened/fused bodies, shape slot layouts, OSR entries,
-  shared specialized bodies) is re-proven equivalent to its pristine
-  source, and every runtime enforcement downgrade is surfaced
-  (:mod:`repro.analysis.tv`).
+  surface (quickened/fused bodies, shape slot layouts, OSR entries) is
+  re-proven equivalent to its pristine source, and every runtime
+  enforcement downgrade is surfaced (:mod:`repro.analysis.tv`).
 
 Zero findings on a shipped workload is an acceptance criterion; CI runs
 ``jx lint --strict`` (and ``--tv``) over all of them.

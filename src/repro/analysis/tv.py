@@ -1,13 +1,13 @@
 """Translation validation for every transformed code surface.
 
-PRs 7-9 added three code-transformation surfaces (OSR continuations,
-shared specialized bodies, shape-slotted quickened code) whose
-correctness rested on differential tests alone.  This module extends
-the PR 5 "soundness proven, not assumed" policy to all of them: each
-transformed body is *proven* observationally equivalent to its pristine
-source, and anything unprovable is downgraded — never run.
+OSR continuations, shape-slotted layouts and quickened code are code
+transformations whose correctness once rested on differential tests
+alone.  This module extends the attach-time audit's "soundness proven,
+not assumed" policy to all of them: each transformed body is *proven*
+observationally equivalent to its pristine source, and anything
+unprovable is downgraded — never run.
 
-Four clients, one per surface:
+Three clients, one per surface:
 
 **quicken/fusion** (:func:`tv_quicken_findings`)
     Every ``*_QUICK`` body and superinstruction idiom is validated
@@ -36,12 +36,6 @@ Four clients, one per surface:
     resume: recorded at stack depth 0 with exactly the live locals
     materialized in its args.
 
-**spec-share** (:func:`tv_share_findings`)
-    Hot states sharing one compiled body re-prove equal read-set
-    projections at validation time with this module's *own* projection
-    (:func:`share_projection`), independently of
-    ``StateReads.project``.
-
 Plus the deopt-guard safety lint (:func:`deopt_guard_findings`): every
 immediately-re-evaluating state-field store on ``this`` in a
 TIB-speculating specialized body must carry its ``deoptcheck`` guard.
@@ -50,12 +44,10 @@ Enforcement (downgrade, don't run) hooks into each surface's producer:
 ``Quickener.quicken_all`` de-quickens unprovable bodies
 (:func:`enforce_quicken`), ``OSRManager._build_entry`` rejects
 unprovable entries into the permanent-miss sentinel
-(:func:`check_osr_entry`), ``generate_specials`` refuses unprovable
-sharing and compiles fresh (:func:`reprove_share`), and the attach-time
-audit downgrades plans whose shapes are unprovable
-(:func:`attach_findings`).  Every downgrade lands in
-``vm.tv_downgrades`` — reported by lint and digested into the compile
-cache's environment payload so a cache hit never resurrects an
+(:func:`check_osr_entry`), and the attach-time audit downgrades plans
+whose shapes are unprovable (:func:`attach_findings`).  Every downgrade
+lands in ``vm.tv_downgrades`` — reported by lint and digested into the
+compile cache's environment payload so a cache hit never resurrects an
 unvalidated body.  Accounting is three-way: ``vm.mutation_stats.tv_*``
 fields, ``analysis.tv_*`` telemetry counters, and ``tv_validated``
 events all bump together; validation time accumulates in
@@ -83,14 +75,11 @@ __all__ = [
     "tv_quicken_findings",
     "tv_shapes_findings",
     "tv_osr_findings",
-    "tv_share_findings",
     "deopt_guard_findings",
     "tv_downgrade_findings",
     "tv_findings",
     "enforce_quicken",
     "check_osr_entry",
-    "share_projection",
-    "reprove_share",
     "attach_findings",
     "validate_quick_method",
 ]
@@ -461,18 +450,14 @@ def check_osr_entry(vm: Any, rm: Any, pc: int, dead: tuple) -> bool:
 
 
 def _iter_special_irs(vm: Any):
-    """Distinct specialized IR bodies with their (mcr, rm, tib)."""
+    """Specialized IR bodies with their (mcr, rm, tib)."""
     manager = getattr(vm, "mutation_manager", None)
     if manager is None:
         return
-    seen: set[int] = set()
     for name in sorted(manager.mcrs):
         mcr = manager.mcrs[name]
         for rm in mcr.rc.own_methods.values():
             for key, special in getattr(rm, "specials", {}).items():
-                if special is rm.general or id(special) in seen:
-                    continue
-                seen.add(id(special))
                 fn = getattr(special, "ir", None)
                 if fn is None:
                     continue
@@ -541,105 +526,6 @@ def tv_osr_findings(vm: Any) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Surface 4: spec-share.
-
-def share_projection(reads: Any, instance: dict, static: dict) -> tuple:
-    """This module's own projection of one state's bindings onto a
-    method's read sets — recomputed from the raw ``instance``/``static``
-    slot sets, never by calling ``StateReads.project``, so a buggy (or
-    crafted) projection cannot vouch for itself."""
-    return (
-        tuple(
-            (slot, type(v).__name__, v)
-            for slot, v in sorted(instance.items())
-            if slot in reads.instance
-        ),
-        tuple(
-            (slot, type(v).__name__, v)
-            for slot, v in sorted(static.items())
-            if slot in reads.static
-        ),
-    )
-
-
-def reprove_share(vm: Any, rm: Any, reads: Any, existing: Any,
-                  bindings: Any) -> bool:
-    """Runtime enforcement for ``generate_specials``: before a hot
-    state aliases another state's compiled body, re-prove their
-    projections equal.  ``existing`` is the bindings the body was
-    compiled against (or ``None`` for the zero-read general-body alias,
-    which must project empty).  Unprovable sharing compiles fresh."""
-    start = time.perf_counter()
-    new_proj = share_projection(reads, bindings.instance, bindings.static)
-    if existing is None:
-        ok = new_proj == ((), ())
-    else:
-        ok = new_proj == share_projection(
-            reads, existing.instance, existing.static
-        )
-    _account(vm, "share", bodies=1, findings=0 if ok else 1,
-             downgrades=0 if ok else 1)
-    if not ok:
-        _record_downgrade(
-            vm, "share",
-            f"{rm.info.qualified_name}[{bindings.label}]",
-            "read-set projection mismatch at share time; the state "
-            "gets its own compile instead of aliasing",
-        )
-    _observe_seconds(vm, time.perf_counter() - start)
-    return ok
-
-
-def tv_share_findings(vm: Any) -> list[Finding]:
-    """Re-prove every body shared across hot states: all keys mapping
-    to one compiled body must have equal projections onto the method's
-    read set (recomputed here from the post-inline IR)."""
-    from repro.opt.eqstate import state_reads
-
-    manager = getattr(vm, "mutation_manager", None)
-    if manager is None:
-        return []
-    findings = []
-    for name in sorted(manager.mcrs):
-        mcr = manager.mcrs[name]
-        for rm in mcr.rc.own_methods.values():
-            specials = getattr(rm, "specials", {})
-            if not specials:
-                continue
-            groups: dict[int, list] = {}
-            for key, special in specials.items():
-                groups.setdefault(id(special), []).append(key)
-            if all(len(keys) < 2 for keys in groups.values()):
-                continue
-            reads = state_reads(
-                vm.opt_compiler.spec_ir(rm),
-                mcr.instance_slots,
-                mcr.static_slots,
-            )
-            qname = rm.info.qualified_name
-            for keys in groups.values():
-                if len(keys) < 2:
-                    continue
-                projections = {
-                    share_projection(
-                        reads,
-                        dict(zip(mcr.instance_slots, iv)),
-                        dict(zip(mcr.static_slots, sv)),
-                    )
-                    for iv, sv in keys
-                }
-                if len(projections) > 1:
-                    findings.append(Finding(
-                        "tv-share", qname, -1,
-                        f"{len(keys)} states",
-                        f"one compiled body serves states with "
-                        f"{len(projections)} distinct read-set "
-                        f"projections",
-                    ))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Deopt-guard safety lint.
 
 def deopt_guard_findings(vm: Any) -> list[Finding]:
@@ -692,9 +578,9 @@ def deopt_guard_findings(vm: Any) -> list[Finding]:
 
 def tv_downgrade_findings(vm: Any) -> list[Finding]:
     """Surfaces the runtime enforcement decisions: each recorded
-    downgrade (de-quickened body, rejected OSR entry, refused share,
-    downgraded plan) is one finding, so ``jx lint --tv`` shows what the
-    validator refused to run."""
+    downgrade (de-quickened body, rejected OSR entry, downgraded plan)
+    is one finding, so ``jx lint --tv`` shows what the validator
+    refused to run."""
     out = []
     for key, message in sorted(
         (getattr(vm, "tv_downgrades", None) or {}).items()
@@ -711,7 +597,6 @@ def tv_findings(vm: Any) -> list[Finding]:
     findings = tv_quicken_findings(vm)
     findings += tv_shapes_findings(vm)
     findings += tv_osr_findings(vm)
-    findings += tv_share_findings(vm)
     findings += deopt_guard_findings(vm)
     findings += tv_downgrade_findings(vm)
     _observe_seconds(vm, time.perf_counter() - start)

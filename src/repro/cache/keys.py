@@ -108,7 +108,6 @@ def bindings_payload(bindings: Any) -> list:
 def opt_config_payload(config: Any) -> dict:
     return {
         "max_iterations": config.max_iterations,
-        "budget_gate": config.budget_gate,
         "inline": asdict(config.inline),
     }
 
@@ -143,21 +142,14 @@ def environment_payload(vm: Any) -> dict:
         "coalesce": coalesce,
         "analysis": analysis,
         "osr": bool(getattr(vm.config, "osr", False)),
-        # Sharing merges special TIBs (changing which TIB identity a
-        # guarded special pins); memoization suppresses the inline swap
-        # fast path (generated state writes call the epoch-bumping
-        # closure instead).  Both therefore shape opt2 artifacts.
-        "spec_share": bool(getattr(vm.config, "spec_share", False)),
-        "memo": bool(getattr(vm.config, "memo", False)),
         # Packed layouts renumber every field slot and can replace slots
         # with unboxed constants, so any artifact embedding a slot index
         # depends on the toggle.
         "shapes": bool(getattr(vm.config, "shapes", False)),
         # Translation-validation verdict digest: enforcement downgrades
-        # (de-quickened bodies, rejected OSR entries, refused shares,
-        # downgraded plans) change which bodies exist to compile, so a
-        # hit from a run with different verdicts could resurrect an
-        # unvalidated body.
+        # (de-quickened bodies, rejected OSR entries, downgraded plans)
+        # change which bodies exist to compile, so a hit from a run with
+        # different verdicts could resurrect an unvalidated body.
         "tv": {
             "enabled": bool(getattr(vm.config, "tv", False)),
             "downgrades": sorted(getattr(vm, "tv_downgrades", None) or {}),

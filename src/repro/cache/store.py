@@ -56,7 +56,7 @@ from repro.cache.keys import (
 #: Bump when the artifact or key format changes incompatibly.
 #: v2: unified swap accounting — generated code counts swaps on
 #: ``vm.mutation_stats`` (pin kind ``mutation_stats``); v1 artifacts
-#: wrote ``manager.tib_swaps``, which is now a read-only alias.
+#: wrote ``manager.tib_swaps``, a counter that no longer exists.
 #: v3: interpreter quickening — quickened bodies and inline-cache cells
 #: are runtime-only and are never persisted (``method_digest`` reads the
 #: pristine ``info.code``), but the stamp is bumped defensively so no
@@ -92,9 +92,13 @@ from repro.cache.keys import (
 #: IR for the retired IR interpreter.
 #: v11: OSR continuations are cached — ``compile_key`` gained the
 #: ``entry_pc`` field, the key carries the environment's digest instead
-#: of its rendering, the opt config renders ``budget_gate``, and entry
-#: ``meta`` records ``osr_pc``.
-SCHEMA_VERSION = 11
+#: of its rendering, the opt config renders the budget-gate flag, and
+#: entry ``meta`` records ``osr_pc``.
+#: v12: specialization sharing, memoization and the opt budget gate are
+#: gone — ``environment_payload`` dropped its ``spec_share``/``memo``
+#: entries, the opt config no longer renders the gate flag, and opt2
+#: inline swaps no longer bump a memo epoch.
+SCHEMA_VERSION = 12
 
 
 def cache_stamp() -> str:

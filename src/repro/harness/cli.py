@@ -187,9 +187,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               f"{mut['swaps_coalesced']} coalesced)")
         print(f"  hooks fired      baseline {base['hooks_fired']}, "
               f"mutated {mut['hooks_fired']}; "
-              f"specials compiled: {mut['specials_compiled']} "
-              f"(+{mut['specials_shared']} shared); "
-              f"memo hits: {mut['memo_hits']}")
+              f"specials compiled: {mut['specials_compiled']}")
     bm, mm = comparison.baseline, comparison.mutated
     if bm.declared_heap_bytes:
         saved = 1.0 - bm.modeled_heap_bytes / bm.declared_heap_bytes
@@ -309,14 +307,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     stats = vm.mutation_stats
     print(f"osr          enters={stats.osr_enters} "
           f"deopts={stats.osr_deopts}")
-    # Specials/memo lines read the unified VMStats counters (the same
-    # source ``manager.describe()`` aliases), so per-session numbers
-    # under ``jx serve`` and solo runs report identically.
-    print(f"specials     compiled={stats.specials_compiled} "
-          f"shared={stats.specials_shared} "
-          f"tibs_shared={stats.special_tibs_shared}")
-    print(f"memo         hits={stats.memo_hits} "
-          f"fills={vm.memo.fills} entries={len(vm.memo.entries)}")
     # Same single-source-of-truth rule as the swap accounting: these
     # read the VMStats fields that the telemetry counters and the
     # ``tv_validated`` events bump in lockstep (three-way agreement is
@@ -481,8 +471,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--tv", action="store_true",
                    help="also run the translation validator: re-prove "
                         "every transformed code surface (quickened "
-                        "bodies, shape layouts, OSR entries, shared "
-                        "specials) equivalent to its pristine source")
+                        "bodies, shape layouts, OSR entries) "
+                        "equivalent to its pristine source")
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser("workloads", help="list benchmark workloads")

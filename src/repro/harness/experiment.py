@@ -36,8 +36,8 @@ class Measurement:
     special_compile_seconds: float
     class_tib_bytes: int
     special_tib_bytes: int
-    #: From ``vm.mutation_stats`` — the same counter the manager aliases
-    #: and telemetry mirrors, so ``jx compare`` and ``jx stats`` agree.
+    #: From ``vm.mutation_stats`` — the same counters telemetry mirrors,
+    #: so ``jx compare`` and ``jx stats`` agree.
     tib_swaps: int
     special_versions: int
     output: str
@@ -150,7 +150,6 @@ def run_workload(
         warm_compile = vm.compile_stats.total_seconds
     assert vm is not None
     stats = vm.compile_stats
-    manager = vm.mutation_manager
     report = vm.telemetry.summary() if vm.telemetry is not None else None
     return Measurement(
         workload=spec.name,
@@ -163,9 +162,7 @@ def run_workload(
         class_tib_bytes=vm.tib_space.class_tib_bytes,
         special_tib_bytes=vm.tib_space.special_tib_bytes,
         tib_swaps=vm.mutation_stats.tib_swaps,
-        special_versions=(
-            manager.special_versions_compiled if manager else 0
-        ),
+        special_versions=vm.mutation_stats.specials_compiled,
         swaps_coalesced=vm.mutation_stats.swaps_coalesced,
         output=output,
         objects_allocated=vm.heap.objects_allocated,
@@ -194,8 +191,6 @@ def telemetry_compile_summary(report: dict | None) -> dict:
         "swaps_coalesced": 0,
         "hooks_fired": 0,
         "specials_compiled": 0,
-        "specials_shared": 0,
-        "memo_hits": 0,
     }
     if not report:
         return out
@@ -214,10 +209,6 @@ def telemetry_compile_summary(report: dict | None) -> dict:
     out["specials_compiled"] = counters.get(
         "mutation.specials_compiled", 0
     )
-    out["specials_shared"] = counters.get(
-        "mutation.specials_shared", 0
-    )
-    out["memo_hits"] = counters.get("vm.memo_hits", 0)
     return out
 
 

@@ -30,7 +30,7 @@ At runtime:
   specialized version alongside the general code — with no value
   guards — then re-applies the current static match.
 
-Three refinements over the literal Fig. 4/5:
+Two refinements over the literal Fig. 4/5:
 
 * **Swap coalescing** (``MutationConfig.coalesce_swaps``): when a
   method writes several state fields of the same object back-to-back,
@@ -40,21 +40,12 @@ Three refinements over the literal Fig. 4/5:
   conservatively at hook-installation time (:mod:`.coalesce`): any
   call, branch, or potentially-raising instruction between the writes
   is a barrier, so dispatch never sees a stale TIB.
-* **Specialization sharing** (``VMConfig.spec_share``, default on):
-  hot states equivalent modulo the state a method actually reads
-  (:mod:`repro.opt.eqstate`) share one compiled body, and states
-  equivalent modulo the class's whole read union share one special TIB
-  — Fig. 10/12's linear code/TIB growth turns sublinear, with
-  byte-identical execution.  Independently, ``VMConfig.memo`` wraps
-  specialized bodies proven pure in a per-session memo table
-  (:mod:`repro.vm.memo`), invalidated by class epoch on every swap.
 * **Unified accounting**: every swap path — the class-specialized
-  re-evaluation closures, :meth:`MutationManager.reevaluate_object`,
-  and the opt2 inline fast path — bumps ``vm.mutation_stats.tib_swaps``
-  through :meth:`MutationManager.record_swap` (the inline path bumps
-  the same field directly).  ``manager.tib_swaps`` is a read-only alias
-  and the ``mutation.tib_swap`` telemetry counter mirrors it in
-  instrumented runs, so all three reporters agree.
+  re-evaluation closures and the opt2 inline fast path — bumps
+  ``vm.mutation_stats.tib_swaps`` through
+  :meth:`MutationManager.record_swap` (the inline path bumps the same
+  field directly), and the ``mutation.tib_swap`` telemetry counter
+  mirrors it in instrumented runs, so both reporters agree.
 
 **Per-session accounting** (``repro.server``): every hook and
 re-evaluation closure charges the ``vm`` *it was invoked with*, never a
@@ -71,10 +62,8 @@ import time
 import warnings
 from typing import Any
 
-from repro.bytecode.opcodes import CALL_OPS as BYTECODE_CALL_OPS
 from repro.bytecode.opcodes import Op
 from repro.mutation.plan import HotState, MutableClassPlan, MutationPlan
-from repro.opt.eqstate import ir_is_pure, state_reads
 from repro.opt.specialize import SpecBindings
 from repro.telemetry.core import maybe as _tel_maybe
 from repro.vm.imt import ConflictStub, DirectEntry, OffsetEntry
@@ -157,35 +146,6 @@ class MutationManager:
         #: audit to downgrade its plan (see :meth:`_audit_hooks`).
         self.downgraded_classes: dict[str, list] = {}
 
-    @property
-    def tib_swaps(self) -> int:
-        """Total TIB-pointer swaps, both directions — a read-only alias
-        of ``vm.mutation_stats.tib_swaps``, the single counter every
-        swap path updates (see :meth:`record_swap`)."""
-        return self.vm.mutation_stats.tib_swaps
-
-    @property
-    def swaps_coalesced(self) -> int:
-        """Re-evaluations skipped by swap coalescing (alias of
-        ``vm.mutation_stats.swaps_coalesced``)."""
-        return self.vm.mutation_stats.swaps_coalesced
-
-    @property
-    def special_versions_compiled(self) -> int:
-        """Specialized versions actually compiled — a read-only alias of
-        ``vm.mutation_stats.specials_compiled``, unified the same way
-        swap accounting is: the generate loop bumps the VMStats field,
-        the ``mutation.specials_compiled`` telemetry counter mirrors it,
-        and this property reports it, so all three agree (and per-session
-        numbers stay correct under ``jx serve``)."""
-        return self.vm.mutation_stats.specials_compiled
-
-    @property
-    def specials_shared(self) -> int:
-        """``rm.specials`` entries aliasing an existing body instead of
-        compiling (alias of ``vm.mutation_stats.specials_shared``)."""
-        return self.vm.mutation_stats.specials_shared
-
     # ------------------------------------------------------------------
     # Startup
     # ------------------------------------------------------------------
@@ -226,108 +186,26 @@ class MutationManager:
     def _create_special_tibs(self, mcr: MutableClassRuntime) -> None:
         """One special TIB per hot state; states sharing instance values
         share a TIB (the static side selects the code pointers).  Classes
-        depending only on static fields need no special TIB (§3.2.2).
-
-        With ``VMConfig.spec_share``, states equivalent modulo the
-        class's state-read union additionally share one TIB: if no
-        mutable method can distinguish two instance-value tuples (equal
-        projections onto the union of slots any mutable method reads)
-        and the two tuples match the same set of hot static values (so
-        :meth:`apply_static_state` patches them identically), both map
-        to a single TIB object — that is the Fig. 12 TIB-space cost
-        turning sublinear in hot-state count.  The merged TIB's
-        ``state`` is the first (leader) tuple; all member tuples resolve
-        to it through ``tib_by_instance``, so cache pins and re-eval
-        tables are unaffected.
-        """
+        depending only on static fields need no special TIB (§3.2.2)."""
         if not mcr.instance_slots:
             return
-        union = None
-        if getattr(self.vm.config, "spec_share", False):
-            union = self._attach_read_union(mcr)
-        static_sets: dict[tuple, frozenset] = {}
-        if union is not None:
-            for hs in mcr.hot_states:
-                static_sets.setdefault(hs.instance_values, set()).add(  # type: ignore[attr-defined]
-                    hs.static_values
-                )
-            static_sets = {
-                iv: frozenset(s) for iv, s in static_sets.items()
-            }
-        merged: dict[tuple, TIB] = {}
         for hs in mcr.hot_states:
             iv = hs.instance_values
             if iv in mcr.tib_by_instance:
                 continue
-            tib = None
-            group_key = None
-            if union is not None:
-                projection = tuple(
-                    (slot, type(v).__name__, v)
-                    for slot, v in zip(mcr.instance_slots, iv)
-                    if slot in union
-                )
-                group_key = (projection, static_sets[iv])
-                tib = merged.get(group_key)
-            if tib is None:
-                tib = TIB.special_from(mcr.rc.class_tib, state=iv)
-                # Pinning layout (repro.vm.shapes): the hot state's shape
-                # bakes the class's own state-field values into its
-                # pinned tail, so instances entering this TIB drop that
-                # storage.  Falls back to the base shape (or None) when
-                # the class has no pinnable tail or shapes are off.
-                tib.shape = pinned_shape(
-                    mcr.rc, iv, dict(zip(mcr.instance_slots, iv))
-                )
-                self.vm.tib_space.record_special_tib(tib)
-                self.vm.mutation_stats.special_tibs_created += 1
-                if group_key is not None:
-                    merged[group_key] = tib
-            else:
-                self.vm.mutation_stats.special_tibs_shared += 1
-                if tib.shape is not None and tib.shape.is_pinning:
-                    # A second instance-value tuple joined this merged
-                    # TIB; a pinning shape bakes exactly one tuple's
-                    # values into its tail, so demote to the base shape
-                    # (full storage, no pinned reads) for correctness.
-                    tib.shape = mcr.rc.class_tib.shape
+            tib = TIB.special_from(mcr.rc.class_tib, state=iv)
+            # Pinning layout (repro.vm.shapes): the hot state's shape
+            # bakes the class's own state-field values into its pinned
+            # tail, so instances entering this TIB drop that storage.
+            # Falls back to the base shape (or None) when the class has
+            # no pinnable tail or shapes are off.
+            tib.shape = pinned_shape(
+                mcr.rc, iv, dict(zip(mcr.instance_slots, iv))
+            )
+            self.vm.tib_space.record_special_tib(tib)
+            self.vm.mutation_stats.special_tibs_created += 1
             mcr.tib_by_instance[iv] = tib
             mcr.rc.special_tibs[iv] = tib
-
-    def _attach_read_union(self, mcr: MutableClassRuntime):
-        """Union of instance state slots any mutable method of the class
-        may read, computed on raw bytecode at attach time (before any IR
-        exists); ``None`` is ⊤ — unanalyzable, disabling TIB merging.
-
-        Any call makes the set ⊤: opt2 inlining could pull a callee's
-        state reads into a mutable method's body, and bytecode-level
-        analysis cannot bound them.  Method bodies (``rm.info.code``)
-        are never rewritten in place (quickening builds a separate
-        ``quick_code``), so plain GETFIELD is the only instance read at
-        this level.  The receiver is deliberately ignored — a read
-        through *any* reference of a slot keeps it in the union — which
-        over-approximates the per-method this-aliased read sets, so
-
-            TIB merged  =>  every mutable method's body shared,
-
-        and a merged TIB never needs two different code pointers in one
-        vtable slot.
-        """
-        slots = set(mcr.instance_slots)
-        unit = self.vm.unit
-        union: set[int] = set()
-        for rm in mcr.mutable_rms():
-            for instr in rm.info.code:
-                if instr.op in BYTECODE_CALL_OPS:
-                    return None
-                if instr.op is Op.GETFIELD:
-                    cls_name, field_name = instr.arg
-                    finfo = unit.lookup_field(cls_name, field_name)
-                    if finfo is None:
-                        return None
-                    if not finfo.is_static and finfo.slot in slots:
-                        union.add(finfo.slot)
-        return union
 
     def _mark_mutable_methods(self, mcr: MutableClassRuntime) -> None:
         for rm in mcr.mutable_rms():
@@ -640,7 +518,6 @@ class MutationManager:
         class_tib = mcr.rc.class_tib
         tel = self.vm.telemetry
         cls_name = mcr.class_name
-        memo_on = bool(getattr(self.vm.config, "memo", False))
         if len(mcr.instance_slots) == 1:
             slot = mcr.instance_slots[0]
             table1 = {
@@ -648,21 +525,6 @@ class MutationManager:
             }
 
             if tel is None:
-                if memo_on:
-                    # Memoizing VMs bump the class's memo epoch on every
-                    # swap; the "single_memo" inline_spec keeps the opt2
-                    # inline fast path and emits the same bump inline.
-                    def reeval1_memo(vm: Any, obj: Any) -> None:
-                        tib = table1.get(obj.fields[slot], class_tib)
-                        if obj.tib is not tib:
-                            obj.tib = tib
-                            vm.mutation_stats.tib_swaps += 1
-                            vm.memo.bump(cls_name)
-
-                    reeval1_memo.inline_spec = (  # type: ignore[attr-defined]
-                        "single_memo", mcr.rc, slot, table1, class_tib
-                    )
-                    return reeval1_memo
 
                 def reeval1(vm: Any, obj: Any) -> None:
                     tib = table1.get(obj.fields[slot], class_tib)
@@ -677,8 +539,7 @@ class MutationManager:
 
             # Instrumented variant: timed, event-emitting, and — on
             # purpose — without inline_spec, so opt2 code keeps calling
-            # the closure and swaps stay observable.  Memo epochs bump
-            # inside record_swap.
+            # the closure and swaps stay observable.
             def reeval1_tel(vm: Any, obj: Any) -> None:
                 start = time.perf_counter()
                 tib = table1.get(obj.fields[slot], class_tib)
@@ -691,19 +552,6 @@ class MutationManager:
         table = mcr.tib_by_instance
 
         if tel is None:
-            if memo_on:
-
-                def reeval_memo(vm: Any, obj: Any) -> None:
-                    fields = obj.fields
-                    tib = table.get(
-                        tuple(fields[s] for s in slots), class_tib
-                    )
-                    if obj.tib is not tib:
-                        obj.tib = tib
-                        vm.mutation_stats.tib_swaps += 1
-                        vm.memo.bump(cls_name)
-
-                return reeval_memo
 
             def reeval(vm: Any, obj: Any) -> None:
                 fields = obj.fields
@@ -763,8 +611,7 @@ class MutationManager:
 
         Bumps ``vm.mutation_stats.tib_swaps`` of the *invoking* vm —
         the session that performed the swap, defaulting to the owning
-        vm for solo runs (``manager.tib_swaps`` aliases the owning
-        vm's count) — and, in instrumented runs, the
+        vm for solo runs — and, in instrumented runs, the
         ``mutation.tib_swap`` counter for *every* swap plus
         ``mutation.deopt_to_class_tib`` for the swap-back subset, with
         the matching directional event.  The uninstrumented closures and
@@ -775,13 +622,6 @@ class MutationManager:
         if vm is None:
             vm = self.vm
         vm.mutation_stats.tib_swaps += 1
-        # Invalidate memoized results for the class: a swap means some
-        # instance's state changed (repro.vm.memo's epoch guard).  The
-        # memo-aware uninstrumented closures bump directly; this covers
-        # every path that reaches record_swap.
-        memo = getattr(vm, "memo", None)
-        if memo is not None:
-            memo.bump(cls_name)
         tel = _tel_maybe(vm.telemetry)
         if tel is not None:
             name = "tib_swap" if to_special else "deopt_to_class_tib"
@@ -816,24 +656,6 @@ class MutationManager:
         # can detach one class without rebuilding the hook.
         hook.mcrs = mcrs  # type: ignore[attr-defined]
         return hook
-
-    def reevaluate_object(self, mcr: MutableClassRuntime, obj: Any,
-                          vm: Any = None) -> None:
-        """Swap the object's TIB pointer per its instance state values."""
-        start = time.perf_counter()
-        values = mcr.read_instance_values(obj)
-        tib = mcr.tib_by_instance.get(values)
-        new_tib = tib if tib is not None else mcr.rc.class_tib
-        if obj.tib is not new_tib:
-            old = obj.tib
-            obj.tib = new_tib
-            self.record_swap(
-                new_tib is not mcr.rc.class_tib, mcr.class_name, start, vm
-            )
-            _shape_transition(
-                vm if vm is not None else self.vm,
-                obj, old.shape, new_tib.shape,
-            )
 
     def apply_static_state(self, mcr: MutableClassRuntime,
                            vm: Any = None) -> None:
@@ -925,23 +747,9 @@ class MutationManager:
         """Compile one specialized version per hot state (Fig. 5: "all
         special compiled code ... of this method are generated").
 
-        Two equivalence-modulo-state refinements cut Fig. 10's linear
-        special-code growth (:mod:`repro.opt.eqstate`):
-
-        * a hot state binding **none** of the slots this method's body
-          reads needs no special at all — ``specialize_ir`` would
-          replace zero loads — so its key aliases the fresh general
-          body (always; this is a bugfix, not gated);
-        * with ``VMConfig.spec_share``, hot states whose projections
-          onto the method's read set are equal share **one** compiled
-          body under N keys.  Bodies that embed OSR deopt guards are
-          TIB-identity-dependent, so their share key includes the pinned
-          special TIB — states merged onto one TIB still share, states
-          on different TIBs do not.
-
-        Aliased keys bump ``specials_shared`` and contribute nothing to
-        ``compile.special_code_bytes``; only fresh compiles bump
-        ``specials_compiled`` and the compile-stats bytes.
+        Every hot state gets its own compile, and each one bumps
+        ``vm.mutation_stats.specials_compiled`` and the compile-stats
+        special bytes.
         """
         vm = self.vm
         info = rm.info
@@ -951,26 +759,6 @@ class MutationManager:
             and mcr.instance_slots
         ):
             return  # unreachable through any special TIB (paper §3.2.3)
-        reads = state_reads(
-            vm.opt_compiler.spec_ir(rm),
-            mcr.instance_slots,
-            mcr.static_slots,
-        )
-        share = bool(getattr(vm.config, "spec_share", False))
-        osr_on = bool(getattr(vm.config, "osr", False))
-        tv_on = bool(getattr(vm.config, "tv", False))
-        if tv_on:
-            from repro.analysis.tv import reprove_share
-        general = rm.general
-        can_alias_general = (
-            general is not None
-            and general.opt_level == MUTATION_OPT_LEVEL
-        )
-        shared_bodies: dict[tuple, Any] = {}
-        # The bindings each shared body was compiled against, so the
-        # validator can re-prove projection equality before any later
-        # state aliases it (repro.analysis.tv.reprove_share).
-        shared_srcs: dict[tuple, SpecBindings] = {}
         for hs in mcr.hot_states:
             bindings = SpecBindings(label=hs.describe(mcr.plan))
             if not rm.info.is_static:
@@ -994,46 +782,6 @@ class MutationManager:
             )
             if key in rm.specials:
                 continue
-            # A guarded body pins the TIB it speculates on, so it can
-            # only be shared by states resolving to that same TIB (and
-            # never replaced by the unguarded general body).
-            guarded = (
-                osr_on
-                and bindings.tib is not None
-                and reads.tib_dependent
-            )
-            projection = reads.project(bindings.instance, bindings.static)
-            alias_general = (
-                not guarded
-                and can_alias_general
-                and projection == ((), ())
-            )
-            if alias_general and tv_on and not reprove_share(
-                vm, rm, reads, None, bindings
-            ):
-                alias_general = False  # unprovable: compile fresh
-            if alias_general:
-                # Zero-replacement case: the body reads none of the
-                # bound slots, so the "special" would be byte-identical
-                # to the general code just compiled.  Alias it.
-                rm.specials[key] = general
-                self._record_special_shared(rm, bindings, general)
-                continue
-            if share:
-                share_key = (
-                    projection,
-                    id(bindings.tib) if guarded else None,
-                )
-                existing = shared_bodies.get(share_key)
-                if existing is not None and (
-                    not tv_on
-                    or reprove_share(
-                        vm, rm, reads, shared_srcs[share_key], bindings
-                    )
-                ):
-                    rm.specials[key] = existing
-                    self._record_special_shared(rm, bindings, existing)
-                    continue
             tel = _tel_maybe(vm.telemetry)
             if tel is not None:
                 tel.emit(
@@ -1048,12 +796,7 @@ class MutationManager:
                 rm, MUTATION_OPT_LEVEL, bindings=bindings
             )
             seconds = time.perf_counter() - start
-            if getattr(vm.config, "memo", False):
-                special = self._maybe_memoize(mcr, rm, special, key)
             rm.specials[key] = special
-            if share:
-                shared_bodies[share_key] = special
-                shared_srcs[share_key] = bindings
             vm.mutation_stats.specials_compiled += 1
             vm.compile_stats.record_special(
                 seconds, special.code_size_bytes
@@ -1084,45 +827,6 @@ class MutationManager:
                     vm.compile_stats.total_seconds
                 )
 
-    def _record_special_shared(self, rm: Any, bindings: SpecBindings,
-                               target: Any) -> None:
-        """Account one ``rm.specials`` key aliasing an existing body:
-        no compile, no code bytes — just the share counter and, when
-        instrumented, the ``special_shared`` event."""
-        vm = self.vm
-        vm.mutation_stats.specials_shared += 1
-        tel = _tel_maybe(vm.telemetry)
-        if tel is not None:
-            tel.count("mutation.specials_shared")
-            tel.emit(
-                "special_shared",
-                method=rm.info.qualified_name,
-                state=bindings.label,
-                target=(
-                    "general" if target is rm.general
-                    else getattr(target, "specialized_state", None)
-                ),
-            )
-
-    def _maybe_memoize(self, mcr: MutableClassRuntime, rm: Any,
-                       special: Any, key: tuple) -> Any:
-        """Wrap a freshly compiled special in a memo lookup when its
-        body is provably pure (:func:`repro.opt.eqstate.ir_is_pure`);
-        otherwise return it unchanged.  Constructors (and anything with
-        a constructor-exit hook) are never memoized — the hook is a side
-        effect the wrapper must not elide.  Cache-linked specials carry
-        no IR, so their purity is unknown and they stay unwrapped."""
-        if rm.info.is_constructor or rm.ctor_exit_hook is not None:
-            return special
-        fn = getattr(special, "ir", None)
-        if fn is None or not ir_is_pure(fn):
-            return special
-        from repro.vm.memo import MemoizedSpecial
-
-        return MemoizedSpecial(
-            special, mcr.class_name, rm.info.qualified_name, key
-        )
-
     # ------------------------------------------------------------------
 
     def describe(self) -> str:
@@ -1138,10 +842,10 @@ class MutationManager:
                     f"  {rm.info.qualified_name}: "
                     f"{len(rm.specials)} special versions"
                 )
+        stats = self.vm.mutation_stats
         lines.append(
-            f"tib swaps: {self.tib_swaps} "
-            f"({self.swaps_coalesced} coalesced), "
-            f"special versions: {self.special_versions_compiled} "
-            f"({self.specials_shared} shared)"
+            f"tib swaps: {stats.tib_swaps} "
+            f"({stats.swaps_coalesced} coalesced), "
+            f"special versions: {stats.specials_compiled}"
         )
         return "\n".join(lines)

@@ -28,7 +28,6 @@ from typing import Any
 
 from repro.telemetry.core import maybe as _tel_maybe
 
-from repro.analysis.estimates import bounds_may_help, cse_may_help
 from repro.cache.artifact import code_artifact, link_code
 from repro.opt.boundselim import eliminate_bounds_checks
 from repro.opt.branchfold import cleanup_cfg
@@ -63,21 +62,6 @@ class OptConfig:
     inline: InlineConfig = field(default_factory=InlineConfig)
     #: Maximum simplify/constprop/cleanup/DCE fixpoint iterations.
     max_iterations: int = 5
-    #: Compile-time budget gate: skip ``cse``/``boundselim`` when a cheap
-    #: one-scan estimate proves the pass cannot fire (no block repeats
-    #: one of the dedup keys the pass reuses — see
-    #: :mod:`repro.analysis.estimates`).  The
-    #: estimate is a sound over-approximation — a gated run would have
-    #: been a no-op — so results are identical with the gate on; skipped
-    #: runs are counted under ``opt.pass_gated.*``.  Default off.
-    budget_gate: bool = False
-
-
-# Benefit estimates live in the analysis package (they key on the
-# passes' actual dedup keys, not coarse op counts); the old names stay
-# importable for the soundness tests and external callers.
-_cse_may_help = cse_may_help
-_bounds_may_help = bounds_may_help
 
 
 class OptCompiler:
@@ -106,53 +90,16 @@ class OptCompiler:
         tel.observe(f"opt.pass_seconds.{name}", seconds)
         return result
 
-    def _gated(self, name: str) -> None:
-        """Record one budget-gated (skipped) pass run."""
-        tel = _tel_maybe(self.vm.telemetry)
-        if tel is not None:
-            tel.count("opt.pass_gated")
-            tel.count(f"opt.pass_gated.{name}")
-
     def _run_core_pipeline(self, fn) -> None:
         run = self._pass
-        gate = self.config.budget_gate
         for _ in range(self.config.max_iterations):
             changed = run("simplify", simplify, fn)
-            if gate and not _cse_may_help(fn):
-                self._gated("cse")
-            else:
-                changed += run("cse", local_cse, fn)
+            changed += run("cse", local_cse, fn)
             changed += run("constprop", constant_propagation, fn)
             changed += run("cleanup_cfg", cleanup_cfg, fn)
             changed += run("dce", dead_code_elimination, fn)
             if not changed:
                 break
-
-    def spec_ir(self, rm: Any):
-        """The post-inline opt2 IR specialization starts from, for
-        analyses (:mod:`repro.opt.eqstate`) that must see exactly what
-        ``specialize_ir`` will rewrite.
-
-        Returns the general compile's snapshot when one exists; a
-        cache-warm general compile links an artifact without ever
-        lowering, so this builds (and snapshots) the IR on demand.
-        Callers must treat the result as read-only — ``build_ir`` clones
-        the snapshot before mutating it.
-        """
-        fn = self._ir_snapshots.get(id(rm))
-        if fn is None:
-            fn = self._pass(
-                "lower", lambda _f: lower_method(rm.info), None
-            )
-            self._pass(
-                "inline",
-                lambda f: inline_calls(
-                    f, self.vm, rm, self.config.inline
-                ),
-                fn,
-            )
-            self._ir_snapshots[id(rm)] = fn
-        return fn
 
     def build_ir(
         self,
@@ -220,10 +167,7 @@ class OptCompiler:
         self._run_core_pipeline(fn)
         if opt_level >= 2:
             self._pass("strength", strength_reduce, fn)
-            if self.config.budget_gate and not _bounds_may_help(fn):
-                self._gated("boundselim")
-            else:
-                self._pass("boundselim", eliminate_bounds_checks, fn)
+            self._pass("boundselim", eliminate_bounds_checks, fn)
             self._run_core_pipeline(fn)
         return fn
 
@@ -322,7 +266,7 @@ class OptCompiler:
             opt_level=opt_level,
             specialized_state=state_label,
             code_size_bytes=code_bytes,
-            # Only opt2 IR is read again (specials: TV, memo purity).
+            # Only opt2 IR is read again (TV reads specials' IR).
             ir=fn if opt_level == 2 else None,
             source_text=source,
         )

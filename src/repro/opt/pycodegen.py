@@ -398,15 +398,12 @@ class PyCodegen:
             E(indent, f"{dest} = {call}" if dest else call)
         elif op == "hookcall":
             spec = getattr(instr.extra.hook, "inline_spec", None)
-            if spec is not None and spec[0] in ("single", "single_memo"):
+            if spec is not None and spec[0] == "single":
                 # Inline the single-state-field TIB re-evaluation: the
                 # common per-allocation path gets no function call at
                 # all.  The swap count goes to the *invoking* vm's
                 # mutation_stats — the same field every other swap path
-                # updates, and per-session in shared code spaces.  The
-                # "single_memo" variant (VMConfig.memo) also bumps the
-                # invoking vm's memo epoch for the class, invalidating
-                # memoized specialized results (repro.vm.memo).
+                # updates, and per-session in shared code spaces.
                 _, rc, slot, table, class_tib = spec
                 obj = args[0]
                 rc_p = self._pin("rc", rc, ["class", rc.name])
@@ -419,10 +416,6 @@ class PyCodegen:
                 E(indent + 1, f"if {obj}.tib is not _nt:")
                 E(indent + 2, f"{obj}.tib = _nt")
                 E(indent + 2, "vm.mutation_stats.tib_swaps += 1")
-                if spec[0] == "single_memo":
-                    E(indent + 2, "_me = vm.memo.epochs")
-                    E(indent + 2,
-                      f"_me[{rc.name!r}] = _me.get({rc.name!r}, 0) + 1")
             else:
                 hook = self._pin("hook", instr.extra.hook,
                                  hook_ref(instr.extra.hook))

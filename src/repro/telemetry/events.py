@@ -20,9 +20,6 @@ name                      emitted when
 ``compile_begin``         the optimizing compiler starts one version
 ``compile_end``           ... and finishes it (carries the duration)
 ``special_install``       a specialized version is installed for a hot state
-``special_shared``        a hot state reuses another state's compiled body
-``memo_fill``             a pure specialized call computed and cached a result
-``memo_hit``              a pure specialized call replayed a cached result
 ``online_activate``       the online controller derives and attaches a plan
 ``opt_pass``              one optimizer pass ran (carries the duration)
 ``vm_run``                one entry-point execution (carries the duration)
@@ -63,9 +60,6 @@ EVENT_NAMES = (
     "compile_begin",
     "compile_end",
     "special_install",
-    "special_shared",
-    "memo_fill",
-    "memo_hit",
     "online_activate",
     "opt_pass",
     "vm_run",
@@ -84,9 +78,6 @@ EVENT_CATEGORIES = {
     "hook_fired": "mutation",
     "state_reeval": "mutation",
     "special_install": "mutation",
-    "special_shared": "mutation",
-    "memo_fill": "vm",
-    "memo_hit": "vm",
     "online_activate": "mutation",
     "tier_promote": "adaptive",
     "osr_enter": "adaptive",

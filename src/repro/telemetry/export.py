@@ -152,9 +152,8 @@ def format_opt_pass_report(telemetry: Telemetry) -> str:
     """The optimizer-pass budget report ``jx stats`` appends.
 
     Ranks every ``opt.pass_seconds.*`` histogram by total seconds spent,
-    so the most expensive pass tops the table, and lists how many runs
-    the ``OptConfig.budget_gate`` estimate skipped.  Empty string when
-    the run never invoked the optimizer.
+    so the most expensive pass tops the table.  Empty string when the
+    run never invoked the optimizer.
     """
     summary = telemetry.summary()
     prefix = "opt.pass_seconds."
@@ -176,16 +175,6 @@ def format_opt_pass_report(telemetry: Telemetry) -> str:
         lines.append(
             f"  {name:12s} {count:>6d} {total_s:>11.6f} "
             f"{mean:>11.6f} {total_s / total:>6.1%}"
-        )
-    gated = {
-        name.rsplit(".", 1)[1]: value
-        for name, value in summary["counters"].items()
-        if name.startswith("opt.pass_gated.")
-    }
-    if gated:
-        lines.append(
-            "  budget-gated (skipped as provably no-op): "
-            + ", ".join(f"{k}={v}" for k, v in sorted(gated.items()))
         )
     return "\n".join(lines)
 

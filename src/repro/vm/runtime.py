@@ -39,6 +39,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+import types
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -63,16 +64,6 @@ def _quicken_default() -> bool:
 def _osr_default() -> bool:
     """On-stack replacement defaults on; ``JX_OSR=0`` disables it."""
     return os.environ.get("JX_OSR", "1") != "0"
-
-
-def _spec_share_default() -> bool:
-    """Specialization sharing defaults on; ``JX_SPEC_SHARE=0`` disables."""
-    return os.environ.get("JX_SPEC_SHARE", "1") != "0"
-
-
-def _memo_default() -> bool:
-    """Pure-special memoization defaults on; ``JX_MEMO=0`` disables."""
-    return os.environ.get("JX_MEMO", "1") != "0"
 
 
 def _shapes_default() -> bool:
@@ -103,17 +94,10 @@ class VMConfig:
     #: invocation) and specialized code runs unguarded, exactly as
     #: before.
     osr: bool = field(default_factory=_osr_default)
-    #: Specialization sharing (:mod:`repro.opt.eqstate`): hot states
-    #: whose projections onto a method's state-read set are equal share
-    #: one compiled body, and hot states equivalent modulo the class's
-    #: whole read union share one special TIB.  Off, every hot state
-    #: gets its own compile and TIB, exactly the paper's Fig. 10/12
-    #: linear cost model.
-    spec_share: bool = field(default_factory=_spec_share_default)
-    #: Memoize specialized methods proven pure (:mod:`repro.vm.memo`):
-    #: cache results per (method, state, args), invalidated on TIB swaps
-    #: of the receiver's class.  Off, every call runs the body.
-    memo: bool = field(default_factory=_memo_default)
+    #: Inert: benchmarks/jxbench/protocol.py:189-190 still passes it.
+    spec_share: bool = False
+    #: Inert: benchmarks/jxbench/protocol.py:189-190 still passes it.
+    memo: bool = False
     #: Shape-based packed object layout (:mod:`repro.vm.shapes`): each
     #: (class, hot-state) owns a packed slot layout; lifetime-constant
     #: fields are unboxed out of the instance, a mutable class's own
@@ -124,11 +108,11 @@ class VMConfig:
     shapes: bool = field(default_factory=_shapes_default)
     #: Translation validation (:mod:`repro.analysis.tv`): prove every
     #: transformed code surface (quickened/fused bodies, shape slot
-    #: layouts, OSR continuation entries, shared specialized bodies)
-    #: observationally equivalent to its pristine source before it is
-    #: allowed to run; anything unprovable is downgraded (de-quickened,
-    #: permanent OSR miss, fresh compile, plan downgrade) instead of
-    #: trusted.  Off, transformers are trusted exactly as before.
+    #: layouts, OSR continuation entries) observationally equivalent to
+    #: its pristine source before it is allowed to run; anything
+    #: unprovable is downgraded (de-quickened, permanent OSR miss, plan
+    #: downgrade) instead of trusted.  Off, transformers are trusted
+    #: exactly as before.
     tv: bool = field(default_factory=_tv_default)
 
 
@@ -148,24 +132,15 @@ class VMStats:
 
     heap: HeapStats = field(default_factory=HeapStats)
     #: The single source of truth for TIB-pointer swaps: every swap path
-    #: (reeval closures, reevaluate_object, the opt2 inline fast path)
-    #: bumps this field; ``MutationManager.tib_swaps`` is an alias.
+    #: (the reeval closures and the opt2 inline fast path) bumps this
+    #: field.
     tib_swaps: int = 0
     special_tibs_created: int = 0
-    #: Hot states that reused another state's special TIB because they
-    #: are equivalent modulo the class's state-read union
-    #: (``VMConfig.spec_share``).
-    special_tibs_shared: int = 0
-    #: Specialized method versions actually compiled — the single source
-    #: of truth (``manager.special_versions_compiled`` is a read-only
-    #: alias, like ``tib_swaps``), bumped per fresh compile only.
+    #: Specialized method versions compiled, one per hot state of each
+    #: mutable method recompiled at opt2.
     specials_compiled: int = 0
-    #: ``rm.specials`` entries that alias an already-compiled body (an
-    #: equivalent state's special, or the general body when the method
-    #: reads none of the bound state fields) instead of compiling.
+    #: Inert, always 0: benchmarks/jxbench/protocol.py:231 reads it.
     specials_shared: int = 0
-    #: Memoized specialized calls answered from ``vm.memo``.
-    memo_hits: int = 0
     #: Re-evaluations skipped by swap coalescing (deferred state writes).
     swaps_coalesced: int = 0
     #: Mutable-class plans detached by the specialization-safety audit
@@ -179,13 +154,13 @@ class VMStats:
     #: interpreter after a TIB swap invalidated their speculation.
     osr_deopts: int = 0
     #: Transformed bodies run through the translation validator
-    #: (repro.analysis.tv): quickened methods, OSR entries, shared
-    #: specialized bodies, and attach-time shape audits all count here.
+    #: (repro.analysis.tv): quickened methods, OSR entries, and
+    #: attach-time shape audits all count here.
     tv_bodies_validated: int = 0
     #: Individual unprovable facts the validator reported.
     tv_findings: int = 0
     #: Surfaces the validator refused to run (de-quickened bodies,
-    #: rejected OSR entries, refused shares, downgraded plans).
+    #: rejected OSR entries, downgraded plans).
     tv_downgrades: int = 0
 
 
@@ -228,12 +203,8 @@ class VM:
         self.intrinsic_ctx = IntrinsicContext(seed)
         self.mutation_stats = VMStats()
         self.compile_stats = CompileStats()
-        # Memoized specialized-call results (repro.vm.memo) are session
-        # state by construction: results may reference session heap
-        # objects, so the table must never be shared across tenants.
-        from repro.vm.memo import MemoTable
-
-        self.memo = MemoTable()
+        # Inert: benchmarks/jxbench/protocol.py:241-242 reads it.
+        self.memo = types.SimpleNamespace(hits=0, fills=0)
         self._initialized = False
 
     def _build_program_world(

@@ -277,7 +277,7 @@ def test_hookcall_codegen_runs_inlined_hook():
     result = vm.run()
     assert result.output == str(450 * 10 + 450 * 20) + "\n"
     # Allocation-heavy loop: the hook ran per construction (TIB swaps).
-    assert vm.mutation_manager.tib_swaps > 100
+    assert vm.mutation_stats.tib_swaps > 100
     main_cm = vm.lookup("Main", "main").compiled
     if main_cm.opt_level == 2 and "allocate" in main_cm.source_text:
         # The ctor inlined into main: the hook body must appear inline.

@@ -100,31 +100,6 @@ def test_all_configurations_byte_identical(name, tmp_path):
         f"{name}: specialized quicken-off run diverged"
     )
 
-    # Specialization sharing and memoization must both be invisible in
-    # output (sharing aliases byte-identical bodies; memo replays pure
-    # results under an unchanged state epoch).
-    noshare, noshare_vm = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
-        config=VMConfig(spec_share=False),
-    )
-    assert noshare == reference, (
-        f"{name}: spec-share-off run diverged"
-    )
-    assert noshare_vm.mutation_stats.special_tibs_shared == 0
-    nomemo, nomemo_vm = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
-        config=VMConfig(memo=False),
-    )
-    assert nomemo == reference, f"{name}: memo-off run diverged"
-    assert nomemo_vm.mutation_stats.memo_hits == 0
-    share_memo, _ = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
-        config=VMConfig(spec_share=True, memo=True),
-    )
-    assert share_memo == reference, (
-        f"{name}: spec-share+memo run diverged"
-    )
-
     # Packed layouts are a pure storage-model change: shapes on and off
     # (unboxing, pinning, layout transitions included) must be
     # byte-identical, with identical swap and allocation counts.
@@ -187,17 +162,30 @@ def test_all_configurations_byte_identical(name, tmp_path):
     assert warm_vm.compile_cache.link_errors == 0
 
 
-def test_warm_start_reuses_every_entry(tmp_path):
+def test_warm_start_reuses_every_entry(tmp_path, monkeypatch):
     """On an identical program + plan + config, the warm VM must link
     every compile from the cache (hit rate 100%), OSR continuations
-    included: a warm start compiles nothing."""
+    included: a warm start compiles nothing, and lowers and inlines no
+    method either."""
+    import repro.opt.pipeline as pipeline
+
     spec = get_workload("salarydb")
     source = spec.source(SCALE)
     plan = build_mutation_plan(source, entry_class=spec.entry_class)
     cache_dir = str(tmp_path / "jxcache")
 
     _, cold_vm = _run(spec, source, AGGRESSIVE, plan=plan, cache=cache_dir)
+    calls = {"lower_method": 0, "inline_calls": 0}
+    for fn_name in calls:
+        real = getattr(pipeline, fn_name)
+
+        def counting(*args, _real=real, _name=fn_name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, fn_name, counting)
     _, warm_vm = _run(spec, source, AGGRESSIVE, plan=plan, cache=cache_dir)
+    assert calls == {"lower_method": 0, "inline_calls": 0}
     assert warm_vm.compile_cache.misses == 0
     assert warm_vm.compile_cache.hits == cold_vm.compile_cache.misses
     stats = warm_vm.compile_stats

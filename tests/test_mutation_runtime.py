@@ -2,6 +2,12 @@
 
 from repro import VM, compile_source
 from repro.mutation import build_mutation_plan
+from repro.mutation.plan import (
+    HotState,
+    MutableClassPlan,
+    MutationPlan,
+    StateFieldSpec,
+)
 from tests.helpers import AGGRESSIVE, assert_mutation_equivalent
 
 SALARY = """
@@ -217,3 +223,187 @@ def test_manager_describe_smoke():
     text = vm.mutation_manager.describe()
     assert "SalaryEmployee" in text
     assert "special" in text
+
+
+# ---------------------------------------------------------------------------
+# Every hot state compiles its own special; one counter reports them
+# ---------------------------------------------------------------------------
+
+TARIFF = """
+class Tariff {
+    private int band;
+    int tag;
+    int acc;
+    Tariff(int b, int t) { band = b; tag = t; }
+    public int rate(int units) {
+        if (band == 0) { return units * 2; }
+        if (band == 1) { return units * 3 + 1; }
+        if (band == 2) { return units * 5 + 2; }
+        if (band == 3) { return units * 7 + 3; }
+        if (band == 4) { return units * 11 + 4; }
+        if (band == 5) { return units * 13 + 5; }
+        if (band == 6) { return units * 17 + 6; }
+        return units * 19 + 7;
+    }
+    public void accrue(int u) { acc = acc + u * 2; }
+}
+class Main {
+    static Tariff[] ts;
+    static void main() {
+        ts = new Tariff[4];
+        for (int i = 0; i < 4; i++) { ts[i] = new Tariff(i % 2, i / 2); }
+        int total = 0;
+        for (int r = 0; r < 400; r++) {
+            for (int j = 0; j < 4; j++) {
+                total = total + ts[j].rate(r % 5);
+                ts[j].accrue(r % 3);
+            }
+        }
+        for (int j = 0; j < 4; j++) { total = total + ts[j].acc; }
+        Sys.print("" + total);
+    }
+}
+"""
+
+
+def _tariff_plan() -> MutationPlan:
+    plan = MutationPlan()
+    plan.classes["Tariff"] = MutableClassPlan(
+        class_name="Tariff",
+        instance_fields=[
+            StateFieldSpec("Tariff", "band", False, 1.0),
+            StateFieldSpec("Tariff", "tag", False, 1.0),
+        ],
+        # band x tag: 2x2 = 4 hot states, although `rate` reads only
+        # band.
+        hot_states=[
+            HotState((b, t), ()) for b in (0, 1) for t in (0, 1)
+        ],
+        mutable_methods=["rate"],
+    )
+    return plan
+
+
+def _tariff_vm(telemetry=None):
+    vm = VM(
+        compile_source(TARIFF),
+        mutation_plan=_tariff_plan(),
+        adaptive_config=AGGRESSIVE,
+        telemetry=telemetry,
+    )
+    vm.run()
+    return vm
+
+
+def test_each_hot_state_compiles_its_own_special():
+    # Fig. 5: each hot state compiles its own special and gets its own
+    # special TIB, although `rate` reads only one of the two fields.
+    vm = _tariff_vm()
+    rm = vm.lookup("Tariff", "rate")
+    assert len(rm.specials) == 4
+    assert len({id(cm) for cm in rm.specials.values()}) == 4
+    stats = vm.mutation_stats
+    assert stats.specials_compiled == 4
+    assert stats.special_tibs_created == 4
+
+
+def test_specials_accounting_three_way_agreement():
+    vm = _tariff_vm(telemetry=True)
+    stats = vm.mutation_stats
+    counters = vm.telemetry.summary()["counters"]
+    assert stats.specials_compiled == counters["mutation.specials_compiled"]
+    assert stats.specials_compiled > 0
+    assert (
+        f"special versions: {stats.specials_compiled}"
+        in vm.mutation_manager.describe()
+    )
+
+
+# ---------------------------------------------------------------------------
+# apply_static_state falls back to rm.general everywhere
+# ---------------------------------------------------------------------------
+
+STATIC_FLIP = """
+class Engine {
+    static int mode;
+    int gain;
+    Engine(int g) { gain = g; }
+    public int step(int x) {
+        if (Engine.mode == 0) { return x + gain; }
+        return x * 2 + gain;
+    }
+    private int boost(int x) {
+        if (Engine.mode == 0) { return x + 1; }
+        return x * 3;
+    }
+    public int run(int x) { return this.boost(x); }
+    static int calc(int x) {
+        if (Engine.mode == 0) { return x; }
+        return x * 3;
+    }
+    static void setMode(int m) { Engine.mode = m; }
+}
+class Main {
+    static void main() {
+        Engine e = new Engine(3);
+        int total = 0;
+        for (int i = 0; i < 300; i++) {
+            total = total + e.step(i % 7) + e.run(i % 5)
+                  + Engine.calc(i % 11);
+        }
+        Engine.setMode(1);
+        for (int i = 0; i < 300; i++) {
+            total = total + e.step(i % 7) + e.run(i % 5)
+                  + Engine.calc(i % 11);
+        }
+        Sys.print("" + total);
+    }
+}
+"""
+
+
+def _static_only_plan() -> MutationPlan:
+    plan = MutationPlan()
+    plan.classes["Engine"] = MutableClassPlan(
+        class_name="Engine",
+        static_fields=[StateFieldSpec("Engine", "mode", True, 1.0)],
+        hot_states=[HotState((), (0,)), HotState((), (1,))],
+        mutable_methods=["step", "boost", "calc"],
+    )
+    return plan
+
+
+def test_static_only_flip_out_restores_general_everywhere():
+    """Regression (fallback unification): flip a static-only class out
+    of all hot states after the opt2 recompile — every dispatch surface
+    (class-TIB entry, JTOC cell, private invokespecial pointer) must
+    land on ``rm.general``, never a stale special or pre-opt2 code."""
+    vm = VM(
+        compile_source(STATIC_FLIP),
+        mutation_plan=_static_only_plan(),
+        adaptive_config=AGGRESSIVE,
+    )
+    out = vm.run().output
+    rc = vm.classes["Engine"]
+    step = vm.lookup("Engine", "step")
+    boost = vm.lookup("Engine", "boost")
+    calc = vm.lookup("Engine", "calc")
+    assert step.specials and calc.specials  # mutation really happened
+    assert boost.vtable_offset < 0  # exercises the rm.compiled branch
+    # In hot state 1 the special is installed...
+    special = step.specials.get(((), (1,)))
+    if special is not None:
+        assert rc.class_tib.entries[step.vtable_offset] is special
+
+    # ...then flip out of every hot state.
+    vm.call_static("Engine", "setMode", [5])
+    assert rc.class_tib.entries[step.vtable_offset] is step.general
+    assert calc.jtoc_cell.compiled is calc.general
+    assert boost.compiled is boost.general
+    assert step.general.opt_level == 2
+
+    # The program still runs correctly in the cold state.
+    ref = VM(
+        compile_source(STATIC_FLIP), adaptive_config=AGGRESSIVE
+    ).run().output
+    assert out == ref

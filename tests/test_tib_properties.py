@@ -384,14 +384,13 @@ def test_call_between_writes_is_a_barrier():
 
 
 def test_swap_counters_agree_under_telemetry():
-    """Acceptance: manager.tib_swaps, vm.mutation_stats.tib_swaps, and
-    the mutation.tib_swap counter report the same value, and coalescing
-    is visible in both telemetry and VMStats."""
+    """Acceptance: vm.mutation_stats.tib_swaps and the
+    mutation.tib_swap counter report the same value, and coalescing is
+    visible in both telemetry and VMStats."""
     vm = _multi_vm(coalesce=True, telemetry=True)
     vm.run()
     counters = vm.telemetry.summary()["counters"]
     assert vm.mutation_stats.tib_swaps > 0
-    assert vm.mutation_manager.tib_swaps == vm.mutation_stats.tib_swaps
     assert counters["mutation.tib_swap"] == vm.mutation_stats.tib_swaps
     assert vm.mutation_stats.swaps_coalesced > 0
     assert (
@@ -768,194 +767,6 @@ def test_osr_event_ordering(seed):
     counters = vm.telemetry.summary()["counters"]
     assert counters["osr.enter"] == vm.mutation_stats.osr_enters
     assert counters["osr.deopt"] == vm.mutation_stats.osr_deopts
-
-
-# ---------------------------------------------------------------------------
-# Specialization sharing + memoization (equivalence modulo state)
-# ---------------------------------------------------------------------------
-
-#: Two state fields, but ``rate`` reads only ``band`` — states that
-#: differ only in ``tag`` are equivalent modulo the method's read set.
-#: ``rate`` is padded past the inliner's callee-size limit so opt2
-#: callers dispatch through the TIB (where memo wrappers live).
-EQ_SOURCE = """
-class Meter {
-    private int band;
-    int tag;
-    Meter(int b, int t) { band = b; tag = t; }
-    public void setBand(int b) { band = b; }
-    public void setTag(int t) { tag = t; }
-    public int rate(int units) {
-        if (band == 0) { return units * 2; }
-        if (band == 1) { return units * 3 + 1; }
-        if (band == 2) { return units * 5 + 2; }
-        if (band == 3) { return units * 7 + 3; }
-        if (band == 4) { return units * 11 + 4; }
-        if (band == 5) { return units * 13 + 5; }
-        return units * 19 + 7;
-    }
-}
-class Main {
-    static Meter[] ms;
-    static void main() {
-        ms = new Meter[4];
-        for (int i = 0; i < 4; i++) { ms[i] = new Meter(i % 2, i / 2); }
-        int total = 0;
-        for (int r = 0; r < 400; r++) {
-            for (int j = 0; j < 4; j++) {
-                total = total + ms[j].rate(r % 5);
-            }
-        }
-        Sys.print("" + total);
-    }
-}
-"""
-
-
-def _eq_plan():
-    from repro.mutation.plan import (
-        HotState,
-        MutableClassPlan,
-        MutationPlan,
-        StateFieldSpec,
-    )
-
-    plan = MutationPlan()
-    plan.classes["Meter"] = MutableClassPlan(
-        class_name="Meter",
-        instance_fields=[
-            StateFieldSpec("Meter", "band", False, 1.0),
-            StateFieldSpec("Meter", "tag", False, 1.0),
-        ],
-        hot_states=[HotState((b, t), ()) for b in (0, 1) for t in (0, 1)],
-        mutable_methods=["rate"],
-    )
-    return plan
-
-
-def _eq_vm(spec_share=True, memo=True, telemetry=None):
-    from repro import VMConfig
-
-    vm = VM(compile_source(EQ_SOURCE), mutation_plan=_eq_plan(),
-            adaptive_config=AGGRESSIVE, telemetry=telemetry,
-            config=VMConfig(spec_share=spec_share, memo=memo))
-    vm.run()
-    return vm
-
-
-def _bare(cm):
-    """Unwrap a memo wrapper down to the raw compiled body."""
-    return getattr(cm, "inner", cm)
-
-
-def test_states_differing_only_in_unread_fields_compile_identically():
-    """The sharing precondition, checked against the unshared compiler:
-    two hot states that differ only in a field ``rate`` never reads
-    produce byte-identical specialized sources — and with sharing on,
-    literally the same compiled object."""
-    plain = _eq_vm(spec_share=False, memo=False)
-    rm = plain.lookup("Meter", "rate")
-    same_a = _bare(rm.specials[((0, 0), ())])
-    same_b = _bare(rm.specials[((0, 1), ())])
-    diff = _bare(rm.specials[((1, 0), ())])
-    assert same_a is not same_b  # compiled twice without sharing...
-    assert same_a.source_text == same_b.source_text  # ...to the same text
-    assert same_a.source_text != diff.source_text
-
-    shared = _eq_vm(spec_share=True, memo=False)
-    rm = shared.lookup("Meter", "rate")
-    assert rm.specials[((0, 0), ())] is rm.specials[((0, 1), ())]
-    assert rm.specials[((1, 0), ())] is rm.specials[((1, 1), ())]
-    # (Cross-VM source comparison is meaningless — temp-register numbers
-    # depend on global compile order — but the share key *is* the exact
-    # read-set projection, so identity here is the same property.)
-
-
-@pytest.mark.parametrize("seed", [2, 31, 404])
-def test_memo_on_off_random_writes_byte_identical(seed, monkeypatch):
-    """Memoization is invisible to program state: the same random mix of
-    state writes and virtual calls leaves both VMs with byte-identical
-    heaps and call results — and a swap always invalidates, so a result
-    computed for the old state is never replayed for the new one."""
-    # Memo wrappers need the IR of a freshly compiled special; a
-    # cache-linked one carries none (see repro.vm.memo), so this test
-    # must not run on an environment-enabled compile cache.
-    monkeypatch.delenv("JX_CACHE_DIR", raising=False)
-    vm_on = _eq_vm(memo=True)
-    vm_off = _eq_vm(memo=False)
-    sides = []
-    for vm in (vm_on, vm_off):
-        rc = vm.classes["Meter"]
-        objs = []
-        for i in range(4):
-            obj = rc.allocate(vm)
-            rc.own_methods["<init>/2"].compiled.invoke(
-                vm, [obj, i % 2, i // 2]
-            )
-            objs.append(obj)
-        sides.append((vm, rc, objs))
-    offset = vm_on.lookup("Meter", "rate").vtable_offset
-
-    rng = random.Random(seed)
-    for _ in range(250):
-        idx = rng.randrange(4)
-        op = rng.randrange(4)
-        arg = rng.randrange(8)
-        results = []
-        for vm, rc, objs in sides:
-            obj = objs[idx]
-            if op == 0:
-                rc.own_methods["setBand"].compiled.invoke(vm, [obj, arg])
-            elif op == 1:
-                rc.own_methods["setTag"].compiled.invoke(vm, [obj, arg])
-            else:
-                # Virtual dispatch: the memo wrapper (if any) sits in
-                # the TIB entry.
-                results.append(
-                    obj.tib.entries[offset].invoke(vm, [obj, arg])
-                )
-        if results:
-            assert results[0] == results[1]
-        (vm_a, _rc_a, objs_a), (vm_b, _rc_b, objs_b) = sides
-        for oa, ob in zip(objs_a, objs_b):
-            assert oa.fields == ob.fields
-            assert oa.tib.is_special == ob.tib.is_special
-    assert vm_on.mutation_stats.memo_hits > 0
-    assert vm_off.mutation_stats.memo_hits == 0
-    assert vm_on.mutation_stats.tib_swaps == vm_off.mutation_stats.tib_swaps
-
-
-def test_every_memo_hit_has_a_prior_compatible_fill():
-    """The memo table never invents results: each ``memo_hit`` event is
-    preceded by a ``memo_fill`` with the same method, state key, and
-    epoch — i.e. the hit replays a value computed under a compatible
-    receiver state, never across an invalidation."""
-    vm = _eq_vm(memo=True, telemetry=True)
-    rc = vm.classes["Meter"]
-    offset = vm.lookup("Meter", "rate").vtable_offset
-    obj = rc.allocate(vm)
-    rc.own_methods["<init>/2"].compiled.invoke(vm, [obj, 0, 0])
-    for band in (0, 1, 0):
-        rc.own_methods["setBand"].compiled.invoke(vm, [obj, band])
-        for _ in range(3):
-            obj.tib.entries[offset].invoke(vm, [obj, 5])
-
-    events = vm.telemetry.bus.events()
-    hits = [e for e in events if e.name == "memo_hit"]
-    assert hits, "workload produced no memo hits — test is vacuous"
-    sig = lambda e: (
-        e.args["method"], e.args["state"], e.args["epoch"]
-    )
-    for hit in hits:
-        fills = [
-            e for e in events
-            if e.name == "memo_fill" and e.seq < hit.seq
-            and sig(e) == sig(hit)
-        ]
-        assert fills, f"memo_hit with no compatible prior fill: {hit}"
-    counters = vm.telemetry.summary()["counters"]
-    assert counters["vm.memo_hits"] == vm.mutation_stats.memo_hits
-    assert counters["vm.memo_fills"] == vm.memo.fills
 
 
 # ---------------------------------------------------------------------------

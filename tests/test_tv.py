@@ -1,13 +1,14 @@
 """Translation validation (repro.analysis.tv over repro.analysis.symstate).
 
-The four crafted mis-transformations mirror the acceptance criteria —
-a wrong fused successor, a stale packed slot index, an OSR entry
-missing a live local, and a shared body with unequal read-set
-projections each yield exactly one finding of the expected check type
-AND trigger the enforcement downgrade end to end (the unprovable body
-is never run, output equality holds).  The accounting test pins the
-three-way invariant: ``VMStats.tv_*`` == ``analysis.tv_*`` telemetry
-counters == sums over ``tv_validated`` bus events.
+The crafted mis-transformations — a wrong fused successor, a stale
+packed slot index, an OSR entry missing a live local — each yield
+exactly one finding of the expected check type AND trigger the
+enforcement downgrade end to end (the unprovable body is never run,
+output equality holds).  Tests that check one surface build the
+VMConfig that surface needs, so they test the same thing whatever the
+environment's defaults.  The accounting test pins the three-way
+invariant: ``VMStats.tv_*`` == ``analysis.tv_*`` telemetry counters ==
+sums over ``tv_validated`` bus events.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.analysis import (
     deopt_guard_findings,
     tv_findings,
     tv_osr_findings,
-    tv_share_findings,
     tv_shapes_findings,
 )
 from repro.analysis.tv import enforce_quicken
@@ -29,9 +29,7 @@ from repro.cache.keys import environment_payload
 from repro.harness.cli import main as cli_main
 from repro.mutation import build_mutation_plan
 from repro.vm.adaptive import AdaptiveConfig
-from tests.helpers import AGGRESSIVE
 from tests.test_analysis import SALARY
-from tests.test_specshare import SHARE_SOURCE, _share_plan
 
 LOOP = """
 class Main {
@@ -91,7 +89,7 @@ def test_environment_payload_carries_tv_verdict():
 
 def test_wrong_fused_successor_found_and_dequickened():
     expected = _salary_vm().run().output
-    vm = _salary_vm()
+    vm = _salary_vm(config=VMConfig(quicken=True))
     rm = vm.classes["Main"].own_methods["main"]
     qc = rm.quick_code
     i = next(k for k, ins in enumerate(qc) if ins.op is Op.ITER_LT_JF)
@@ -118,7 +116,7 @@ def test_wrong_fused_successor_found_and_dequickened():
 # ---------------------------------------------------------------------------
 
 def test_stale_packed_slot_index_one_finding():
-    vm = _salary_vm()
+    vm = _salary_vm(config=VMConfig(quicken=True, shapes=True))
     rm = vm.classes["Main"].own_methods["main"]
     sites = [ins for ins in rm.info.code if ins.op is Op.GETFIELD]
     qsites = [
@@ -155,7 +153,7 @@ def test_pinning_shape_corruption_downgrades_plan(monkeypatch):
         return shape
 
     monkeypatch.setattr(manager_mod, "pinned_shape", corrupt)
-    vm = _salary_vm()
+    vm = _salary_vm(config=VMConfig(shapes=True))
     monkeypatch.undo()
 
     manager = vm.mutation_manager
@@ -182,7 +180,8 @@ def test_osr_entry_missing_live_local_rejected():
     agg = AdaptiveConfig(opt1_ticks=16, opt2_ticks=32)
 
     def mk():
-        return VM(compile_source(LOOP), adaptive_config=agg)
+        return VM(compile_source(LOOP), adaptive_config=agg,
+                  config=VMConfig(osr=True))
 
     vm = mk()
     expected = vm.run().output
@@ -216,49 +215,11 @@ def test_osr_entries_validate_clean_after_real_run():
     vm = VM(
         compile_source(LOOP),
         adaptive_config=AdaptiveConfig(opt1_ticks=16, opt2_ticks=32),
+        config=VMConfig(osr=True),
     )
     vm.run()
     assert vm.mutation_stats.osr_enters == 1
     assert tv_osr_findings(vm) == []
-
-
-# ---------------------------------------------------------------------------
-# Negative 4 (spec-share): shared body with unequal read sets
-# ---------------------------------------------------------------------------
-
-def test_share_with_unequal_read_sets_refused():
-    from repro.opt.eqstate import StateReads
-
-    def mk():
-        return VM(
-            compile_source(SHARE_SOURCE),
-            mutation_plan=_share_plan(),
-            adaptive_config=AGGRESSIVE,
-            config=VMConfig(spec_share=True, memo=True),
-        )
-
-    vm = mk()
-    expected = vm.run().output
-    baseline_shared = vm.mutation_stats.specials_shared
-    assert baseline_shared >= 1
-    assert tv_share_findings(vm) == []
-
-    vm = mk()
-    real = StateReads.project
-    # A constant non-empty projection makes every pair of states look
-    # equal to the specializer; the validator's independent projection
-    # (over the data attributes, never through .project) disagrees.
-    StateReads.project = lambda self, inst, stat: (
-        (("bogus", "int", 0),), ()
-    )
-    try:
-        out = vm.run().output
-    finally:
-        StateReads.project = real
-    assert out == expected
-    assert list(vm.tv_downgrades) == ["share:Tariff.rate[band=1, tag=0]"]
-    findings = [f for f in tv_findings(vm) if f.check == "tv-share"]
-    assert len(findings) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +301,7 @@ def _find_quick_site(vm, op):
 
 
 def test_verify_quick_rejects_int_resolved_shape_site():
-    vm = _salary_vm()
+    vm = _salary_vm(config=VMConfig(quicken=True, shapes=True))
     rm, ins = _find_quick_site(vm, Op.GETFIELD_SHAPE)
     ins.resolved = 2  # a raw index cannot rematerialize pinned storage
     with pytest.raises(VerifyError, match="GETFIELD_SHAPE"):
@@ -348,7 +309,7 @@ def test_verify_quick_rejects_int_resolved_shape_site():
 
 
 def test_verify_quick_rejects_shape_resolved_quick_site():
-    vm = _salary_vm()
+    vm = _salary_vm(config=VMConfig(quicken=True, shapes=True))
     _, shape_site = _find_quick_site(vm, Op.GETFIELD_SHAPE)
     rm, ins = _find_quick_site(vm, Op.GETFIELD_QUICK)
     ins.resolved = shape_site.resolved
