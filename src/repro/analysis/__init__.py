@@ -43,7 +43,6 @@ from repro.analysis.specsafety import (
 )
 from repro.analysis.symstate import (
     TVUnprovable,
-    entry_depths,
     region_outcomes,
     step_outcomes,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "must_reach_states",
     "site_findings",
     "TVUnprovable",
-    "entry_depths",
     "region_outcomes",
     "step_outcomes",
     "deopt_guard_findings",

@@ -73,14 +73,12 @@ from typing import Any
 from repro.bytecode.opcodes import (
     CALL_OPS,
     Op,
-    branch_target,
     op_width,
 )
 
 __all__ = [
     "TVUnprovable",
     "SymState",
-    "entry_depths",
     "entry_state",
     "step_outcomes",
     "region_outcomes",
@@ -521,55 +519,3 @@ def region_outcomes(code: list, start: int, end: int, depth: int,
             else:
                 done.append(s.outcome())
     return sorted(done, key=repr)
-
-
-def entry_depths(method: Any, code: list) -> dict[int, int]:
-    """Entry stack depth for every *executed* slot of ``code``.
-
-    The same width-aware traversal as
-    :func:`repro.bytecode.verify.verify_quick`, but returning only the
-    reachable slots (the verifier's list form cannot distinguish an
-    unreached slot from depth zero).  Works on pristine resolved bodies
-    too — every pristine op has width 1.
-    """
-    from repro.bytecode.verify import (
-        _QUICK_COND_BRANCHES,
-        _QUICK_TERMINATORS,
-        stack_effect_quick,
-    )
-
-    n = len(code)
-    depths: dict[int, int] = {0: 0}
-    work = [0]
-    while work:
-        i = work.pop()
-        depth = depths[i]
-        instr = code[i]
-        op = instr.op
-        pops, pushes = stack_effect_quick(instr)
-        if depth < pops:
-            raise TVUnprovable(
-                i, f"stack underflow (depth={depth}, pops={pops})"
-            )
-        out = depth - pops + pushes
-        if op in _QUICK_TERMINATORS:
-            successors: list[int] = []
-        elif op is Op.JUMP:
-            successors = [instr.arg]
-        elif op in _QUICK_COND_BRANCHES:
-            successors = [branch_target(instr), i + op_width(op)]
-        else:
-            successors = [i + op_width(op)]
-        for s in successors:
-            if s is None or not (0 <= s < n):
-                raise TVUnprovable(i, f"bad successor {s!r}")
-            if s not in depths:
-                depths[s] = out
-                work.append(s)
-            elif depths[s] != out:
-                raise TVUnprovable(
-                    s,
-                    f"inconsistent stack depth at join: "
-                    f"{depths[s]} vs {out}",
-                )
-    return depths

@@ -41,17 +41,21 @@ immediately-re-evaluating state-field store on ``this`` in a
 TIB-speculating specialized body must carry its ``deoptcheck`` guard.
 
 Enforcement (downgrade, don't run) hooks into each surface's producer:
-``Quickener.quicken_all`` de-quickens unprovable bodies
-(:func:`enforce_quicken`), ``OSRManager._build_entry`` rejects
-unprovable entries into the permanent-miss sentinel
-(:func:`check_osr_entry`), and the attach-time audit downgrades plans
-whose shapes are unprovable (:func:`attach_findings`).  Every downgrade
-lands in ``vm.tv_downgrades`` — reported by lint and digested into the
-compile cache's environment payload so a cache hit never resurrects an
-unvalidated body.  Accounting is three-way: ``vm.mutation_stats.tv_*``
-fields, ``analysis.tv_*`` telemetry counters, and ``tv_validated``
-events all bump together; validation time accumulates in
-``vm.tv_seconds`` and the ``analysis.tv_seconds`` histogram.
+``Quickener.quicken`` publishes a method's quickened body, on the
+method's first interpreted call, only once :func:`prove_quick_body`
+proves it; ``OSRManager._build_entry`` rejects unprovable entries into
+the permanent-miss sentinel (:func:`check_osr_entry`); and the
+attach-time audit downgrades plans whose shapes are unprovable
+(:func:`attach_findings`).  Every downgrade lands in
+``vm.tv_downgrades``, which lint reports.  The OSR and shape verdicts
+are also digested into the compile cache's environment payload, so a
+cache hit never resurrects an unvalidated body; quickening verdicts are
+not, because no compile reads quickened code.
+
+Accounting is three-way: ``vm.mutation_stats.tv_*`` fields,
+``analysis.tv_*`` telemetry counters, and ``tv_validated`` events all
+bump together; validation time accumulates in ``vm.tv_seconds`` and the
+``analysis.tv_seconds`` histogram.
 """
 
 from __future__ import annotations
@@ -60,12 +64,15 @@ import time
 from typing import Any, Iterable
 
 from repro.bytecode.opcodes import Op, branch_target, op_width
-from repro.bytecode.verify import VerifyError, verify_quick
+from repro.bytecode.verify import (
+    VerifyError,
+    stack_depths,
+    verify_quick_depths,
+)
 from repro.analysis.findings import Finding
 from repro.analysis.liveness import live_locals
 from repro.analysis.symstate import (
     TVUnprovable,
-    entry_depths,
     region_outcomes,
     step_outcomes,
 )
@@ -78,7 +85,7 @@ __all__ = [
     "deopt_guard_findings",
     "tv_downgrade_findings",
     "tv_findings",
-    "enforce_quicken",
+    "prove_quick_body",
     "check_osr_entry",
     "attach_findings",
     "validate_quick_method",
@@ -137,11 +144,13 @@ def _runtime_methods(vm: Any) -> Iterable[Any]:
 # ---------------------------------------------------------------------------
 # Surface 1: quicken/fusion.
 
-def validate_quick_method(rm: Any) -> list[Finding]:
-    """Prove ``rm.quick_code`` equivalent to ``rm.info.code`` slot by
-    slot; one finding per unprovable slot (empty list = proven)."""
+def validate_quick_method(rm: Any, quick: list | None = None
+                          ) -> list[Finding]:
+    """Prove ``quick`` (default: ``rm.quick_code``) equivalent to
+    ``rm.info.code`` slot by slot; one finding per unprovable slot
+    (empty list = proven)."""
     code = rm.info.code
-    qc = rm.quick_code
+    qc = rm.quick_code if quick is None else quick
     if not qc:
         return []
     qname = rm.info.qualified_name
@@ -151,11 +160,9 @@ def validate_quick_method(rm: Any) -> list[Finding]:
             f"quickened body length {len(qc)} != pristine {len(code)}",
         )]
     try:
-        depths = entry_depths(rm.info, qc)
-        verify_quick(rm.info, qc)
-    except (TVUnprovable, VerifyError) as e:
-        index = e.pc if isinstance(e, TVUnprovable) else e.index
-        return [Finding("tv-quicken", qname, index, qname, str(e))]
+        depths = verify_quick_depths(rm.info, qc)
+    except VerifyError as e:
+        return [Finding("tv-quicken", qname, e.index, qname, str(e))]
     max_locals = rm.info.max_locals
     findings = []
     for pc in sorted(depths):
@@ -198,32 +205,23 @@ def tv_quicken_findings(vm: Any) -> list[Finding]:
     return findings
 
 
-def enforce_quicken(vm: Any) -> None:
-    """Validate every quickened body; de-quicken the unprovable ones
-    (they revert to pristine interpretation).  Called by
-    ``Quickener.quicken_all`` when ``VMConfig.tv`` is on."""
-    quickener = vm.quickener
-    if quickener is None:
-        return
+def prove_quick_body(vm: Any, rm: Any, quick: list) -> bool:
+    """Validate one freshly built quickened body before it is published
+    (``Quickener.quicken``, on the method's first interpreted call).
+    An unprovable body is recorded as a downgrade and never runs: the
+    method interprets its pristine bytecode."""
     start = time.perf_counter()
-    bodies = findings = downgrades = 0
-    for rm in vm.all_runtime_methods():
-        if not rm.quick_code:
-            continue
-        bodies += 1
-        fs = validate_quick_method(rm)
-        if fs:
-            findings += len(fs)
-            downgrades += 1
-            quickener.dequicken(rm)
-            _record_downgrade(
-                vm, "quicken", rm.info.qualified_name,
-                f"quickened body unprovable ({len(fs)} finding(s)); "
-                f"the method runs pristine bytecode: {fs[0].message}",
-            )
-    _account(vm, "quicken", bodies=bodies, findings=findings,
-             downgrades=downgrades)
+    fs = validate_quick_method(rm, quick)
+    if fs:
+        _record_downgrade(
+            vm, "quicken", rm.info.qualified_name,
+            f"quickened body unprovable ({len(fs)} finding(s)); "
+            f"the method runs pristine bytecode: {fs[0].message}",
+        )
+    _account(vm, "quicken", bodies=1, findings=len(fs),
+             downgrades=1 if fs else 0)
     _observe_seconds(vm, time.perf_counter() - start)
+    return not fs
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +405,7 @@ def _osr_entry_problem(rm: Any, pc: int, dead: tuple) -> str | None:
     """
     code = rm.info.code
     try:
-        depths = entry_depths(rm.info, code)
+        depths = stack_depths(code, TVUnprovable)
     except TVUnprovable as e:
         return f"pristine body is unverifiable: {e}"
     if depths.get(pc) != 0:
@@ -499,7 +497,7 @@ def tv_osr_findings(vm: Any) -> list[Finding]:
                     continue
                 ex = instr.extra
                 if depths is None:
-                    depths = entry_depths(rm.info, code)
+                    depths = stack_depths(code, TVUnprovable)
                 if depths.get(ex.pc) != 0:
                     findings.append(Finding(
                         "tv-osr", qname, ex.pc, f"{qname}@{ex.pc}",
@@ -578,7 +576,7 @@ def deopt_guard_findings(vm: Any) -> list[Finding]:
 
 def tv_downgrade_findings(vm: Any) -> list[Finding]:
     """Surfaces the runtime enforcement decisions: each recorded
-    downgrade (de-quickened body, rejected OSR entry, downgraded plan)
+    downgrade (refused quickened body, rejected OSR entry, downgraded plan)
     is one finding, so ``jx lint --tv`` shows what the validator
     refused to run."""
     out = []

@@ -7,7 +7,10 @@ module rewrites each method's resolved call/field instructions into
 hottest adjacent opcode pairs into superinstructions.  The rewritten
 body lives in ``rm.quick_code`` — a shallow copy of ``rm.info.code`` —
 so the pristine bytecode keeps serving the verifier, the IR lowering,
-the cache digests, and the coalescing analysis untouched.
+the cache digests, and the coalescing analysis untouched.  A method is
+quickened lazily, on its first interpreted call (as Jikes RVM compiles
+baseline code on first invocation), so setup pays nothing for methods
+that never run.
 
 Why TIB identity is the cache key
 ---------------------------------
@@ -95,7 +98,8 @@ def _fast_rm(vm: Any, cm: Any) -> Any:
     RuntimeMethod itself (``r0``/``r1``) and the interpreter's hit arm
     folds the ``BaselineCompiled.invoke`` wrapper's work (entry-tick
     sampling) inline, then jumps straight into ``interpret_quick`` —
-    an IC hit then skips the generic invoke dispatch entirely.  Every
+    an IC hit then skips the generic invoke dispatch entirely.  A target
+    not yet quickened is quickened here, as its first call would.  Every
     in-place change that could invalidate this specialization (a
     recompile install replacing the table entry, a mid-run manager
     attach installing hooks) flushes the IC, so the target is
@@ -106,10 +110,12 @@ def _fast_rm(vm: Any, cm: Any) -> Any:
     if (
         vm.telemetry is None
         and type(cm) is BaselineCompiled
-        and rm.quick_code is not None
         and rm.ctor_exit_hook is None
     ):
-        return rm
+        if not rm.quick_tried:
+            vm.quickener.quicken(rm)
+        if rm.quick_code is not None:
+            return rm
     return None
 
 
@@ -127,14 +133,15 @@ def _publish_ic(vm: Any, ic: Any, tib: Any, cm: Any) -> None:
     2-entry poly, then megamorphic de-quicken on the third distinct
     key.  A concurrent flush can interleave harmlessly — it only
     clears keys, forcing a later re-miss."""
+    fast = _fast_rm(vm, cm)
     with _PUBLISH_LOCK:
         if ic.k0 is None or ic.k0 is tib:
             ic.i0 = cm.invoke
-            ic.r0 = _fast_rm(vm, cm)
+            ic.r0 = fast
             ic.k0 = tib
         elif ic.k1 is None or ic.k1 is tib:
             ic.i1 = cm.invoke
-            ic.r1 = _fast_rm(vm, cm)
+            ic.r1 = fast
             ic.k1 = tib
         else:
             _go_megamorphic(vm, ic)
@@ -283,34 +290,53 @@ class Quickener:
         self.methods_quickened = 0
         self.sites = 0
         self.fused = 0
+        #: Bodies translation validation checked before publication.
+        self.validated = 0
 
     # ------------------------------------------------------------------
 
     def quicken_all(self) -> None:
-        """Build ``quick_code`` for every non-abstract method."""
+        """Quicken every method no call has reached yet: ``jx lint``
+        checks the whole program, and a frozen code space leaves its
+        sessions nothing to build."""
         for rm in self.vm.all_runtime_methods():
-            self.quicken_method(rm)
-        if getattr(self.vm.config, "tv", False):
-            # Translation validation: prove every quickened body
-            # observationally equivalent to its pristine bytecode;
-            # unprovable bodies are de-quickened and run pristine.
-            from repro.analysis.tv import enforce_quicken
+            if not rm.quick_tried:
+                self.quicken(rm)
 
-            enforce_quicken(self.vm)
-        tel = self.vm.telemetry
+    def quicken(self, rm: Any) -> None:
+        """Build, validate and publish one method's quickened body.
+
+        Runs once per method, on its first interpreted call (or when an
+        inline cache first resolves to it, so it can become the cache's
+        inline target).  Under ``VMConfig.tv`` the body is published
+        only once translation validation proves it; a refused body is
+        recorded, never retried, and the method interprets its pristine
+        bytecode.  ``quick_pad`` is set before ``quick_code``, so a
+        reader that sees the body sees a complete one.
+        """
+        rm.quick_tried = True
+        sites, fused = self.sites, self.fused
+        quick = self._rewrite(rm)
+        vm = self.vm
+        tel = vm.telemetry
         if tel is not None and tel.enabled:
-            tel.emit(
-                "quicken",
-                methods=self.methods_quickened,
-                sites=self.sites,
-                fused=self.fused,
-            )
-            tel.count("quicken.methods", self.methods_quickened)
-            tel.count("quicken.sites", self.sites)
-            tel.count("quicken.fused", self.fused)
+            sites, fused = self.sites - sites, self.fused - fused
+            tel.emit("quicken", method=rm.qualified_name, sites=sites,
+                     fused=fused)
+            tel.count("quicken.methods")
+            tel.count("quicken.sites", sites)
+            tel.count("quicken.fused", fused)
+        if vm.config.tv:
+            from repro.analysis.tv import prove_quick_body
 
-    def quicken_method(self, rm: Any) -> None:
-        """Rewrite one method's body into ``rm.quick_code``.
+            self.validated += 1
+            if not prove_quick_body(vm, rm, quick):
+                return
+        rm.quick_pad = [None] * (rm.info.max_locals - rm.info.num_args)
+        rm.quick_code = quick
+
+    def _rewrite(self, rm: Any) -> list[Instr]:
+        """Rewrite one method's body into its quickened form.
 
         Each slot is decided independently: either the fused form of the
         pair starting there, the standalone quickened form, or the
@@ -427,9 +453,8 @@ class Quickener:
                 new.resolved = instr.resolved
                 quick[i] = new
                 self.sites += 1
-        rm.quick_code = quick
-        rm.quick_pad = [None] * (rm.info.max_locals - rm.info.num_args)
         self.methods_quickened += 1
+        return quick
 
     @staticmethod
     def _fuse(fused_op: Op, first: Instr, second: Instr) -> Instr:
@@ -474,9 +499,3 @@ class Quickener:
         tel = self.vm.telemetry
         if tel is not None and tel.enabled:
             tel.count("ic.flush")
-
-    def dequicken(self, rm: Any) -> None:
-        """Drop a method's quickened body (it reverts to plain
-        interpretation); its cache cells stay registered but inert."""
-        rm.quick_code = None
-        rm.quick_pad = None

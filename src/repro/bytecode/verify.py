@@ -295,8 +295,60 @@ def _check_slot_kind(method: MethodInfo, i: int, instr: Instr) -> None:
             )
 
 
-def verify_quick(method: MethodInfo, code: list[Instr]) -> list[int]:
-    """Verify a quickened body and return entry stack depth per slot.
+def stack_depths(code: list[Instr], fail) -> dict[int, int]:
+    """Entry stack depth of every *executed* slot of ``code``.
+
+    The width-aware walk both :func:`verify_quick` and translation
+    validation run: after an instruction at slot ``i`` the next one
+    executed is ``i + op_width(op)``, and branch targets come from
+    :func:`~repro.bytecode.opcodes.branch_target`.  Pristine bodies work
+    too (every pristine op has width 1).  Slots no path reaches are
+    absent.  ``fail(index, message)`` builds the exception raised on a
+    stack underflow, a successor outside the body, or a depth that
+    disagrees at a join.
+    """
+    n = len(code)
+    depths: dict[int, int] = {0: 0}
+    work = [0]
+    while work:
+        i = work.pop()
+        depth = depths[i]
+        instr = code[i]
+        op = instr.op
+        pops, pushes = stack_effect_quick(instr)
+        if depth < pops:
+            raise fail(i, f"stack underflow (depth={depth}, pops={pops})")
+        out = depth - pops + pushes
+        nxt = i + op_width(op)
+        if op in _QUICK_TERMINATORS:
+            successors: tuple = ()
+        elif op is Op.JUMP:
+            successors = (instr.arg,)
+        elif op in _QUICK_COND_BRANCHES:
+            successors = (branch_target(instr), nxt)
+        else:
+            successors = (nxt,)
+        for s in successors:
+            if s is None or not 0 <= s < n:
+                raise fail(i, (
+                    "control can fall off end of quickened code"
+                    if s == nxt else f"bad branch target {s!r}"
+                ))
+            if s not in depths:
+                depths[s] = out
+                work.append(s)
+            elif depths[s] != out:
+                raise fail(
+                    s,
+                    f"inconsistent stack depth at join: {depths[s]} vs {out}",
+                )
+    return depths
+
+
+def verify_quick_depths(method: MethodInfo,
+                        code: list[Instr]) -> dict[int, int]:
+    """Verify a quickened body; return the entry stack depth of each
+    executed slot (see :func:`stack_depths`).
 
     The structural rules of :func:`verify_method`, adapted to quickened
     execution:
@@ -340,44 +392,16 @@ def verify_quick(method: MethodInfo, code: list[Instr]) -> list[int]:
                 raise VerifyError(method, i, f"negative arg count {nargs}")
         _check_slot_kind(method, i, instr)
 
-    # Width-aware stack-depth dataflow over executed slots.
-    depths: list[int | None] = [None] * n
-    depths[0] = 0
-    work = [0]
-    while work:
-        i = work.pop()
-        depth = depths[i]
-        assert depth is not None
-        instr = code[i]
-        op = instr.op
-        pops, pushes = stack_effect_quick(instr)
-        if depth < pops:
-            raise VerifyError(
-                method, i, f"stack underflow (depth={depth}, pops={pops})"
-            )
-        out = depth - pops + pushes
-        if op in _QUICK_TERMINATORS:
-            successors: list[int] = []
-        elif op is Op.JUMP:
-            successors = [instr.arg]
-        elif op in _QUICK_COND_BRANCHES:
-            successors = [branch_target(instr), i + op_width(op)]
-        else:
-            successors = [i + op_width(op)]
-        for s in successors:
-            if s >= n:
-                raise VerifyError(
-                    method, i, "control can fall off end of quickened code"
-                )
-            if depths[s] is None:
-                depths[s] = out
-                work.append(s)
-            elif depths[s] != out:
-                raise VerifyError(
-                    method, s,
-                    f"inconsistent stack depth at join: {depths[s]} vs {out}",
-                )
-    return [d if d is not None else 0 for d in depths]
+    return stack_depths(
+        code, lambda i, message: VerifyError(method, i, message)
+    )
+
+
+def verify_quick(method: MethodInfo, code: list[Instr]) -> list[int]:
+    """:func:`verify_quick_depths` as a list with one entry per slot
+    (an unreached slot reads depth 0)."""
+    depths = verify_quick_depths(method, code)
+    return [depths.get(i, 0) for i in range(len(code))]
 
 
 def verify_quick_method(rm) -> list[int]:

@@ -146,13 +146,18 @@ def environment_payload(vm: Any) -> dict:
         # with unboxed constants, so any artifact embedding a slot index
         # depends on the toggle.
         "shapes": bool(getattr(vm.config, "shapes", False)),
-        # Translation-validation verdict digest: enforcement downgrades
-        # (de-quickened bodies, rejected OSR entries, downgraded plans)
-        # change which bodies exist to compile, so a hit from a run with
-        # different verdicts could resurrect an unvalidated body.
+        # Translation-validation verdict digest: a rejected OSR entry or
+        # a downgraded plan changes what gets compiled, so a hit from a
+        # run with different verdicts could resurrect an unvalidated
+        # body.  Quickening verdicts stay out: every compile lowers the
+        # pristine ``info.code``, never ``quick_code``, and a body TV
+        # refuses mid-run must not re-key the compiles that follow.
         "tv": {
             "enabled": bool(getattr(vm.config, "tv", False)),
-            "downgrades": sorted(getattr(vm, "tv_downgrades", None) or {}),
+            "downgrades": sorted(
+                key for key in getattr(vm, "tv_downgrades", None) or ()
+                if not key.startswith("quicken:")
+            ),
         },
     }
 

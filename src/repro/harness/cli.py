@@ -72,16 +72,17 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
     if not args.quick:
         print(disassemble_program(unit))
         return 0
-    # Quickened bodies only exist in a linked, executed VM (quickening
-    # happens at tier-up), so --quick runs the program first.  Asking
-    # for the quickened view forces quickening on even under
-    # JX_QUICKEN=0.
+    # --quick runs the program first, so the methods that ran show
+    # their warm inline caches, then quickens the methods the run never
+    # called.  Asking for the quickened view forces quickening on even
+    # under JX_QUICKEN=0.
     from repro.bytecode import disassemble_quick
     from repro.vm.runtime import VMConfig
 
     plan = build_mutation_plan(source) if args.mutate else None
     vm = VM(unit, mutation_plan=plan, config=VMConfig(quicken=True))
     vm.run()
+    vm.quickener.quicken_all()
     shown = 0
     for rc in vm.classes.values():
         for rm in rc.own_methods.values():
@@ -94,35 +95,44 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import lint_source, lint_workload
+def _lint_targets(args: argparse.Namespace):
+    """``(name, linked VM)`` per lint target, built one at a time."""
+    from repro.analysis.lint import source_vm, workload_vm
 
-    targets: list[tuple[str, list]] = []
     if args.file:
         with open(args.file, encoding="utf-8") as handle:
             source = handle.read()
-        targets.append((
-            args.file,
-            lint_source(source, filename=args.file, tv=args.tv),
-        ))
-    else:
-        names = args.workloads or [
-            spec.name for spec in all_workloads()
-        ]
-        for name in names:
-            spec = get_workload(name)
-            targets.append((name, lint_workload(spec, tv=args.tv)))
-    total = 0
-    for name, findings in targets:
+        yield args.file, source_vm(source, filename=args.file)
+        return
+    for name in args.workloads or [spec.name for spec in all_workloads()]:
+        yield name, workload_vm(get_workload(name))
+
+
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.analysis import lint as lint_mod
+
+    total = partial = 0
+    for name, vm in _lint_targets(args):
+        findings = lint_mod.lint_vm(vm, tv=args.tv)
+        note = ""
+        coverage = lint_mod.tv_coverage(vm)
+        if coverage is not None:
+            validated, methods = coverage
+            if validated < methods:
+                partial += 1
+                note = f" (only {validated} of {methods} bodies validated)"
+            elif args.tv:
+                note = f" ({validated} of {methods} bodies validated)"
         if findings:
             total += len(findings)
-            print(f"{name}: {len(findings)} finding(s)")
+            print(f"{name}: {len(findings)} finding(s){note}")
             for finding in findings:
                 print(f"  {finding.format()}")
         else:
-            print(f"{name}: clean")
-    if total and args.strict:
-        print(f"jx lint: {total} finding(s)", file=sys.stderr)
+            print(f"{name}: clean{note}")
+    if (total or partial) and args.strict:
+        print(f"jx lint: {total} finding(s), {partial} target(s) only "
+              f"partly validated", file=sys.stderr)
         return 1
     return 0
 
@@ -467,12 +477,15 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--file", default=None,
                    help="lint a Jx source file instead of workloads")
     p.add_argument("--strict", action="store_true",
-                   help="exit nonzero if any finding is reported")
+                   help="exit nonzero if any finding is reported, or if "
+                        "fewer bodies were validated than the target "
+                        "has methods")
     p.add_argument("--tv", action="store_true",
                    help="also run the translation validator: re-prove "
                         "every transformed code surface (quickened "
                         "bodies, shape layouts, OSR entries) "
-                        "equivalent to its pristine source")
+                        "equivalent to its pristine source, and print "
+                        "the bodies validated per target")
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser("workloads", help="list benchmark workloads")

@@ -1,163 +1,154 @@
-"""Hand-written lexer for the Jx language.
+"""Regex-driven lexer for the Jx language.
 
 Supports ``//`` line comments and ``/* ... */`` block comments, decimal
 int and double literals, and double-quoted string literals with the
 escape set ``\\n \\t \\" \\\\ \\r \\0``.
+
+One compiled master pattern matches the next token (or run of trivia)
+at the current position; malformed input falls through to the error
+paths at the bottom of :func:`tokenize`.  Columns count characters
+from 1, and a line starts after each ``\\n``.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.lang.errors import LexError
 from repro.lang.tokens import KEYWORDS, OPERATORS, TokKind, Token
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r", "0": "\0"}
 
+# ``\d`` is str.isdecimal() and ``\w`` is str.isalnum() or "_", so the
+# pattern follows the str predicates the language is defined by.
+_MASTER = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<word>\w+)"
+    r'|(?P<str>"(?:[^"\\\n]|\\[nt"\\r0])*")'
+    r"|(?P<open>/\*)"
+    r"|(?P<op>" + "|".join(re.escape(op) for op in OPERATORS) + ")",
+    re.DOTALL,
+)
+#: The longest well-formed prefix of a string literal that has no end.
+_STRING_PREFIX = re.compile(r'"(?:[^"\\\n]|\\[nt"\\r0])*')
+_ESCAPE = re.compile(r"\\(.)")
 
-class Lexer:
-    """Converts Jx source text into a token stream."""
 
-    def __init__(self, source: str, filename: str = "<source>") -> None:
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES[m.group(1)]
 
-    # -- character helpers ----------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.col)
-
-    # -- skipping ---------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.col
-                self._advance()
-                self._advance()
-                while True:
-                    if self.pos >= len(self.source):
-                        raise LexError(
-                            "unterminated block comment", start_line, start_col
-                        )
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance()
-                        self._advance()
-                        break
-                    self._advance()
-            else:
-                return
-
-    # -- token scanners ------------------------------------------------------------
-
-    def _scan_number(self) -> Token:
-        line, col = self.line, self.col
-        digits = []
-        while self._peek().isdigit():
-            digits.append(self._advance())
-        is_double = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_double = True
-            digits.append(self._advance())
-            while self._peek().isdigit():
-                digits.append(self._advance())
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_double = True
-            digits.append(self._advance())
-            if self._peek() in "+-":
-                digits.append(self._advance())
-            while self._peek().isdigit():
-                digits.append(self._advance())
-        text = "".join(digits)
-        if is_double:
-            return Token(TokKind.DOUBLE_LIT, float(text), line, col)
-        return Token(TokKind.INT_LIT, int(text), line, col)
-
-    def _scan_string(self) -> Token:
-        line, col = self.line, self.col
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.source):
-                raise LexError("unterminated string literal", line, col)
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\n":
-                raise LexError("newline in string literal", line, col)
-            if ch == "\\":
-                esc = self._advance() if self.pos < len(self.source) else ""
-                if esc not in _ESCAPES:
-                    raise self._error(f"bad escape sequence '\\{esc}'")
-                chars.append(_ESCAPES[esc])
-            else:
-                chars.append(ch)
-        return Token(TokKind.STRING_LIT, "".join(chars), line, col)
-
-    def _scan_word(self) -> Token:
-        line, col = self.line, self.col
-        chars = []
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._advance())
-        word = "".join(chars)
-        kind = TokKind.KEYWORD if word in KEYWORDS else TokKind.IDENT
-        return Token(kind, word, line, col)
-
-    # -- main loop ----------------------------------------------------------------
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.source):
-            return Token(TokKind.EOF, None, self.line, self.col)
-        ch = self._peek()
-        if ch.isdigit():
-            return self._scan_number()
-        if ch == '"':
-            return self._scan_string()
-        if ch.isalpha() or ch == "_":
-            return self._scan_word()
-        for op in OPERATORS:
-            if self.source.startswith(op, self.pos):
-                line, col = self.line, self.col
-                for _ in op:
-                    self._advance()
-                return Token(TokKind.PUNCT, op, line, col)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def tokenize(self) -> list[Token]:
-        """Return the full token list, terminated by a single EOF token."""
-        tokens = []
-        while True:
-            tok = self.next_token()
-            tokens.append(tok)
-            if tok.kind is TokKind.EOF:
-                return tokens
+def _overrun_digit(source: str, text: str, end: int) -> str | None:
+    """The digit that is not decimal (``'²'.isdigit()`` holds, but
+    ``int('²')`` fails) which the number literal ``text`` ending at
+    ``end`` runs on into, or None when the literal ends cleanly."""
+    nxt = source[end:end + 1]
+    after = source[end + 1:end + 2]
+    if nxt.isdigit():
+        return nxt
+    if nxt == "." and text.isdigit() and after.isdigit():
+        return after
+    if nxt in ("e", "E") and "e" not in text and "E" not in text:
+        if after.isdigit():
+            return after
+        if after in ("+", "-") and source[end + 2:end + 3].isdigit():
+            return source[end + 2]
+    return None
 
 
 def tokenize(source: str, filename: str = "<source>") -> list[Token]:
-    """Tokenize ``source`` and return the token list (EOF-terminated)."""
-    return Lexer(source, filename).tokenize()
+    """Tokenize ``source`` and return the token list (EOF-terminated).
+
+    Raises:
+        LexError: On a malformed literal, an unterminated comment or
+            string, or a character that starts no token.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    n = len(source)
+    pos = 0
+    line = 1
+    line_start = 0  # index of the first character of ``line``
+    while pos < n:
+        m = match(source, pos)
+        col = pos - line_start + 1
+        kind = m.lastgroup if m is not None else None
+        if kind == "skip":
+            end = m.end()
+            breaks = source.count("\n", pos, end)
+            if breaks:
+                line += breaks
+                line_start = source.rfind("\n", pos, end) + 1
+            pos = end
+            continue
+        if kind == "word":
+            word = m.group()
+            first = word[0]
+            if first.isalpha() or first == "_":
+                append(Token(
+                    TokKind.KEYWORD if word in KEYWORDS else TokKind.IDENT,
+                    word, line, col,
+                ))
+                pos = m.end()
+                continue
+            if first.isdigit():
+                raise LexError(
+                    f"non-decimal digit {first!r} in number literal",
+                    line, col,
+                )
+            raise LexError(f"unexpected character {first!r}", line, col)
+        if kind == "op":
+            append(Token(TokKind.PUNCT, m.group(), line, col))
+            pos = m.end()
+            continue
+        if kind == "num":
+            end = m.end()
+            text = m.group()
+            bad = _overrun_digit(source, text, end)
+            if bad is not None:
+                raise LexError(
+                    f"non-decimal digit {bad!r} in number literal",
+                    line, col,
+                )
+            if text.isdigit():
+                append(Token(TokKind.INT_LIT, int(text), line, col))
+            else:
+                append(Token(TokKind.DOUBLE_LIT, float(text), line, col))
+            pos = end
+            continue
+        if kind == "str":
+            body = source[pos + 1:m.end() - 1]
+            if "\\" in body:
+                body = _ESCAPE.sub(_unescape, body)
+            append(Token(TokKind.STRING_LIT, body, line, col))
+            pos = m.end()
+            continue
+        if kind == "open":
+            raise LexError("unterminated block comment", line, col)
+        ch = source[pos]
+        if ch == '"':
+            raise _string_error(source, pos, line, col)
+        raise LexError(f"unexpected character {ch!r}", line, col)
+    append(Token(TokKind.EOF, None, line, pos - line_start + 1))
+    return tokens
+
+
+def _string_error(source: str, pos: int, line: int, col: int) -> LexError:
+    """The error for the string literal opening at ``pos`` (``col`` on
+    ``line``), which the master pattern could not match."""
+    stop = _STRING_PREFIX.match(source, pos).end()
+    if stop >= len(source):
+        return LexError("unterminated string literal", line, col)
+    if source[stop] == "\n":
+        return LexError("newline in string literal", line, col)
+    # A backslash whose escape character is not in the set: report the
+    # position just past that character, as a reader scanning it would.
+    esc = source[stop + 1:stop + 2]
+    if esc == "\n":
+        return LexError(f"bad escape sequence '\\{esc}'", line + 1, 1)
+    return LexError(
+        f"bad escape sequence '\\{esc}'",
+        line, col + (stop - pos) + 1 + len(esc),
+    )

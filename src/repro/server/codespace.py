@@ -2,16 +2,19 @@
 
 A :class:`CodeSpace` builds a complete program world **once** — link,
 mutation-manager attach (shareable plans only), adaptive warmup to the
-final compiled tiers, quickening — then *freezes* it by retiring every
-method's promotion threshold.  After the freeze nothing in the world is
-ever written again:
+final compiled tiers — then *freezes* it by retiring every method's
+promotion threshold and quickening every method the warmup left
+unquickened.  After the freeze nothing in the world is ever written
+again:
 
 * class/TIB/IMT dispatch tables — patched only by the installer and by
   static-state re-evaluation, and neither runs post-freeze (adaptive
   promotion is retired; static-state plans are excluded by
   :mod:`repro.server.shareable`);
-* compiled code, quickened bodies, opt IR — produced by compiles, which
-  the retired thresholds make unreachable;
+* compiled code and opt IR — produced by compiles, which the retired
+  thresholds make unreachable;
+* quickened bodies — built on a method's first interpreted call, and
+  the freeze has already built every one;
 * special TIBs and the value→TIB swap tables — created exclusively at
   manager attach time;
 * JTOC *method cells* — patched only by the installer.
@@ -50,8 +53,8 @@ def _warmup_config() -> AdaptiveConfig:
 class CodeSpace:
     """An immutable-once-frozen program world shared by sessions.
 
-    Build cost (link + warmup compiles + quickening) is paid once in
-    ``__init__``; :meth:`create_session` afterwards costs one
+    Build cost (link + warmup compiles + quickening every method) is
+    paid once in ``__init__``; :meth:`create_session` afterwards costs one
     static-field list copy plus a handful of counter objects.
     """
 
@@ -95,9 +98,13 @@ class CodeSpace:
 
     def _freeze(self) -> None:
         """Retire every promotion threshold so no session-time path can
-        ever reach the compiler or the installer."""
+        ever reach the compiler or the installer, and quicken every
+        method the warmup did not reach so no session ever builds (or
+        validates) a body in the shared world."""
         for rm in self.vm.all_runtime_methods():
             rm.samples.threshold = NEVER
+        if self.vm.quickener is not None:
+            self.vm.quickener.quicken_all()
         # Swap in a disabled *copy*: the caller's AdaptiveConfig may be
         # shared with other VMs and must not be mutated.
         self.vm.adaptive.config = replace(

@@ -23,7 +23,8 @@ name                      emitted when
 ``online_activate``       the online controller derives and attaches a plan
 ``opt_pass``              one optimizer pass ran (carries the duration)
 ``vm_run``                one entry-point execution (carries the duration)
-``quicken``               the quickener rewrote the program's bytecode
+``quicken``               the quickener rewrote one method on its first
+                          interpreted call (carries method, sites, fused)
 ``ic_miss``               a quickened call site's inline cache missed and
                           re-resolved (carries the receiver's TIB kind)
 ``plan_downgraded``       the attach-time specialization-safety audit

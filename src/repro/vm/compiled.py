@@ -105,6 +105,11 @@ class BaselineCompiled(CompiledMethod):
         samples.ticks += ENTRY_TICKS
         if samples.ticks >= samples.threshold:
             vm.adaptive.on_hot(rm)
+        if rm.quick_code is None and not rm.quick_tried:
+            # First interpreted call: quicken and validate the body now.
+            quickener = vm.quickener
+            if quickener is not None:
+                quickener.quicken(rm)
         run = interpret if rm.quick_code is None else interpret_quick
         tel = vm.telemetry
         if tel is not None and tel.enabled:

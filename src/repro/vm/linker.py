@@ -57,6 +57,7 @@ class RuntimeMethod:
         "compile_history",
         "quick_code",
         "quick_pad",
+        "quick_tried",
         "osr_entries",
     )
 
@@ -83,11 +84,15 @@ class RuntimeMethod:
         self.compile_history: list[tuple[int, float]] = []
         #: Quickened body (:mod:`repro.bytecode.quicken`): a runtime-only
         #: shadow of ``info.code`` with inline-cache call/field sites and
-        #: fused superinstructions; ``None`` when quickening is off.
+        #: fused superinstructions; ``None`` when quickening is off, before
+        #: the method's first interpreted call, or when TV refused it.
         self.quick_code: list | None = None
         #: Precomputed ``[None] * (max_locals - num_args)`` so the
         #: quickened frame prologue builds its locals with one concat.
         self.quick_pad: list | None = None
+        #: Whether the quickener has built (and validated) this body
+        #: already; a refused body is never rebuilt.
+        self.quick_tried = False
         #: OSR entry-point cache (:mod:`repro.vm.osr`): back-edge pc ->
         #: continuation callable, or ``False`` for pcs proven
         #: ineligible; ``None`` until the first OSR attempt.

@@ -110,8 +110,8 @@ class VMConfig:
     #: transformed code surface (quickened/fused bodies, shape slot
     #: layouts, OSR continuation entries) observationally equivalent to
     #: its pristine source before it is allowed to run; anything
-    #: unprovable is downgraded (de-quickened, permanent OSR miss, plan
-    #: downgrade) instead of trusted.  Off, transformers are trusted
+    #: unprovable is downgraded (left unquickened, permanent OSR miss,
+    #: plan downgrade) instead of trusted.  Off, transformers are trusted
     #: exactly as before.
     tv: bool = field(default_factory=_tv_default)
 
@@ -159,7 +159,7 @@ class VMStats:
     tv_bodies_validated: int = 0
     #: Individual unprovable facts the validator reported.
     tv_findings: int = 0
-    #: Surfaces the validator refused to run (de-quickened bodies,
+    #: Surfaces the validator refused to run (refused quickened bodies,
     #: rejected OSR entries, downgraded plans).
     tv_downgrades: int = 0
 
@@ -215,9 +215,11 @@ class VM:
         compile_cache: Any,
         config: VMConfig | None,
     ) -> None:
-        """Link, attach mutation, prime the adaptive system, quicken —
-        the immutable-once-frozen program structure that sessions of a
-        :class:`repro.server.CodeSpace` share."""
+        """Link, attach mutation, prime the adaptive system, and set up
+        the quickener — the immutable-once-frozen program structure
+        that sessions of a :class:`repro.server.CodeSpace` share.
+        Nothing is quickened here: each method's body is quickened and
+        validated on its first interpreted call."""
         self.unit = program
         # Persistent compile cache (repro.cache): a CompileCache, a
         # directory path, or None.  JX_CACHE_DIR enables it globally
@@ -232,8 +234,9 @@ class VM:
         self.config = config or VMConfig()
         #: Translation-validation enforcement record: ``"surface:where"``
         #: -> reason for every transformed body the validator refused to
-        #: run (repro.analysis.tv).  Digested into the compile cache's
-        #: environment payload so a hit never resurrects one.
+        #: run (repro.analysis.tv).  All but the quickening verdicts are
+        #: digested into the compile cache's environment payload so a
+        #: hit never resurrects a refused body.
         self.tv_downgrades: dict[str, str] = {}
         #: Accumulated validator wall seconds (the <5% budget gate).
         self.tv_seconds = 0.0
@@ -274,15 +277,15 @@ class VM:
             self.mutation_manager = MutationManager(self, mutation_plan)
             self.mutation_manager.attach()
         self.adaptive.prime_all()
-        # Quickening runs last: hooks are installed and special TIBs
-        # exist, so the quickened bodies see the final link state.  The
-        # quickener registry is what install paths flush when they patch
-        # dispatch-table entries in place.
+        # Each method is quickened on its first interpreted call, after
+        # hooks are installed and special TIBs exist, so quickened
+        # bodies see the final link state.  The quickener registry is
+        # what install paths flush when they patch dispatch-table
+        # entries in place.
         if self.config.quicken:
             from repro.bytecode.quicken import Quickener
 
             self.quickener = Quickener(self)
-            self.quickener.quicken_all()
 
     # ------------------------------------------------------------------
 

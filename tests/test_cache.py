@@ -106,6 +106,37 @@ def test_tv_downgrade_after_first_key_changes_later_keys(tmp_path):
     assert later == _key(vm)
 
 
+def test_quickening_downgrade_keeps_every_compile_key(tmp_path, monkeypatch):
+    """No compile reads ``quick_code``, so TV refusing a quickened body
+    mid-run must not re-key any compile."""
+    import repro.analysis.tv as tv_mod
+    from repro import VMConfig
+    from repro.analysis.findings import Finding
+
+    vm = _vm(config=VMConfig(quicken=True, tv=True))
+    cache = CompileCache(tmp_path)
+    config = OptConfig()
+    methods = vm.all_runtime_methods()
+
+    def keys():
+        return [cache.key_for(vm, rm, 2, None, config) for rm in methods]
+
+    before = keys()
+    direct = _key(vm)
+    monkeypatch.setattr(
+        tv_mod, "validate_quick_method",
+        lambda rm, quick=None: [
+            Finding("tv-quicken", "Main.work", 0, "Main.work", "forced")
+        ],
+    )
+    vm.run()
+    work = vm.classes["Main"].own_methods["work"]
+    assert work.quick_tried and work.quick_code is None
+    assert "quicken:Main.work" in vm.tv_downgrades
+    assert keys() == before
+    assert _key(vm) == direct
+
+
 # -- store behavior ----------------------------------------------------------
 
 def test_store_load_roundtrip_and_checksum(tmp_path):

@@ -1,5 +1,7 @@
 """Harness and CLI tests (fast, small scales)."""
 
+import re
+
 import pytest
 
 from repro.harness.experiment import (
@@ -154,6 +156,29 @@ def test_cli_lint_strict_fails_on_findings(monkeypatch, capsys):
     assert cli_main(["lint", "salarydb", "--strict"]) == 1
 
 
+def test_cli_lint_tv_counts_bodies_and_strict_fails_when_partial(
+        monkeypatch, capsys):
+    """``jx lint`` quickens and validates every method before checking;
+    a lint that skipped that would check nothing, so ``--strict`` fails
+    when fewer bodies were validated than there are methods."""
+    from repro.bytecode.quicken import Quickener
+
+    monkeypatch.setenv("JX_QUICKEN", "1")
+    monkeypatch.setenv("JX_TV", "1")
+    assert cli_main(["lint", "salarydb", "--strict", "--tv"]) == 0
+    out = capsys.readouterr().out
+    m = re.search(r"salarydb: clean \((\d+) of (\d+) bodies validated\)",
+                  out)
+    assert m and m.group(1) == m.group(2), out
+
+    monkeypatch.setattr(Quickener, "quicken_all", lambda self: None)
+    assert cli_main(["lint", "salarydb", "--tv"]) == 0  # report only
+    assert cli_main(["lint", "salarydb", "--strict"]) == 1
+    captured = capsys.readouterr()
+    assert "salarydb: clean (only 0 of" in captured.out
+    assert "1 target(s) only partly validated" in captured.err
+
+
 def test_cli_lint_unknown_workload(capsys):
     assert cli_main(["lint", "nosuchworkload"]) == 1
 
@@ -168,6 +193,7 @@ def test_cli_disasm_quick(tmp_path, capsys):
                 for (int i = 0; i < 500; i++) { acc = (acc + i) % 9999; }
                 Sys.print("" + acc);
             }
+            static int neverCalled(int x) { return x + 1; }
         }
         """
     )
@@ -175,6 +201,8 @@ def test_cli_disasm_quick(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "quickened" in out
     assert "; covered by" in out
+    # Methods the run never called are listed too.
+    assert "neverCalled" in out
 
 
 def test_cli_plan(capsys):

@@ -151,7 +151,7 @@ def test_entry_ticks_pin():
 
 
 # ---------------------------------------------------------------------------
-# Structural invariants of quicken_method
+# Structural invariants of the quickened body
 # ---------------------------------------------------------------------------
 
 def test_quickening_preserves_slots_and_shared_instrs():
@@ -160,6 +160,7 @@ def test_quickening_preserves_slots_and_shared_instrs():
     and PUTFIELD/PUTSTATIC slots keep the *original* Instr object so
     state hooks installed mid-run stay live in quick code."""
     vm = _quick_vm(FUSION_SOURCE)
+    vm.quickener.quicken_all()
     checked = 0
     for rm in vm.all_runtime_methods():
         code, quick = rm.info.code, rm.quick_code
@@ -185,6 +186,7 @@ def test_quickening_preserves_slots_and_shared_instrs():
 
 def test_idiom_fusions_fire():
     vm = _quick_vm(FUSION_SOURCE)
+    vm.quickener.quicken_all()
     getter = {i.op for i in _method(vm, "Box", "getTotal").quick_code}
     assert Op.GETFIELD_RETURN in getter
     bump = {i.op for i in _method(vm, "Box", "bump").quick_code}
@@ -202,6 +204,7 @@ def test_fusion_priority_guard_keeps_add_for_putfield():
     greedy left-to-right pairing would leave a bare PUTFIELD dispatch
     on the hot path."""
     vm = _quick_vm(FUSION_SOURCE)
+    vm.quickener.quicken_all()
     rm = _method(vm, "Box", "add")
     code, quick = rm.info.code, rm.quick_code
     add_idx = next(
@@ -231,6 +234,7 @@ def test_quicken_off_leaves_no_quick_code(monkeypatch):
 def test_interface_ic_mono_poly_megamorphic():
     vm = _quick_vm(POLY_SOURCE, telemetry=True)
     vm.initialize()
+    vm.quickener.quicken_all()
     ic = _site_ic(vm, "Driver.poke")
     assert isinstance(ic, InterfaceIC)
     assert ic.k0 is None and ic.k1 is None
@@ -264,6 +268,7 @@ def test_interface_ic_mono_poly_megamorphic():
 def test_virtual_ic_hits_after_monomorphic_call():
     vm = _quick_vm(FUSION_SOURCE, telemetry=True)
     vm.initialize()
+    vm.quickener.quicken_all()
     box = _make(vm, "Box")
     ics = [
         ic for ic in vm.quickener.caches
@@ -279,6 +284,7 @@ def test_virtual_ic_hits_after_monomorphic_call():
 def test_flush_resets_cache_keys():
     vm = _quick_vm(POLY_SOURCE)
     vm.initialize()
+    vm.quickener.quicken_all()
     ic = _site_ic(vm, "Driver.poke")
     sq = _make(vm, "Sq", 3)
     assert vm.call_static("Driver", "poke", [sq]) == 9
@@ -353,3 +359,69 @@ def test_quicken_on_off_byte_identical(source):
         on = _quick_vm(source, quicken=True, adaptive=adaptive)
         off = _quick_vm(source, quicken=False, adaptive=adaptive)
         assert on.run().output == off.run().output
+
+
+# ---------------------------------------------------------------------------
+# Lazy quickening: a body is built on the method's first interpreted call
+# ---------------------------------------------------------------------------
+
+def test_vm_construction_quickens_nothing():
+    vm = _quick_vm(TORTURE_SOURCE)
+    assert all(
+        rm.quick_code is None and not rm.quick_tried
+        for rm in vm.all_runtime_methods()
+    )
+    assert vm.quickener.methods_quickened == 0
+    assert vm.mutation_stats.tv_bodies_validated == 0
+
+
+@pytest.mark.parametrize("adaptive", [INTERP_ONLY, AGGRESSIVE],
+                         ids=["interp", "aggressive"])
+def test_run_quickens_exactly_the_invoked_methods(adaptive):
+    vm = VM(compile_source(TORTURE_SOURCE), adaptive_config=adaptive,
+            config=VMConfig(quicken=True, tv=True))
+    vm.run()
+    methods = vm.all_runtime_methods()
+    invoked = {rm for rm in methods if rm.samples.invocations > 0}
+    quickened = {rm for rm in methods if rm.quick_code is not None}
+    assert quickened == invoked
+    assert len(invoked) < len(methods) // 2, "stdlib should stay cold"
+    assert vm.quickener.validated == len(invoked)
+
+
+def test_ic_publishes_an_unquickened_target_as_inline_target():
+    vm = _quick_vm(POLY_SOURCE)
+    vm.initialize()
+    sq = _make(vm, "Sq", 2)
+    area = _method(vm, "Sq", "area")
+    assert not area.quick_tried
+    assert vm.call_static("Driver", "poke", [sq]) == 4
+    ic = _site_ic(vm, "Driver.poke")
+    assert ic.k0 is sq.tib
+    assert ic.r0 is area and area.quick_code is not None
+
+
+def test_refused_body_runs_pristine_and_is_never_retried(monkeypatch):
+    import repro.analysis.tv as tv_mod
+    from repro.analysis.findings import Finding
+
+    expected = _quick_vm(FUSION_SOURCE, quicken=False).run().output
+    real = tv_mod.validate_quick_method
+    tried = []
+
+    def refuse_mix(rm, quick=None):
+        if rm.qualified_name != "Main.mix":
+            return real(rm, quick)
+        tried.append(rm)
+        return [Finding("tv-quicken", "Main.mix", 0, "Main.mix", "forced")]
+
+    monkeypatch.setattr(tv_mod, "validate_quick_method", refuse_mix)
+    vm = VM(compile_source(FUSION_SOURCE), adaptive_config=INTERP_ONLY,
+            config=VMConfig(quicken=True, tv=True))
+    assert vm.run().output == expected
+    mix = _method(vm, "Main", "mix")
+    assert mix.samples.invocations == 10
+    assert mix.quick_tried and mix.quick_code is None
+    assert tried == [mix], "a refused body must be built and checked once"
+    assert "quicken:Main.mix" in vm.tv_downgrades
+    assert vm.mutation_stats.tv_downgrades == 1

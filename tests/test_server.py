@@ -373,3 +373,27 @@ def test_codespace_with_static_plan_runs_unmutated_but_correct():
     assert space.vm.mutation_manager is None  # whole plan was excluded
     session = space.create_session()
     assert session.run().output == reference
+
+
+def test_sessions_never_quicken_or_validate():
+    """The freeze quickens every method the warmup left cold, so a
+    session neither builds nor validates a body: every ``quick_code``
+    object is the one the template published."""
+    from repro import VMConfig
+
+    spec, unit, plan = _workload_bits("salarydb")
+    space = CodeSpace(unit(), mutation_plan=plan,
+                      config=VMConfig(quicken=True, tv=True))
+    methods = space.vm.all_runtime_methods()
+    assert all(rm.quick_tried for rm in methods)
+    bodies = {rm: rm.quick_code for rm in methods}
+    validated = space.vm.quickener.validated
+    template_tv = space.vm.mutation_stats.tv_bodies_validated
+    assert validated == len(methods)
+
+    session = space.create_session()
+    session.run()
+    assert all(rm.quick_code is bodies[rm] for rm in methods)
+    assert space.vm.quickener.validated == validated
+    assert space.vm.mutation_stats.tv_bodies_validated == template_tv
+    assert session.mutation_stats.tv_bodies_validated == 0

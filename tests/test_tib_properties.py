@@ -514,6 +514,7 @@ def test_ic_miss_follows_deopt_to_class_tib():
     invokes the class-TIB entry — the event stream shows the hot-state
     miss, then the deopt swap, then the class-TIB miss, in that order."""
     vm = _ic_vm(telemetry=True, adaptive=INTERP_ONLY)
+    vm.quickener.quicken_all()
     rc, (obj,) = _salary_objs(vm, (1,))
     assert obj.tib.is_special
     special_tib = obj.tib

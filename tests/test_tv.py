@@ -22,9 +22,9 @@ from repro.analysis import (
     tv_osr_findings,
     tv_shapes_findings,
 )
-from repro.analysis.tv import enforce_quicken
 from repro.bytecode import Instr, VerifyError, verify_quick_method
 from repro.bytecode.opcodes import Op
+from repro.bytecode.quicken import Quickener
 from repro.cache.keys import environment_payload
 from repro.harness.cli import main as cli_main
 from repro.mutation import build_mutation_plan
@@ -87,28 +87,40 @@ def test_environment_payload_carries_tv_verdict():
 # Negative 1 (quicken): wrong fused successor
 # ---------------------------------------------------------------------------
 
-def test_wrong_fused_successor_found_and_dequickened():
+def test_wrong_fused_successor_found_and_dequickened(monkeypatch):
     expected = _salary_vm().run().output
-    vm = _salary_vm(config=VMConfig(quicken=True))
-    rm = vm.classes["Main"].own_methods["main"]
-    qc = rm.quick_code
-    i = next(k for k, ins in enumerate(qc) if ins.op is Op.ITER_LT_JF)
-    a = qc[i].arg
-    # Retarget the fused loop test's jump one slot past the pristine
-    # successor: the lockstep outcomes disagree on the continuation pc.
-    qc[i] = Instr(Op.ITER_LT_JF, (a[0], a[1], i + 4), qc[i].line)
-    findings = tv_findings(vm)
+    rewrite = Quickener._rewrite
+
+    def corrupt_main(self, rm):
+        quick = rewrite(self, rm)
+        if rm.info.qualified_name == "Main.main":
+            i = next(k for k, ins in enumerate(quick)
+                     if ins.op is Op.ITER_LT_JF)
+            a = quick[i].arg
+            # Retarget the fused loop test's jump one slot past the
+            # pristine successor: the lockstep outcomes disagree on the
+            # continuation pc.
+            quick[i] = Instr(Op.ITER_LT_JF, (a[0], a[1], i + 4),
+                             quick[i].line)
+        return quick
+
+    monkeypatch.setattr(Quickener, "_rewrite", corrupt_main)
+    # Without TV the corrupted body is published; the validator finds it.
+    unchecked = _salary_vm(config=VMConfig(quicken=True, tv=False))
+    unchecked.quickener.quicken_all()
+    findings = tv_findings(unchecked)
     assert [f.check for f in findings] == ["tv-quicken"]
     assert findings[0].where == "Main.main"
 
-    enforce_quicken(vm)
+    # With TV the quickener refuses it before publication.
+    vm = _salary_vm(config=VMConfig(quicken=True, tv=True))
+    assert vm.run().output == expected
+    rm = vm.classes["Main"].own_methods["main"]
     assert rm.quick_code is None, "unprovable body must be de-quickened"
     assert "quicken:Main.main" in vm.tv_downgrades
     assert vm.mutation_stats.tv_downgrades >= 1
-    assert vm.run().output == expected
-    assert environment_payload(vm)["tv"]["downgrades"] == [
-        "quicken:Main.main"
-    ]
+    # No compile reads quickened code, so the verdict keys no compile.
+    assert environment_payload(vm)["tv"]["downgrades"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +129,7 @@ def test_wrong_fused_successor_found_and_dequickened():
 
 def test_stale_packed_slot_index_one_finding():
     vm = _salary_vm(config=VMConfig(quicken=True, shapes=True))
+    vm.quickener.quicken_all()
     rm = vm.classes["Main"].own_methods["main"]
     sites = [ins for ins in rm.info.code if ins.op is Op.GETFIELD]
     qsites = [
@@ -292,6 +305,7 @@ def test_three_way_accounting_agreement():
 # ---------------------------------------------------------------------------
 
 def _find_quick_site(vm, op):
+    vm.quickener.quicken_all()
     for rc in vm.classes.values():
         for rm in rc.own_methods.values():
             for ins in rm.quick_code or []:
