@@ -16,7 +16,7 @@ A whole-program analysis layer over the bytecode IR:
 * :mod:`.symstate` — the symbolic lockstep machine (term-algebra
   abstract interpreter over pristine and quickened bytecode);
 * :mod:`.tv` — translation validation of every transformed code
-  surface (quicken/fusion, shapes, OSR) plus the
+  surface (quicken/fusion, OSR) plus the
   deopt-guard safety lint; unprovable bodies are downgraded, not run;
 * :mod:`.lint` — the ``jx lint`` aggregation over a built VM.
 """
@@ -51,7 +51,6 @@ from repro.analysis.tv import (
     tv_findings,
     tv_osr_findings,
     tv_quicken_findings,
-    tv_shapes_findings,
     validate_quick_method,
 )
 
@@ -84,6 +83,5 @@ __all__ = [
     "tv_findings",
     "tv_osr_findings",
     "tv_quicken_findings",
-    "tv_shapes_findings",
     "validate_quick_method",
 ]

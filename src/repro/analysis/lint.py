@@ -21,9 +21,9 @@ before the checks run):
 * **plan downgrades** — classes the attach-time audit already had to
   detach are reported (the program runs correctly but unspecialized);
 * **translation validation** (``--tv``) — every transformed code
-  surface (quickened/fused bodies, shape slot layouts, OSR entries) is
-  re-proven equivalent to its pristine source, and every runtime
-  enforcement downgrade is surfaced (:mod:`repro.analysis.tv`).
+  surface (quickened/fused bodies, OSR entries) is proven equivalent
+  to its pristine source, and every runtime enforcement downgrade is
+  surfaced (:mod:`repro.analysis.tv`).
 
 Zero findings on a shipped workload is an acceptance criterion; CI runs
 ``jx lint --strict`` (and ``--tv``) over all of them, and ``--strict``
@@ -133,8 +133,8 @@ def downgrade_findings(vm: Any) -> list[Finding]:
 def lint_vm(vm: Any, *, tv: bool = False) -> list[Finding]:
     """All checks over a built VM; empty list means the mutation
     invariants are statically proven for this link state.  With ``tv``,
-    the translation validator re-proves every transformed code surface
-    as well (:func:`repro.analysis.tv.tv_findings`).
+    the translation validator's findings are added as well
+    (:func:`repro.analysis.tv.tv_findings`).
 
     Methods are quickened on their first interpreted call, so the VM
     first quickens (and, under ``VMConfig.tv``, validates) every method

@@ -37,14 +37,9 @@ Terms are nested hashable tuples:
     the ``k``-th fresh result (call return values and allocations) —
     equal effect streams imply aligned numbering.
 
-Field keys discriminate the *access path*, which is exactly where shape
-bugs live: a plain packed index accesses ``obj.fields[slot]`` directly
-and models as ``("slot", int)``, while a shape-managed slot
-(:class:`~repro.vm.shapes.ShapeField` / ``UnboxedField``) routes
-through ``slot.read``/``slot.store`` and models as
-``("shape", id(slot))``.  A fused form that direct-indexes a
-shape-managed slot (or a ``GETFIELD_SHAPE`` carrying a plain int)
-produces a mismatched key and fails validation.
+Every field site, pristine or quickened, indexes ``obj.fields`` with
+its resolved slot, so a field key is ``("slot", int)``; a site whose
+slot is not an int is unprovable.
 
 Observable effects (ordered, compared as streams):
 
@@ -96,29 +91,13 @@ class TVUnprovable(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Field-key discrimination.
+# Field keys.
 
-def managed_key(resolved: Any, pc: int) -> tuple:
-    """The access-path key of a discriminating field site (pristine
-    GETFIELD/PUTFIELD and GETFIELD_SHAPE route on ``type(slot)``)."""
-    if resolved is None:
-        raise TVUnprovable(pc, "unresolved field access")
-    if type(resolved) is int:
-        return ("slot", resolved)
-    return ("shape", id(resolved))
-
-
-def direct_key(resolved: Any, pc: int) -> tuple:
-    """The access-path key of a direct-indexing site (``GETFIELD_QUICK``
-    and the fused forms index ``obj.fields`` with ``int(slot)``)."""
-    if resolved is None:
-        raise TVUnprovable(pc, "unresolved field access")
-    try:
-        return ("slot", int(resolved))
-    except (TypeError, ValueError):
-        raise TVUnprovable(
-            pc, f"direct field index is not an int: {resolved!r}"
-        ) from None
+def field_key(resolved: Any, pc: int) -> tuple:
+    """The access-path key of a field site (``obj.fields[slot]``)."""
+    if type(resolved) is not int:
+        raise TVUnprovable(pc, f"unresolved field access: {resolved!r}")
+    return ("slot", resolved)
 
 
 _BIN_OPS = {
@@ -247,8 +226,7 @@ def step(code: list, st: SymState) -> list[SymState]:
 
     Handles the full ISA — pristine ops, standalone quickened ops, and
     every superinstruction — mirroring ``interpret``/``interpret_quick``
-    exactly (including fused null-check placement, live hook reads, and
-    the direct-vs-shape slot discrimination).
+    exactly (including fused null-check placement and live hook reads).
     """
     pc = st.pc
     instr = code[pc]
@@ -303,24 +281,15 @@ def step(code: list, st: SymState) -> list[SymState]:
         return [st]
 
     # -- objects and fields ---------------------------------------------
-    elif op in (Op.GETFIELD, Op.GETFIELD_SHAPE):
-        key = managed_key(instr.resolved, pc)
-        if op is Op.GETFIELD_SHAPE and key[0] != "shape":
-            raise TVUnprovable(
-                pc, "GETFIELD_SHAPE carries a plain int slot"
-            )
-        obj = st.pop()
-        st.null_check(obj)
-        st.stack.append(("fld", key, obj, st.heapver))
-    elif op is Op.GETFIELD_QUICK:
+    elif op in (Op.GETFIELD, Op.GETFIELD_QUICK):
         obj = st.pop()
         st.null_check(obj)
         st.stack.append(
-            ("fld", direct_key(instr.resolved, pc), obj, st.heapver)
+            ("fld", field_key(instr.resolved, pc), obj, st.heapver)
         )
     elif op is Op.PUTFIELD:
         value, obj = st.pop(), st.pop()
-        _putfield(st, managed_key(instr.resolved, pc), obj, value, instr)
+        _putfield(st, field_key(instr.resolved, pc), obj, value, instr)
     elif op is Op.GETSTATIC:
         if instr.resolved is None:
             raise TVUnprovable(pc, "unresolved static access")
@@ -412,7 +381,7 @@ def step(code: list, st: SymState) -> list[SymState]:
     elif op is Op.LOAD_GETFIELD:
         obj = st.locals[arg[0]]
         st.null_check(obj)
-        st.stack.append(("fld", direct_key(arg[1], pc), obj, st.heapver))
+        st.stack.append(("fld", field_key(arg[1], pc), obj, st.heapver))
     elif op is Op.LOAD_LOAD:
         st.stack += [st.locals[arg[0]], st.locals[arg[1]]]
     elif op is Op.LOAD_CONST:
@@ -451,7 +420,7 @@ def step(code: list, st: SymState) -> list[SymState]:
         b = st.pop()
         value = ("bin", "add", st.pop(), b)
         obj = st.pop()
-        _putfield(st, direct_key(arg.resolved, pc), obj, value, arg)
+        _putfield(st, field_key(arg.resolved, pc), obj, value, arg)
     elif op is Op.ADD_RETURN:
         b, a = st.pop(), st.pop()
         st.ret = ("v", ("bin", "add", a, b))
@@ -467,12 +436,12 @@ def step(code: list, st: SymState) -> list[SymState]:
     elif op is Op.GETFIELD_RETURN:
         obj = st.locals[arg[0]]
         st.null_check(obj)
-        st.ret = ("v", ("fld", direct_key(arg[1], pc), obj, st.heapver))
+        st.ret = ("v", ("fld", field_key(arg[1], pc), obj, st.heapver))
         return [st]
     elif op is Op.FIELD_INC:
         i, pf, c = arg
         obj = st.locals[i]
-        key = direct_key(pf.resolved, pc)
+        key = field_key(pf.resolved, pc)
         st.null_check(obj)
         value = ("bin", "add", ("fld", key, obj, st.heapver), ("c", c))
         st.write_heap(("putf", key, obj, value, id(pf)))

@@ -1,13 +1,13 @@
 """Translation validation for every transformed code surface.
 
-OSR continuations, shape-slotted layouts and quickened code are code
-transformations whose correctness once rested on differential tests
-alone.  This module extends the attach-time audit's "soundness proven,
-not assumed" policy to all of them: each transformed body is *proven*
-observationally equivalent to its pristine source, and anything
-unprovable is downgraded — never run.
+OSR continuations and quickened code are code transformations whose
+correctness once rested on differential tests alone.  This module
+extends the attach-time audit's "soundness proven, not assumed" policy
+to both: each transformed body is *proven* observationally equivalent
+to its pristine source, and anything unprovable is downgraded — never
+run.
 
-Three clients, one per surface:
+Two clients, one per surface:
 
 **quicken/fusion** (:func:`tv_quicken_findings`)
     Every ``*_QUICK`` body and superinstruction idiom is validated
@@ -18,15 +18,6 @@ Three clients, one per surface:
     hand-maintained fusion tables — and subsumes the hook-liveness
     lint, because write effects carry the identity of the ``Instr``
     whose ``state_hook`` is read live.
-
-**shapes** (:func:`tv_shapes_findings`)
-    Every resolved slot access must agree with the installed Shape
-    layout: packed indices match ``rc.field_layout``, ``UnboxedField``
-    reads are re-proven lifetime-constant by an independent
-    :func:`~repro.vm.shapes.unboxable_fields` run, direct (plain int)
-    indices never point into the pinnable tail, and every pinning TIB's
-    shape covers exactly the class's pin slots with the hot state's
-    bound values.
 
 **OSR** (:func:`tv_osr_findings`)
     Each continuation's entry must agree with an independently computed
@@ -43,14 +34,12 @@ TIB-speculating specialized body must carry its ``deoptcheck`` guard.
 Enforcement (downgrade, don't run) hooks into each surface's producer:
 ``Quickener.quicken`` publishes a method's quickened body, on the
 method's first interpreted call, only once :func:`prove_quick_body`
-proves it; ``OSRManager._build_entry`` rejects unprovable entries into
-the permanent-miss sentinel (:func:`check_osr_entry`); and the
-attach-time audit downgrades plans whose shapes are unprovable
-(:func:`attach_findings`).  Every downgrade lands in
-``vm.tv_downgrades``, which lint reports.  The OSR and shape verdicts
-are also digested into the compile cache's environment payload, so a
-cache hit never resurrects an unvalidated body; quickening verdicts are
-not, because no compile reads quickened code.
+proves it; and ``OSRManager._build_entry`` rejects unprovable entries
+into the permanent-miss sentinel (:func:`check_osr_entry`).  Every
+downgrade lands in ``vm.tv_downgrades``, which lint reports.  The OSR
+verdicts are also digested into the compile cache's environment
+payload, so a cache hit never resurrects an unvalidated body;
+quickening verdicts are not, because no compile reads quickened code.
 
 Accounting is three-way: ``vm.mutation_stats.tv_*`` fields,
 ``analysis.tv_*`` telemetry counters, and ``tv_validated`` events all
@@ -63,7 +52,7 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable
 
-from repro.bytecode.opcodes import Op, branch_target, op_width
+from repro.bytecode.opcodes import branch_target, op_width
 from repro.bytecode.verify import (
     VerifyError,
     stack_depths,
@@ -80,14 +69,12 @@ from repro.telemetry.core import maybe as _tel_maybe
 
 __all__ = [
     "tv_quicken_findings",
-    "tv_shapes_findings",
     "tv_osr_findings",
     "deopt_guard_findings",
     "tv_downgrade_findings",
     "tv_findings",
     "prove_quick_body",
     "check_osr_entry",
-    "attach_findings",
     "validate_quick_method",
 ]
 
@@ -199,6 +186,14 @@ def _diff(quick: list, pristine: list) -> str:
 
 
 def tv_quicken_findings(vm: Any) -> list[Finding]:
+    """Prove every published quickened body.  Under ``VMConfig.tv`` the
+    quickener already proved each one before publishing it
+    (:func:`prove_quick_body`), and a published body changes later only
+    when a megamorphic inline-cache site writes its pristine ``Instr``
+    back, which proves trivially; so only the bodies of a VM that
+    quickens without TV are proven here."""
+    if vm.config.tv:
+        return []
     findings = []
     for rm in _runtime_methods(vm):
         findings += validate_quick_method(rm)
@@ -225,165 +220,7 @@ def prove_quick_body(vm: Any, rm: Any, quick: list) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Surface 2: shapes.
-
-def _plan_state_keys(vm: Any) -> set:
-    plan = getattr(getattr(vm, "mutation_manager", None), "plan", None)
-    keys: set = set()
-    if plan is not None:
-        for cp in plan.classes.values():
-            for spec in cp.instance_fields:
-                keys.add((spec.declaring_class, spec.field_name))
-    return keys
-
-
-def _shape_site_findings(vm: Any, rm: Any, state_keys: set,
-                         unbox_cache: dict) -> list[Finding]:
-    from repro.vm.shapes import ShapeField, UnboxedField, unboxable_fields
-
-    findings = []
-    qname = rm.info.qualified_name
-    for i, instr in enumerate(rm.info.code):
-        if instr.op not in (Op.GETFIELD, Op.PUTFIELD):
-            continue
-        finfo = vm.unit.lookup_field(*instr.arg)
-        if finfo is None:
-            continue
-        decl, fname = finfo.key
-        rc = vm.classes.get(decl)
-        if rc is None:
-            continue
-        layout = getattr(rc, "field_layout", None) or {}
-        pin = set(getattr(rc, "pin_slots", ()) or ())
-        subject = f"{decl}.{fname}"
-        r = instr.resolved
-        if r is None:
-            continue
-        if isinstance(r, UnboxedField):
-            if decl not in unbox_cache:
-                unbox_cache[decl] = unboxable_fields(
-                    vm.unit, decl, state_keys
-                )
-            proven = unbox_cache[decl]
-            if fname not in proven or proven[fname] != r.value:
-                findings.append(Finding(
-                    "tv-shapes", qname, i, subject,
-                    f"unboxed read of {r.value!r} without an "
-                    f"independent lifetime-constant proof",
-                ))
-        elif isinstance(r, ShapeField):
-            if fname in layout and layout[fname] != int(r):
-                findings.append(Finding(
-                    "tv-shapes", qname, i, subject,
-                    f"stale shape slot {int(r)} "
-                    f"(layout says {layout[fname]})",
-                ))
-            elif int(r) not in pin:
-                findings.append(Finding(
-                    "tv-shapes", qname, i, subject,
-                    f"ShapeField slot {int(r)} outside the class's "
-                    f"pinnable tail {sorted(pin)}",
-                ))
-        elif type(r) is int:
-            if fname in layout and layout[fname] != r:
-                findings.append(Finding(
-                    "tv-shapes", qname, i, subject,
-                    f"stale packed slot index {r} "
-                    f"(layout says {layout[fname]})",
-                ))
-            elif r in pin:
-                findings.append(Finding(
-                    "tv-shapes", qname, i, subject,
-                    f"pinnable state slot {r} accessed with a direct "
-                    f"index (truncated storage would misread)",
-                ))
-        else:
-            findings.append(Finding(
-                "tv-shapes", qname, i, subject,
-                f"unrecognized slot kind {type(r).__name__}",
-            ))
-    return findings
-
-
-def _pinning_findings(vm: Any, name: str, mcr: Any) -> list[Finding]:
-    """Every pinning TIB's shape must cover exactly the class's pin
-    slots with the hot state's bound values, and drop exactly that many
-    slots from the base layout."""
-    rc = mcr.rc
-    base = getattr(rc.class_tib, "shape", None)
-    pin = tuple(getattr(rc, "pin_slots", ()) or ())
-    findings = []
-    for iv, tib in mcr.tib_by_instance.items():
-        shape = getattr(tib, "shape", None)
-        if shape is None or not shape.is_pinning:
-            continue
-        values = dict(zip(mcr.instance_slots, iv))
-        state = str(dict(shape.pinned))
-        if base is None or sorted(shape.pinned) != sorted(pin):
-            findings.append(Finding(
-                "tv-shapes", name, -1, state,
-                f"pinning shape covers slots "
-                f"{sorted(shape.pinned)} but the class pins "
-                f"{sorted(pin)}",
-            ))
-        elif shape.n_slots != base.n_slots - len(pin) or \
-                len(shape.tail) != len(pin):
-            findings.append(Finding(
-                "tv-shapes", name, -1, state,
-                f"pinning shape drops {base.n_slots - shape.n_slots} "
-                f"slot(s) with a {len(shape.tail)}-value tail; the "
-                f"class pins {len(pin)}",
-            ))
-        elif any(shape.pinned[s] != values.get(s) for s in pin):
-            findings.append(Finding(
-                "tv-shapes", name, -1, state,
-                "pinned values disagree with the hot state's bindings",
-            ))
-    return findings
-
-
-def tv_shapes_findings(vm: Any) -> list[Finding]:
-    state_keys = _plan_state_keys(vm)
-    unbox_cache: dict = {}
-    findings = []
-    for rm in _runtime_methods(vm):
-        findings += _shape_site_findings(vm, rm, state_keys, unbox_cache)
-    manager = getattr(vm, "mutation_manager", None)
-    if manager is not None:
-        for name, mcr in sorted(manager.mcrs.items()):
-            findings += _pinning_findings(vm, name, mcr)
-    return findings
-
-
-def attach_findings(manager: Any, name: str, mcr: Any) -> list[Finding]:
-    """The attach-time TV audit for one plan class: shape layouts and
-    the class's own field sites must be provable, else the plan is
-    downgraded (the class runs unspecialized, whose base shapes never
-    truncate storage — so even a direct index into the pinnable tail
-    stays correct)."""
-    vm = manager.vm
-    start = time.perf_counter()
-    findings = _pinning_findings(vm, name, mcr)
-    state_keys = _plan_state_keys(vm)
-    unbox_cache: dict = {}
-    for rm in mcr.rc.own_methods.values():
-        if rm.info.is_abstract:
-            continue
-        findings += _shape_site_findings(vm, rm, state_keys, unbox_cache)
-    _account(vm, "shapes", bodies=1, findings=len(findings),
-             downgrades=1 if findings else 0)
-    if findings:
-        _record_downgrade(
-            vm, "shapes", name,
-            f"shape layout unprovable ({len(findings)} finding(s)); "
-            f"plan downgraded: {findings[0].message}",
-        )
-    _observe_seconds(vm, time.perf_counter() - start)
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# Surface 3: OSR.
+# Surface 2: OSR.
 
 def _is_loop_header(code: list, pc: int) -> bool:
     return any(
@@ -576,8 +413,8 @@ def deopt_guard_findings(vm: Any) -> list[Finding]:
 
 def tv_downgrade_findings(vm: Any) -> list[Finding]:
     """Surfaces the runtime enforcement decisions: each recorded
-    downgrade (refused quickened body, rejected OSR entry, downgraded plan)
-    is one finding, so ``jx lint --tv`` shows what the validator
+    downgrade (refused quickened body, rejected OSR entry) is one
+    finding, so ``jx lint --tv`` shows what the validator
     refused to run."""
     out = []
     for key, message in sorted(
@@ -593,7 +430,6 @@ def tv_findings(vm: Any) -> list[Finding]:
     run) VM; empty means every transformed surface is proven."""
     start = time.perf_counter()
     findings = tv_quicken_findings(vm)
-    findings += tv_shapes_findings(vm)
     findings += tv_osr_findings(vm)
     findings += deopt_guard_findings(vm)
     findings += tv_downgrade_findings(vm)

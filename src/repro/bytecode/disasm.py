@@ -46,20 +46,9 @@ def _quick_arg(instr: Instr) -> str:
 
 
 def _slot_note(instr: Instr) -> str:
-    """Annotate a field op's resolved slot kind — the same taxonomy the
-    translation validator's shapes client checks (packed index vs
-    ``ShapeField`` pinned slot vs ``UnboxedField`` constant)."""
+    """Annotate an op whose resolved operand is a slot index."""
     r = instr.resolved
-    if r is None:
-        return ""
-    if type(r) is int:
-        return f"  ; slot {r}"
-    kind = type(r).__name__
-    if kind == "UnboxedField":
-        return f"  ; unboxed {r.value!r}"
-    if kind == "ShapeField":
-        return f"  ; shape slot {int(r)}"
-    return ""
+    return f"  ; slot {r}" if type(r) is int else ""
 
 
 def _quick_hook(instr: Instr):

@@ -236,65 +236,6 @@ def stack_effect_quick(instr: Instr) -> tuple[int, int]:
     return info.pops, info.pushes
 
 
-def _check_slot_kind(method: MethodInfo, i: int, instr: Instr) -> None:
-    """Field-slot discrimination rules for quickened bodies.
-
-    Shape-based layouts (:mod:`repro.vm.shapes`) split field access into
-    two regimes: plain ``int`` slots index ``obj.fields`` directly, and
-    shape-managed slots (``ShapeField``/``UnboxedField`` — recognized
-    structurally by their ``read``/``store`` methods, since this module
-    sits below :mod:`repro.vm`) must go through the managed path.  A
-    direct-indexing quick form carrying a managed slot would misread
-    truncated storage under a pinning shape; a ``GETFIELD_SHAPE``
-    carrying a plain int would pay the managed indirection for nothing
-    and hide a resolution bug.  (``ShapeField`` subclasses ``int``, so
-    the discrimination must be on exact type, mirroring the quickener's
-    and interpreter's ``type(resolved) is int`` checks.)
-    """
-    op = instr.op
-    if op is Op.GETFIELD_SHAPE:
-        r = instr.resolved
-        if type(r) is int or not (
-            callable(getattr(r, "read", None))
-            and callable(getattr(r, "store", None))
-        ):
-            raise VerifyError(
-                method, i,
-                f"GETFIELD_SHAPE must carry a shape-managed slot "
-                f"(read/store), got {r!r}",
-            )
-    elif op is Op.GETFIELD_QUICK:
-        if type(instr.resolved) is not int:
-            raise VerifyError(
-                method, i,
-                f"GETFIELD_QUICK must carry a plain int slot, "
-                f"got {instr.resolved!r}",
-            )
-    elif op in (Op.LOAD_GETFIELD, Op.GETFIELD_RETURN):
-        if type(instr.arg[1]) is not int:
-            raise VerifyError(
-                method, i,
-                f"{op.name} packs a non-int slot {instr.arg[1]!r}; "
-                f"shape-managed fields must stay unfused",
-            )
-    elif op is Op.ADD_PUTFIELD:
-        if type(instr.arg.resolved) is not int:
-            raise VerifyError(
-                method, i,
-                f"ADD_PUTFIELD wraps a PUTFIELD with non-int slot "
-                f"{instr.arg.resolved!r}; shape-managed fields must "
-                f"stay unfused",
-            )
-    elif op is Op.FIELD_INC:
-        if type(instr.arg[1].resolved) is not int:
-            raise VerifyError(
-                method, i,
-                f"FIELD_INC wraps a PUTFIELD with non-int slot "
-                f"{instr.arg[1].resolved!r}; shape-managed fields must "
-                f"stay unfused",
-            )
-
-
 def stack_depths(code: list[Instr], fail) -> dict[int, int]:
     """Entry stack depth of every *executed* slot of ``code``.
 
@@ -390,7 +331,6 @@ def verify_quick_depths(method: MethodInfo,
                      else instr.arg[1])
             if nargs < 0:
                 raise VerifyError(method, i, f"negative arg count {nargs}")
-        _check_slot_kind(method, i, instr)
 
     return stack_depths(
         code, lambda i, message: VerifyError(method, i, message)

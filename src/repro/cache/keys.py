@@ -142,16 +142,12 @@ def environment_payload(vm: Any) -> dict:
         "coalesce": coalesce,
         "analysis": analysis,
         "osr": bool(getattr(vm.config, "osr", False)),
-        # Packed layouts renumber every field slot and can replace slots
-        # with unboxed constants, so any artifact embedding a slot index
-        # depends on the toggle.
-        "shapes": bool(getattr(vm.config, "shapes", False)),
-        # Translation-validation verdict digest: a rejected OSR entry or
-        # a downgraded plan changes what gets compiled, so a hit from a
-        # run with different verdicts could resurrect an unvalidated
-        # body.  Quickening verdicts stay out: every compile lowers the
-        # pristine ``info.code``, never ``quick_code``, and a body TV
-        # refuses mid-run must not re-key the compiles that follow.
+        # Translation-validation verdict digest: a rejected OSR entry
+        # changes what gets compiled, so a hit from a run with different
+        # verdicts could resurrect an unvalidated body.  Quickening
+        # verdicts stay out: every compile lowers the pristine
+        # ``info.code``, never ``quick_code``, and a body TV refuses
+        # mid-run must not re-key the compiles that follow.
         "tv": {
             "enabled": bool(getattr(vm.config, "tv", False)),
             "downgrades": sorted(

@@ -98,7 +98,11 @@ from repro.cache.keys import (
 #: gone — ``environment_payload`` dropped its ``spec_share``/``memo``
 #: entries, the opt config no longer renders the gate flag, and opt2
 #: inline swaps no longer bump a memo epoch.
-SCHEMA_VERSION = 12
+#: v13: hot-state pinning and constant unboxing are gone — every field
+#: access indexes its linker slot, opt2 inlines the swap of every
+#: single-state-field class, and ``environment_payload`` dropped its
+#: ``shapes`` entry.
+SCHEMA_VERSION = 13
 
 
 def cache_stamp() -> str:

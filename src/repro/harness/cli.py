@@ -13,7 +13,7 @@ Subcommands:
 * ``stats WORKLOAD``      — run under telemetry, print the counters /
   histograms / event-taxonomy report;
 * ``heap WORKLOAD``       — run, print the modeled-heap report (packed
-  vs declared bytes, pinning/unboxing savings, top classes);
+  vs declared bytes, top classes);
 * ``serve WORKLOAD``      — run N concurrent sessions over one shared
   code space (``--sessions N --workers K``); exits nonzero if any two
   same-seed sessions diverge (cross-tenant leakage);
@@ -203,8 +203,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         saved = 1.0 - bm.modeled_heap_bytes / bm.declared_heap_bytes
         print(f"  heap             baseline {bm.modeled_heap_bytes}B modeled"
               f" vs {bm.declared_heap_bytes}B declared ({saved:.1%} packed"
-              f" out); mutated {mm.modeled_heap_bytes}B, "
-              f"{mm.shape_transitions} layout transitions")
+              f" out); mutated {mm.modeled_heap_bytes}B")
     if cache_dir is not None:
         b, m = comparison.baseline, comparison.mutated
         hits = b.cache_hits + m.cache_hits
@@ -253,35 +252,18 @@ def _run_instrumented(args: argparse.Namespace):
     return spec, vm, result, telemetry
 
 
-def _unboxed_fields(vm) -> int:
-    from repro.vm.shapes import UnboxedField
-
-    return sum(
-        1
-        for rc in vm.classes.values()
-        for finfo in rc.info.fields.values()
-        if isinstance(finfo.slot, UnboxedField)
-    )
-
-
 def _cmd_heap(args: argparse.Namespace) -> int:
     spec, vm, _result, _telemetry = _run_instrumented(args)
     heap = vm.heap
     declared = heap.declared_object_bytes
     modeled = heap.modeled_object_bytes()
     saved = (1.0 - modeled / declared) if declared else 0.0
-    print(f"{spec.name}: heap report "
-          f"(shapes {'on' if vm.config.shapes else 'off'})")
+    print(f"{spec.name}: heap report (width-packed fields)")
     print(f"objects      {heap.objects_allocated} allocated; "
           f"{modeled}B modeled vs {declared}B declared "
           f"({saved:.1%} packed out)")
     print(f"arrays       {heap.arrays_allocated} allocated; "
           f"{heap.array_bytes}B (width-scaled elements)")
-    print(f"pinning      transitions={heap.shape_transitions} "
-          f"dropped={heap.pinned_bytes_dropped}B "
-          f"restored={heap.pinned_bytes_restored}B")
-    print(f"unboxed      {_unboxed_fields(vm)} field(s) removed from "
-          f"instances")
     print("top classes by modeled bytes")
     print(f"  {'class':24s} {'count':>8s} {'bytes':>10s} "
           f"{'packed':>7s} {'declared':>9s}")
@@ -331,11 +313,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           f"modeled={heap.modeled_object_bytes()}B "
           f"declared={heap.declared_object_bytes}B "
           f"arrays={heap.array_bytes}B")
-    print(f"shapes       {'on' if vm.config.shapes else 'off'} "
-          f"transitions={heap.shape_transitions} "
-          f"dropped={heap.pinned_bytes_dropped}B "
-          f"restored={heap.pinned_bytes_restored}B "
-          f"unboxed={_unboxed_fields(vm)}")
     budget = format_opt_pass_report(telemetry)
     if budget:
         print(budget)
@@ -481,9 +458,9 @@ def main(argv: list[str] | None = None) -> int:
                         "fewer bodies were validated than the target "
                         "has methods")
     p.add_argument("--tv", action="store_true",
-                   help="also run the translation validator: re-prove "
+                   help="also run the translation validator: prove "
                         "every transformed code surface (quickened "
-                        "bodies, shape layouts, OSR entries) "
+                        "bodies, OSR entries) "
                         "equivalent to its pristine source, and print "
                         "the bodies validated per target")
     p.set_defaults(fn=_cmd_lint)
@@ -536,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "heap",
         help="run a workload, print the modeled-heap report (packed vs "
-             "declared bytes, pinning, unboxing, top classes)",
+             "declared bytes, top classes)",
     )
     p.add_argument("workload")
     p.add_argument("--scale", type=float, default=None,

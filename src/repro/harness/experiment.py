@@ -43,11 +43,10 @@ class Measurement:
     output: str
     swaps_coalesced: int = 0
     objects_allocated: int = 0
-    #: Live modeled object volume (packed charges net of pinned bytes)
-    #: and the declared-field baseline the packing is measured against.
+    #: Modeled object volume (width-packed charges) and the
+    #: declared-field baseline the packing is measured against.
     modeled_heap_bytes: int = 0
     declared_heap_bytes: int = 0
-    shape_transitions: int = 0
     #: Telemetry summary (counters/gauges/histograms/events) of the
     #: best run's VM, when the run was telemetry-instrumented.
     telemetry_report: dict | None = None
@@ -168,7 +167,6 @@ def run_workload(
         objects_allocated=vm.heap.objects_allocated,
         modeled_heap_bytes=vm.heap.modeled_object_bytes(),
         declared_heap_bytes=vm.heap.declared_object_bytes,
-        shape_transitions=vm.heap.shape_transitions,
         telemetry_report=report,
         cache_hits=cache.hits if cache is not None else 0,
         cache_misses=cache.misses if cache is not None else 0,

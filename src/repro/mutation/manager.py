@@ -67,7 +67,6 @@ from repro.mutation.plan import HotState, MutableClassPlan, MutationPlan
 from repro.opt.specialize import SpecBindings
 from repro.telemetry.core import maybe as _tel_maybe
 from repro.vm.imt import ConflictStub, DirectEntry, OffsetEntry
-from repro.vm.shapes import pinned_shape, transition as _shape_transition
 from repro.vm.tib import TIB
 
 #: Paper §6: "Mutation occurs at opt2."
@@ -105,14 +104,7 @@ class MutableClassRuntime:
 
     def read_instance_values(self, obj: Any) -> tuple:
         f = obj.fields
-        n = len(f)
-        # A pinning shape (repro.vm.shapes) drops tail storage while the
-        # object sits in a hot state; truncated slots read through the
-        # TIB's pinned table.  With shapes off, ``n`` always covers.
-        return tuple(
-            f[s] if s < n else obj.tib.shape.pinned[s]
-            for s in self.instance_slots
-        )
+        return tuple(f[s] for s in self.instance_slots)
 
     def states_matching_static(self, static_values: tuple) -> list[HotState]:
         return [
@@ -194,14 +186,6 @@ class MutationManager:
             if iv in mcr.tib_by_instance:
                 continue
             tib = TIB.special_from(mcr.rc.class_tib, state=iv)
-            # Pinning layout (repro.vm.shapes): the hot state's shape
-            # bakes the class's own state-field values into its pinned
-            # tail, so instances entering this TIB drop that storage.
-            # Falls back to the base shape (or None) when the class has
-            # no pinnable tail or shapes are off.
-            tib.shape = pinned_shape(
-                mcr.rc, iv, dict(zip(mcr.instance_slots, iv))
-            )
             self.vm.tib_space.record_special_tib(tib)
             self.vm.mutation_stats.special_tibs_created += 1
             mcr.tib_by_instance[iv] = tib
@@ -360,16 +344,6 @@ class MutationManager:
 
         for name, findings in sorted(audit_attached_plans(self).items()):
             self._downgrade_class(name, findings)
-        if getattr(self.vm.config, "tv", False):
-            # Translation validation of the shape surface: layouts,
-            # pinning shapes, and the plan class's own field sites must
-            # be provable, else the plan is downgraded the same way.
-            from repro.analysis.tv import attach_findings
-
-            for name in sorted(self.mcrs):
-                findings = attach_findings(self, name, self.mcrs[name])
-                if findings:
-                    self._downgrade_class(name, findings)
 
     def _downgrade_class(self, name: str, findings: list) -> None:
         mcr = self.mcrs.pop(name, None)
@@ -512,8 +486,6 @@ class MutationManager:
         The closure charges the ``vm`` it is invoked with, so sessions
         sharing this manager's code space each keep their own counts.
         """
-        if getattr(mcr.rc, "pin_slots", ()):
-            return self._make_reeval_migrating(mcr)
         record = self.record_swap
         class_tib = mcr.rc.class_tib
         tel = self.vm.telemetry
@@ -575,34 +547,6 @@ class MutationManager:
                 record(tib is not class_tib, cls_name, start, vm)
 
         return reeval_tel
-
-    def _make_reeval_migrating(self, mcr: MutableClassRuntime):
-        """Re-evaluation for classes whose shapes pin state fields
-        (``rc.pin_slots`` non-empty, :mod:`repro.vm.shapes`).
-
-        Differences from the fast closures above: state reads are
-        guarded (a pinned slot's storage may be dropped), every swap is
-        followed by a layout :func:`~repro.vm.shapes.transition`, and —
-        deliberately — there is no ``inline_spec``: opt2 code must call
-        the closure so storage migrates, exactly like the instrumented
-        variants.  All accounting funnels through :meth:`record_swap`.
-        """
-        record = self.record_swap
-        class_tib = mcr.rc.class_tib
-        cls_name = mcr.class_name
-        table = mcr.tib_by_instance
-        read = mcr.read_instance_values
-
-        def reeval_migrating(vm: Any, obj: Any) -> None:
-            start = time.perf_counter()
-            tib = table.get(read(obj), class_tib)
-            old = obj.tib
-            if old is not tib:
-                obj.tib = tib
-                record(tib is not class_tib, cls_name, start, vm)
-                _shape_transition(vm, obj, old.shape, tib.shape)
-
-        return reeval_migrating
 
     def record_swap(self, to_special: bool, cls_name: str,
                     start: float | None = None,

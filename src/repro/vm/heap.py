@@ -6,15 +6,12 @@ per-class allocation counts and modeled byte volumes, used by the
 workload reports and to sanity-check that the SPECjbb2005 port really is
 more allocation-heavy than SPECjbb2000 (paper §7.1).
 
-With shapes on (:mod:`repro.vm.shapes`) objects are charged their
-packed-layout size at allocation; the declared-field size is tracked
-alongside so one run can report the packing savings.  Hot-state
-pinning moves bytes at TIB-swap time: entering a hot state drops the
-pinned tail (``pinned_bytes_dropped``), leaving it rematerializes
-(``pinned_bytes_restored``); :meth:`HeapStats.modeled_object_bytes`
-nets the three.  Arrays are charged per element *width* — an ``int``
-array element is 4 modeled bytes, a ``boolean``/``byte`` element 1 —
-not a flat machine word per element.
+Objects are charged their width-packed size at allocation
+(:mod:`repro.vm.shapes`): the header plus the 8-aligned sum of their
+fields' widths, with the declared-field size (one word per field)
+tracked alongside.  Arrays are charged per element width from the same
+table — an ``int`` element is 4 modeled bytes, a ``boolean``/``byte``
+element 1 — not a flat machine word per element.
 """
 
 from __future__ import annotations
@@ -25,9 +22,10 @@ from dataclasses import dataclass, field
 OBJECT_HEADER_BYTES = 16
 WORD_BYTES = 8
 
-#: Modeled array-element widths by element-type name; class references,
-#: strings, arrays-of-arrays, and unknown types are one machine word.
-ARRAY_ELEM_WIDTH_BYTES = {
+#: Modeled widths of primitive fields and array elements by type name;
+#: class references, strings, arrays and unknown types are one machine
+#: word.
+WIDTH_BYTES = {
     "int": 4,
     "boolean": 1,
     "byte": 1,
@@ -37,7 +35,8 @@ ARRAY_ELEM_WIDTH_BYTES = {
 }
 
 
-def _align8(n: int) -> int:
+def align8(n: int) -> int:
+    """Round up to the modeled 8-byte object alignment."""
     return (n + 7) & ~7
 
 
@@ -47,8 +46,7 @@ class HeapStats:
 
     objects_allocated: int = 0
     arrays_allocated: int = 0
-    #: Modeled object bytes as charged at allocation (packed sizes when
-    #: shapes are on, declared sizes otherwise).
+    #: Modeled object bytes as charged at allocation (width-packed).
     object_bytes: int = 0
     #: What the same objects would cost under declared-field accounting
     #: (header + one word per declared field) — the packing baseline.
@@ -56,13 +54,7 @@ class HeapStats:
     array_bytes: int = 0
     per_class: dict[str, int] = field(default_factory=dict)
     per_class_bytes: dict[str, int] = field(default_factory=dict)
-    #: Bytes dropped by layout transitions into pinning shapes.
-    pinned_bytes_dropped: int = 0
-    #: Bytes rematerialized by transitions back out (or by writes to
-    #: pinned slots).
-    pinned_bytes_restored: int = 0
-    #: Layout transitions that physically moved storage (each one is
-    #: paired with a TIB swap at the same site).
+    #: Inert, always 0: benchmarks/jxbench/protocol.py:236 reads it.
     shape_transitions: int = 0
 
     @property
@@ -71,16 +63,8 @@ class HeapStats:
         return self.object_bytes + self.array_bytes
 
     def record_object(
-        self,
-        class_name: str,
-        num_fields: int,
-        size_bytes: int | None = None,
-        declared_bytes: int | None = None,
+        self, class_name: str, size_bytes: int, declared_bytes: int
     ) -> None:
-        if size_bytes is None:
-            size_bytes = OBJECT_HEADER_BYTES + num_fields * WORD_BYTES
-        if declared_bytes is None:
-            declared_bytes = size_bytes
         self.objects_allocated += 1
         self.object_bytes += size_bytes
         self.declared_object_bytes += declared_bytes
@@ -90,18 +74,13 @@ class HeapStats:
         )
 
     def record_array(self, length: int, elem_type: str | None = None) -> None:
-        width = ARRAY_ELEM_WIDTH_BYTES.get(elem_type, WORD_BYTES)
+        width = WIDTH_BYTES.get(elem_type, WORD_BYTES)
         self.arrays_allocated += 1
-        self.array_bytes += OBJECT_HEADER_BYTES + _align8(length * width)
+        self.array_bytes += OBJECT_HEADER_BYTES + align8(length * width)
 
     def modeled_object_bytes(self) -> int:
-        """Live modeled object volume: allocation charges net of the
-        pinned-tail bytes currently dropped by hot-state shapes."""
-        return (
-            self.object_bytes
-            - self.pinned_bytes_dropped
-            + self.pinned_bytes_restored
-        )
+        """Modeled object volume: the width-packed allocation charges."""
+        return self.object_bytes
 
     def top_classes(self, n: int = 10) -> list[tuple[str, int]]:
         """The ``n`` most-allocated classes, descending."""

@@ -98,7 +98,6 @@ _LOAD_SUB = Op.LOAD_SUB
 _LOAD_MUL = Op.LOAD_MUL
 _GETFIELD_RETURN = Op.GETFIELD_RETURN
 _FIELD_INC = Op.FIELD_INC
-_GETFIELD_SHAPE = Op.GETFIELD_SHAPE
 
 #: Ticks credited per method entry — the shared definition from the
 #: adaptive system (`AdaptiveConfig.ENTRY_TICKS`); `repro.vm.compiled`
@@ -152,14 +151,7 @@ def interpret(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                     raise NullPointerError(
                         f"null receiver reading field {instr.arg[1]!r}"
                     )
-                slot = instr.resolved
-                if type(slot) is int:
-                    stack.append(obj.fields[slot])
-                else:
-                    # Shape-managed slot (repro.vm.shapes): a pinned
-                    # state field reads through the TIB's shape when its
-                    # storage is dropped; an unboxed field always does.
-                    stack.append(slot.read(obj))
+                stack.append(obj.fields[instr.resolved])
             elif op is _PUTFIELD:
                 value = stack.pop()
                 obj = stack.pop()
@@ -167,11 +159,7 @@ def interpret(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                     raise NullPointerError(
                         f"null receiver writing field {instr.arg[1]!r}"
                     )
-                slot = instr.resolved
-                if type(slot) is int:
-                    obj.fields[slot] = value
-                else:
-                    slot.store(vm, obj, value)
+                obj.fields[instr.resolved] = value
                 # The installed hook IS the policy: re-evaluating hooks
                 # swap the TIB, deferred (coalesced) hooks only count —
                 # so the interpreter honors swap coalescing without
@@ -763,11 +751,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     raise NullPointerError(
                         f"null receiver writing field {instr.arg[1]!r}"
                     )
-                slot = instr.resolved
-                if type(slot) is int:
-                    obj.fields[slot] = value
-                else:
-                    slot.store(vm, obj, value)
+                obj.fields[instr.resolved] = value
                 # Quick code shares PUTFIELD/PUTSTATIC Instr objects
                 # with ``info.code``, so hooks installed mid-run (the
                 # online controller) are live here too; the installed
@@ -1028,18 +1012,6 @@ def _h_newarray(vm: Any, instr: Any, stack: list) -> None:
     stack.append(arr)
 
 
-def _h_getfield_shape(vm: Any, instr: Any, stack: list) -> None:
-    # GETFIELD whose resolved slot is shape-managed (an unboxed constant
-    # or a pinned state field): quickening routes it here instead of
-    # GETFIELD_QUICK so the hot loop never branches on slot type.
-    obj = stack.pop()
-    if obj is None:
-        raise NullPointerError(
-            f"null receiver reading field {instr.arg[1]!r}"
-        )
-    stack.append(instr.resolved.read(obj))
-
-
 def _h_swap(vm: Any, instr: Any, stack: list) -> None:
     stack[-1], stack[-2] = stack[-2], stack[-1]
 
@@ -1064,7 +1036,6 @@ def _build_cold_table() -> list:
     table[_CHECKCAST] = _h_checkcast
     table[_NEW] = _h_new
     table[_NEWARRAY] = _h_newarray
-    table[_GETFIELD_SHAPE] = _h_getfield_shape
     table[_SWAP] = _h_swap
     table[_NOP] = _h_nop
     return table

@@ -134,21 +134,18 @@ class RuntimeClass:
         self.initialized = False
         #: Set by the mutation manager when this class is mutable.
         self.mutable_info: Any = None
-        #: Packed-layout accounting (repro.vm.shapes): modeled bytes of
-        #: one instance, its declared-field baseline, the pinned-state
-        #: size, and which trailing slots pinning shapes drop.  ``None``
-        #: / empty until ``install_shapes`` runs.
+        #: Heap accounting (repro.vm.shapes): modeled bytes of one
+        #: instance and its declared-field baseline.  ``None`` until
+        #: ``install_shapes`` runs.
         self.alloc_bytes: int | None = None
         self.declared_bytes: int | None = None
-        self.pinned_alloc_bytes: int | None = None
-        self.pin_slots: tuple = ()
 
     def allocate(self, vm: Any) -> VMObject:
         """Allocate an instance with default-initialized fields."""
         obj = VMObject(self.class_tib, self.num_fields)
         obj.fields[:] = self.field_defaults
         vm.heap.record_object(
-            self.name, self.num_fields, self.alloc_bytes, self.declared_bytes
+            self.name, self.alloc_bytes, self.declared_bytes
         )
         return obj
 

@@ -45,6 +45,7 @@ from typing import Any
 
 from repro.bytecode.classfile import ProgramUnit
 from repro.telemetry.core import maybe as _tel_maybe
+from repro.vm import shapes
 from repro.vm.adaptive import AdaptiveConfig, AdaptiveSystem, CompileStats
 from repro.vm.heap import HeapStats
 from repro.vm.installer import CodeInstaller
@@ -64,11 +65,6 @@ def _quicken_default() -> bool:
 def _osr_default() -> bool:
     """On-stack replacement defaults on; ``JX_OSR=0`` disables it."""
     return os.environ.get("JX_OSR", "1") != "0"
-
-
-def _shapes_default() -> bool:
-    """Packed object layouts default on; ``JX_SHAPES=0`` disables."""
-    return os.environ.get("JX_SHAPES", "1") != "0"
 
 
 def _tv_default() -> bool:
@@ -98,21 +94,14 @@ class VMConfig:
     spec_share: bool = False
     #: Inert: benchmarks/jxbench/protocol.py:189-190 still passes it.
     memo: bool = False
-    #: Shape-based packed object layout (:mod:`repro.vm.shapes`): each
-    #: (class, hot-state) owns a packed slot layout; lifetime-constant
-    #: fields are unboxed out of the instance, a mutable class's own
-    #: state fields sink to the layout tail, and hot-state TIBs carry
-    #: pinning shapes that drop the tail's storage (a TIB swap becomes
-    #: a layout transition).  Off, objects keep the declared one-word-
-    #: per-field layout exactly as before.
-    shapes: bool = field(default_factory=_shapes_default)
+    #: Inert: benchmarks/jxbench/protocol.py:189 still passes it.
+    shapes: bool = False
     #: Translation validation (:mod:`repro.analysis.tv`): prove every
-    #: transformed code surface (quickened/fused bodies, shape slot
-    #: layouts, OSR continuation entries) observationally equivalent to
-    #: its pristine source before it is allowed to run; anything
-    #: unprovable is downgraded (left unquickened, permanent OSR miss,
-    #: plan downgrade) instead of trusted.  Off, transformers are trusted
-    #: exactly as before.
+    #: transformed code surface (quickened/fused bodies, OSR
+    #: continuation entries) observationally equivalent to its pristine
+    #: source before it is allowed to run; anything unprovable is
+    #: downgraded (left unquickened, permanent OSR miss) instead of
+    #: trusted.  Off, transformers are trusted exactly as before.
     tv: bool = field(default_factory=_tv_default)
 
 
@@ -154,13 +143,12 @@ class VMStats:
     #: interpreter after a TIB swap invalidated their speculation.
     osr_deopts: int = 0
     #: Transformed bodies run through the translation validator
-    #: (repro.analysis.tv): quickened methods, OSR entries, and
-    #: attach-time shape audits all count here.
+    #: (repro.analysis.tv): quickened methods and OSR entries.
     tv_bodies_validated: int = 0
     #: Individual unprovable facts the validator reported.
     tv_findings: int = 0
     #: Surfaces the validator refused to run (refused quickened bodies,
-    #: rejected OSR entries, downgraded plans).
+    #: rejected OSR entries).
     tv_downgrades: int = 0
 
 
@@ -245,14 +233,9 @@ class VM:
         self.classes = self.linker.classes
         self.jtoc = self.linker.jtoc
         self.tib_space = self.linker.tib_space
-        # Packed layouts install right after linking and before the
-        # mutation manager attaches, so state hooks, specialization
-        # bindings, and lifetime-constant publication all see packed
-        # slots.
-        if self.config.shapes:
-            from repro.vm.shapes import install_shapes
-
-            install_shapes(self, mutation_plan)
+        # Called through the module, so a tracer that wraps
+        # install_shapes sees every call.
+        shapes.install_shapes(self)
         #: Static-field values as linked, before any ``<clinit>`` ran —
         #: what a fresh session's :class:`~repro.vm.jtoc.JTOCView`
         #: starts from.  ``<clinit>`` effects are per-session (they may

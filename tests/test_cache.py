@@ -88,6 +88,29 @@ def test_telemetry_attachment_changes_key():
     assert _key(_vm()) != _key(_vm(telemetry=True))
 
 
+def test_shapes_flag_is_inert():
+    """``VMConfig.shapes`` steers nothing: compile keys, output and heap
+    numbers are the same with it on and off."""
+    from repro import VMConfig
+    from tests.test_analysis import SALARY
+
+    plan = build_mutation_plan(SALARY)
+    vms = [
+        VM(compile_source(SALARY), mutation_plan=plan,
+           adaptive_config=AGGRESSIVE, config=VMConfig(shapes=flag))
+        for flag in (True, False)
+    ]
+    on, off = (
+        [compile_key(vm, rm, 2, None, OptConfig())
+         for rm in vm.all_runtime_methods()]
+        for vm in vms
+    )
+    assert on == off
+    assert vms[0].run().output == vms[1].run().output
+    assert vms[0].heap == vms[1].heap
+    assert vms[0].heap.objects_allocated > 0
+
+
 def test_tv_downgrade_after_first_key_changes_later_keys(tmp_path):
     """``key_for`` memoises the environment digest on the VM; a TV
     downgrade recorded mid-run still reaches every later key."""
@@ -221,7 +244,7 @@ def test_schema_v9_opt1_ir_entry_is_a_miss(tmp_path):
     """Before schema v10 an opt1 entry held serialized IR.  Such an
     entry is stale by stamp, and even one planted under a current key
     is a counted link error and a recompile, never a crash."""
-    assert cache_stamp().startswith("v12-")
+    assert cache_stamp().startswith("v13-")
     cache_dir = tmp_path / "jxcache"
     out_cold = _vm(adaptive_config=OPT1_ONLY,
                    compile_cache=str(cache_dir)).run().output

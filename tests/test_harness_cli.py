@@ -218,9 +218,8 @@ def test_cli_fig_unknown(capsys):
 def test_cli_heap_report(capsys):
     assert cli_main(["heap", "salarydb", "--scale", "0.1"]) == 0
     out = capsys.readouterr().out
-    assert "heap report (shapes " in out
+    assert "heap report (width-packed fields)" in out
     assert "modeled vs" in out
-    assert "pinning" in out
     assert "top classes by modeled bytes" in out
 
 
@@ -228,4 +227,5 @@ def test_cli_stats_heap_and_shapes_lines(capsys):
     assert cli_main(["stats", "salarydb", "--scale", "0.1"]) == 0
     out = capsys.readouterr().out
     assert "heap         objects=" in out
-    assert "transitions=" in out
+    # The width-packed charge and its declared-field baseline.
+    assert "modeled=" in out and "declared=" in out

@@ -1,5 +1,7 @@
 """Online mutation manager tests: Fig. 4 / Fig. 5 behaviors."""
 
+import pytest
+
 from repro import VM, compile_source
 from repro.mutation import build_mutation_plan
 from repro.mutation.plan import (
@@ -407,3 +409,29 @@ def test_static_only_flip_out_restores_general_everywhere():
         compile_source(STATIC_FLIP), adaptive_config=AGGRESSIVE
     ).run().output
     assert out == ref
+
+
+@pytest.mark.parametrize("workload", ["salarydb", "jbb2000"])
+def test_single_state_ctor_hooks_swap_inline(workload):
+    """With telemetry off, the constructor-exit hook of every plan class
+    with one instance state field carries the ``"single"`` inline spec,
+    so opt2 code swaps the TIB inline instead of calling the hook."""
+    from repro.analysis.lint import workload_vm
+    from repro.workloads import get_workload
+
+    vm = workload_vm(get_workload(workload))
+    assert vm.telemetry is None
+    single = [
+        mcr for mcr in vm.mutation_manager.mcrs.values()
+        if len(mcr.instance_slots) == 1
+    ]
+    assert single
+    for mcr in single:
+        ctors = [rm for rm in mcr.rc.own_methods.values()
+                 if rm.info.is_constructor]
+        assert ctors
+        for rm in ctors:
+            spec = getattr(rm.ctor_exit_hook, "inline_spec", None)
+            assert spec is not None and spec[0] == "single", (
+                f"{rm.qualified_name}: ctor-exit hook does not swap inline"
+            )

@@ -62,14 +62,7 @@ def _fresh_vm(telemetry=None):
 
 def _check_tib_matches_state(vm, rc, obj, grade_slot):
     """The single invariant: TIB reflects the *current* state value."""
-    # Under packed layouts the state field may be a pinned trailing slot
-    # whose storage is dropped while the object sits in a hot state —
-    # read through the shape rather than indexing raw storage.
-    f = obj.fields
-    key = (
-        f[grade_slot] if grade_slot < len(f)
-        else obj.tib.shape.pinned[grade_slot],
-    )
+    key = (obj.fields[grade_slot],)
     if key in rc.special_tibs:
         assert obj.tib is rc.special_tibs[key], (
             f"hot state {key}: object not on its special TIB"
@@ -771,7 +764,7 @@ def test_osr_event_ordering(seed):
 
 
 # ---------------------------------------------------------------------------
-# Shape-based packed layouts (repro.vm.shapes)
+# VMConfig.shapes is inert
 # ---------------------------------------------------------------------------
 
 def _shapes_vm(shapes, telemetry=None):
@@ -785,25 +778,13 @@ def _shapes_vm(shapes, telemetry=None):
     return vm
 
 
-def _logical_fields(vm, obj):
-    """Field values as the program sees them, shape-agnostic."""
-    out = {}
-    for name in ("salary", "grade", "other"):
-        slot = vm.unit.lookup_field("SalaryEmployee", name).slot
-        if type(slot) is int:
-            out[name] = obj.fields[slot]
-        else:
-            out[name] = slot.read(obj)
-    return out
-
-
 @pytest.mark.parametrize("seed", [0, 9, 314])
 def test_shapes_on_off_random_writes_byte_identical(seed):
-    """Packed layouts are invisible to program semantics: the same
-    random mix of state writes and calls leaves shapes-on and
-    shapes-off VMs with identical logical field values, TIB placement,
-    swap counts, allocation counts, and program output — and every
-    layout transition rides a counted TIB swap."""
+    """``VMConfig.shapes`` changes nothing: the same random mix of state
+    writes and calls leaves a shapes-on VM (instrumented, so it swaps
+    through the timed closures) and a shapes-off VM with identical
+    field values, TIB placement, swap counts, heap numbers and program
+    output."""
     vm_on = _shapes_vm(True, telemetry=True)
     vm_off = _shapes_vm(False)
     sides = []
@@ -833,7 +814,7 @@ def test_shapes_on_off_random_writes_byte_identical(seed):
                 rc.own_methods["raise"].compiled.invoke(vm, [obj])
         (vm_a, _rc_a, objs_a), (vm_b, _rc_b, objs_b) = sides
         for oa, ob in zip(objs_a, objs_b):
-            assert _logical_fields(vm_a, oa) == _logical_fields(vm_b, ob)
+            assert oa.fields == ob.fields
             assert oa.tib.is_special == ob.tib.is_special
             _check_tib_matches_state(
                 vm_a, vm_a.classes["SalaryEmployee"], oa,
@@ -841,25 +822,8 @@ def test_shapes_on_off_random_writes_byte_identical(seed):
             )
 
     assert vm_on.mutation_stats.tib_swaps == vm_off.mutation_stats.tib_swaps
-    # Pinning actually engaged: layout transitions fired, and any object
-    # resting in a hot state physically dropped its pinned tail slot.
-    # (Modeled bytes may not move — grade is a 4-byte int that 8-byte
-    # alignment swallows — so assert on storage, not bytes.)
-    assert vm_on.heap.shape_transitions > 0
-    base_slots = vm_on.classes["SalaryEmployee"].class_tib.shape.n_slots
-    for obj in sides[0][2]:
-        expected = obj.tib.shape.n_slots if obj.tib.is_special else base_slots
-        assert len(obj.fields) == expected
-    assert vm_off.heap.shape_transitions == 0
-    # Every layout transition rides a counted swap, and telemetry agrees
-    # with the heap counter one-to-one.
-    assert vm_on.heap.shape_transitions <= vm_on.mutation_stats.tib_swaps
-    assert (
-        vm_on.telemetry.bus.count("shape_transition")
-        == vm_on.heap.shape_transitions
-    )
     assert vm_on.run().output == vm_off.run().output
-    assert vm_on.heap.objects_allocated == vm_off.heap.objects_allocated
+    assert vm_on.heap == vm_off.heap
 
 
 def test_unresolvable_field_write_warns_and_skips_hook():

@@ -1,28 +1,24 @@
 """Translation validation (repro.analysis.tv over repro.analysis.symstate).
 
-The crafted mis-transformations — a wrong fused successor, a stale
-packed slot index, an OSR entry missing a live local — each yield
-exactly one finding of the expected check type AND trigger the
-enforcement downgrade end to end (the unprovable body is never run,
-output equality holds).  Tests that check one surface build the
-VMConfig that surface needs, so they test the same thing whatever the
-environment's defaults.  The accounting test pins the three-way
-invariant: ``VMStats.tv_*`` == ``analysis.tv_*`` telemetry counters ==
-sums over ``tv_validated`` bus events.
+The crafted mis-transformations — a wrong fused successor and an OSR
+entry missing a live local — each yield exactly one finding of the
+expected check type AND trigger the enforcement downgrade end to end
+(the unprovable body is never run, output equality holds).  Tests that
+check one surface build the VMConfig that surface needs, so they test
+the same thing whatever the environment's defaults.  The accounting
+test pins the three-way invariant: ``VMStats.tv_*`` == ``analysis.tv_*``
+telemetry counters == sums over ``tv_validated`` bus events.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro import VM, Telemetry, VMConfig, compile_source
 from repro.analysis import (
     deopt_guard_findings,
     tv_findings,
     tv_osr_findings,
-    tv_shapes_findings,
 )
-from repro.bytecode import Instr, VerifyError, verify_quick_method
+from repro.bytecode import Instr
 from repro.bytecode.opcodes import Op
 from repro.bytecode.quicken import Quickener
 from repro.cache.keys import environment_payload
@@ -56,7 +52,8 @@ def _salary_vm(**kwargs):
 # ---------------------------------------------------------------------------
 
 def test_salary_build_validates_clean():
-    vm = _salary_vm()
+    vm = _salary_vm(config=VMConfig(quicken=True, tv=True))
+    vm.run()
     stats = vm.mutation_stats
     assert stats.tv_bodies_validated > 0
     assert stats.tv_findings == 0
@@ -68,6 +65,30 @@ def test_salary_build_validates_clean():
 
 def test_workloads_lint_tv_clean():
     assert cli_main(["lint", "salarydb", "--strict", "--tv"]) == 0
+
+
+def test_lint_tv_validates_each_body_once(monkeypatch):
+    """The quickener proves every body before publishing it, so
+    ``jx lint --tv`` does not prove the published bodies again."""
+    import repro.analysis.tv as tv_mod
+    from repro.analysis.lint import lint_vm, workload_vm
+    from repro.workloads.registry import get_workload
+
+    monkeypatch.setenv("JX_QUICKEN", "1")
+    monkeypatch.setenv("JX_TV", "1")
+    vm = workload_vm(get_workload("salarydb"))
+    real = tv_mod.validate_quick_method
+    calls = []
+
+    def counting(rm, quick=None):
+        calls.append(rm.qualified_name)
+        return real(rm, quick)
+
+    monkeypatch.setattr(tv_mod, "validate_quick_method", counting)
+    assert lint_vm(vm, tv=True) == []
+    assert sorted(calls) == sorted(
+        rm.qualified_name for rm in vm.all_runtime_methods()
+    )
 
 
 def test_stats_reports_tv_line(capsys):
@@ -124,67 +145,7 @@ def test_wrong_fused_successor_found_and_dequickened(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Negative 2 (shapes): stale packed slot index
-# ---------------------------------------------------------------------------
-
-def test_stale_packed_slot_index_one_finding():
-    vm = _salary_vm(config=VMConfig(quicken=True, shapes=True))
-    vm.quickener.quicken_all()
-    rm = vm.classes["Main"].own_methods["main"]
-    sites = [ins for ins in rm.info.code if ins.op is Op.GETFIELD]
-    qsites = [
-        ins for ins in rm.quick_code if ins.op is Op.GETFIELD_QUICK
-    ]
-    assert sites[0].resolved == 0 and qsites[0].resolved == 0
-    # Corrupt BOTH the pristine inline cache and the quickened copy so
-    # the staleness is invisible to the quicken lockstep (they agree
-    # with each other) and only the layout cross-check can catch it.
-    sites[0].resolved = 1
-    qsites[0].resolved = 1
-    findings = tv_findings(vm)
-    assert [(f.check, f.message) for f in findings] == [
-        ("tv-shapes", "stale packed slot index 1 (layout says 0)")
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Negative 2b (shapes): corrupted pinning shape downgrades the plan
-# ---------------------------------------------------------------------------
-
-def test_pinning_shape_corruption_downgrades_plan(monkeypatch):
-    import repro.mutation.manager as manager_mod
-    from repro.vm.shapes import pinned_shape as real_pinned_shape
-
-    expected = _salary_vm().run().output
-    calls = [0]
-
-    def corrupt(rc, state_key, values_by_slot):
-        shape = real_pinned_shape(rc, state_key, values_by_slot)
-        calls[0] += 1
-        if calls[0] == 1 and shape is not None and shape.is_pinning:
-            shape.pinned.clear()
-        return shape
-
-    monkeypatch.setattr(manager_mod, "pinned_shape", corrupt)
-    vm = _salary_vm(config=VMConfig(shapes=True))
-    monkeypatch.undo()
-
-    manager = vm.mutation_manager
-    downgraded = manager.downgraded_classes["SalaryEmployee"]
-    assert [f.check for f in downgraded] == ["tv-shapes"]
-    assert "pinning shape covers slots []" in downgraded[0].message
-    assert vm.mutation_stats.plans_downgraded == 1
-    assert "shapes:SalaryEmployee" in vm.tv_downgrades
-    assert vm.run().output == expected
-    # The downgrade tears the corrupted TIBs down, so the live-heap
-    # check is clean again; the downgrade record is what lint surfaces.
-    assert tv_shapes_findings(vm) == []
-    findings = [f for f in tv_findings(vm) if f.check == "tv-shapes"]
-    assert [f.where for f in findings] == ["SalaryEmployee"]
-
-
-# ---------------------------------------------------------------------------
-# Negative 3 (OSR): entry missing a live local
+# Negative 2 (OSR): entry missing a live local
 # ---------------------------------------------------------------------------
 
 def test_osr_entry_missing_live_local_rejected():
@@ -281,7 +242,7 @@ def test_deopt_guard_strip_yields_one_finding(monkeypatch):
 
 def test_three_way_accounting_agreement():
     tel = Telemetry()
-    vm = _salary_vm(telemetry=tel)
+    vm = _salary_vm(telemetry=tel, config=VMConfig(quicken=True, tv=True))
     vm.run()
     stats = vm.mutation_stats
     counters = tel.summary()["counters"]
@@ -298,37 +259,6 @@ def test_three_way_accounting_agreement():
     assert "analysis.tv_findings" not in counters  # zero: never bumped
     hist = tel.summary()["histograms"]["analysis.tv_seconds"]
     assert hist["count"] == len(events)
-
-
-# ---------------------------------------------------------------------------
-# Satellite: verify_quick slot-kind rules
-# ---------------------------------------------------------------------------
-
-def _find_quick_site(vm, op):
-    vm.quickener.quicken_all()
-    for rc in vm.classes.values():
-        for rm in rc.own_methods.values():
-            for ins in rm.quick_code or []:
-                if ins.op is op:
-                    return rm, ins
-    raise AssertionError(f"no {op.name} site in any quickened body")
-
-
-def test_verify_quick_rejects_int_resolved_shape_site():
-    vm = _salary_vm(config=VMConfig(quicken=True, shapes=True))
-    rm, ins = _find_quick_site(vm, Op.GETFIELD_SHAPE)
-    ins.resolved = 2  # a raw index cannot rematerialize pinned storage
-    with pytest.raises(VerifyError, match="GETFIELD_SHAPE"):
-        verify_quick_method(rm)
-
-
-def test_verify_quick_rejects_shape_resolved_quick_site():
-    vm = _salary_vm(config=VMConfig(quicken=True, shapes=True))
-    _, shape_site = _find_quick_site(vm, Op.GETFIELD_SHAPE)
-    rm, ins = _find_quick_site(vm, Op.GETFIELD_QUICK)
-    ins.resolved = shape_site.resolved
-    with pytest.raises(VerifyError, match="GETFIELD_QUICK"):
-        verify_quick_method(rm)
 
 
 # ---------------------------------------------------------------------------

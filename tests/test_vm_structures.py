@@ -165,6 +165,29 @@ def test_heap_stats_track_allocations():
     assert vm.heap.bytes_allocated > 0
 
 
+def test_width_packed_heap_accounting():
+    """Fields are charged their widths, aligned once at the object end:
+    int 4 + boolean 1 + double 8 + one reference 8 = 21 bytes, so 16 +
+    align8(21) = 40 B modeled against 16 + 4 words = 48 B declared.
+    Array elements use the same widths: an int[10] is 16 + 40 = 56 B."""
+    vm = run_vm(
+        """
+        class Q { int i; boolean b; double d; Q next; }
+        class Main {
+            static void main() {
+                Q q = new Q();
+                int[] a = new int[10];
+            }
+        }
+        """
+    )
+    rc = vm.classes["Q"]
+    assert (rc.alloc_bytes, rc.declared_bytes) == (40, 48)
+    assert vm.heap.per_class_bytes["Q"] == 40
+    assert vm.heap.arrays_allocated == 1
+    assert vm.heap.array_bytes == 56
+
+
 def test_call_static_and_output():
     unit = compile_source(
         """
