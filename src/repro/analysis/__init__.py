@@ -2,15 +2,14 @@
 
 A whole-program analysis layer over the bytecode IR:
 
-* :mod:`.cfg` — instruction-level CFGs with branch and exception edges
-  (pristine and quickened bodies);
+* :mod:`.cfg` — instruction-level CFGs (pristine and quickened
+  bodies);
 * :mod:`.dataflow` — a generic forward/backward worklist engine with
   configurable lattices;
 * :mod:`.escape` — flow-sensitive escape analysis for private reference
   fields (backs the lifetime-constant analysis);
-* :mod:`.specsafety` — hook-completeness and specialization-safety
-  proofs (also the fact source for swap coalescing and the attach-time
-  plan audit);
+* :mod:`.specsafety` — hook-completeness findings and the attach-time
+  plan audit;
 * :mod:`.liveness` — per-instruction live-local sets (the OSR
   frame-mapping compensation sets);
 * :mod:`.symstate` — the symbolic lockstep machine (term-algebra
@@ -21,7 +20,7 @@ A whole-program analysis layer over the bytecode IR:
 * :mod:`.lint` — the ``jx lint`` aggregation over a built VM.
 """
 
-from repro.analysis.cfg import MAY_RAISE, InstrCFG, may_raise
+from repro.analysis.cfg import InstrCFG
 from repro.analysis.dataflow import solve_backward, solve_forward
 from repro.analysis.escape import RefFieldFacts, analyze_ref_fields
 from repro.analysis.findings import Finding
@@ -34,11 +33,8 @@ from repro.analysis.lint import (
     quick_code_findings,
 )
 from repro.analysis.specsafety import (
-    TIB_TRANSPARENT,
     audit_attached_plans,
-    deferral_is_safe,
     lifetime_findings,
-    must_reach_states,
     site_findings,
 )
 from repro.analysis.symstate import (
@@ -55,9 +51,7 @@ from repro.analysis.tv import (
 )
 
 __all__ = [
-    "MAY_RAISE",
     "InstrCFG",
-    "may_raise",
     "solve_backward",
     "solve_forward",
     "RefFieldFacts",
@@ -70,11 +64,8 @@ __all__ = [
     "lint_vm",
     "lint_workload",
     "quick_code_findings",
-    "TIB_TRANSPARENT",
     "audit_attached_plans",
-    "deferral_is_safe",
     "lifetime_findings",
-    "must_reach_states",
     "site_findings",
     "TVUnprovable",
     "region_outcomes",

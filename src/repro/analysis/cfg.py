@@ -2,14 +2,11 @@
 
 Unlike :class:`repro.opt.bytecode_cfg.BytecodeCFG` (block-level, built
 for the IR lowering and the EQ1 loop-depth weighting), this CFG is
-**instruction-granular** and carries the two edge kinds the static
-checks care about:
-
-* **normal edges** — fall-through and branch successors, with every
-  terminator flowing into a synthetic EXIT node;
-* **exception edges** — from each potentially-raising instruction to
-  EXIT.  Jx has no catch handlers, so an exception unconditionally
-  unwinds the method; modelling it as an edge to EXIT is exact.
+**instruction-granular**: its edges are fall-through and branch
+successors, with every terminator flowing into a synthetic EXIT node.
+Jx has no catch handlers, so an exception unconditionally unwinds the
+method; its clients (escape analysis and liveness) follow normal flow
+only, since an unwinding method performs no further program actions.
 
 Both pristine ``info.code`` and quickened ``rm.quick_code`` bodies are
 supported: quickened superinstructions cover several slots (widths from
@@ -23,29 +20,7 @@ branch landing inside a fused region is a legal CFG node.
 from __future__ import annotations
 
 from repro.bytecode.instructions import Instr
-from repro.bytecode.opcodes import (
-    CALL_OPS,
-    Op,
-    branch_target,
-    op_width,
-)
-
-#: Instructions that can raise at runtime (and therefore carry an
-#: implicit edge to EXIT): null dereferences (field access, arrays,
-#: dispatch), divide-by-zero / overflow arithmetic, failed casts,
-#: negative array sizes, and anything that runs other code.  This is the
-#: complement of the discipline behind ``coalesce.SAFE_BETWEEN``.
-MAY_RAISE = frozenset({
-    Op.IDIV, Op.IREM, Op.D2I,
-    Op.GETFIELD, Op.PUTFIELD,
-    Op.ALOAD, Op.ASTORE, Op.ARRAYLEN, Op.NEWARRAY,
-    Op.CHECKCAST,
-    Op.INTRINSIC,
-    *CALL_OPS,
-    # Quickened forms of the above.
-    Op.GETFIELD_QUICK, Op.INVOKEVIRTUAL_QUICK, Op.INVOKEINTERFACE_QUICK,
-    Op.LOAD_GETFIELD, Op.ADD_PUTFIELD, Op.FIELD_INC, Op.GETFIELD_RETURN,
-})
+from repro.bytecode.opcodes import Op, branch_target, op_width
 
 #: Opcodes that end the method (flow straight to EXIT).
 _TERMINATORS = frozenset({
@@ -60,26 +35,15 @@ _COND_BRANCHES = frozenset({
 })
 
 
-def may_raise(instr: Instr) -> bool:
-    """Whether ``instr`` can raise (implicit exception edge to EXIT)."""
-    return instr.op in MAY_RAISE
-
-
 class InstrCFG:
     """Instruction-level CFG of one code array.
 
     Nodes are instruction indices ``0..n-1`` plus the synthetic
-    :attr:`exit` node ``n``.  :attr:`succs` holds the *normal*
-    control-flow successors; exception flow is exposed separately via
-    :meth:`raises` / :meth:`all_succs` so analyses can opt in (escape
-    analysis only follows normal flow — an unwinding method performs no
-    further program actions — while region checks must treat a potential
-    raise as leaving the region).
+    :attr:`exit` node ``n``; :attr:`succs` and :attr:`preds` hold the
+    control-flow edges.
     """
 
     def __init__(self, code: list[Instr], *, quick: bool = False) -> None:
-        self.code = code
-        self.quick = quick
         n = len(code)
         self.exit = n
         self.succs: list[list[int]] = [[] for _ in range(n + 1)]
@@ -101,23 +65,3 @@ class InstrCFG:
             self.succs[i] = out
             for s in out:
                 self.preds[s].append(i)
-
-    def __len__(self) -> int:
-        return len(self.code) + 1  # including EXIT
-
-    def raises(self, i: int) -> bool:
-        """Whether node ``i`` has an exception edge to EXIT."""
-        return i != self.exit and may_raise(self.code[i])
-
-    def all_succs(self, i: int) -> list[int]:
-        """Normal successors plus the exception edge, when present."""
-        if self.raises(i) and self.exit not in self.succs[i]:
-            return self.succs[i] + [self.exit]
-        return self.succs[i]
-
-    def forward_succs(self, i: int) -> list[int]:
-        """Normal successors with every backward edge redirected to
-        EXIT.  The resulting graph is acyclic, which makes "must reach X
-        before Y" obligations well-founded (no two instructions can
-        justify each other around a loop)."""
-        return [s if s > i else self.exit for s in self.succs[i]]

@@ -5,10 +5,9 @@ Aggregates every client check over a *built* VM (the link state is the
 ground truth: hooks installed, plans attached, and every body quickened
 before the checks run):
 
-* **hook-completeness / spec-safety** — every PUTFIELD/PUTSTATIC that
-  can reach a state field of an attached plan carries its hook, and
-  every coalesce-deferred hook's barrier-free region is proven on the
-  CFG (:func:`repro.analysis.specsafety.site_findings`);
+* **hook-completeness** — every PUTFIELD/PUTSTATIC that can reach a
+  state field of an attached plan carries its hook
+  (:func:`repro.analysis.specsafety.site_findings`);
 * **ctor-exit hooks** — every constructor of an instance-state mutable
   class carries the class's constructor-exit hook (Fig. 4, first
   clause);

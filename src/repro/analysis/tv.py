@@ -28,8 +28,8 @@ Two clients, one per surface:
     materialized in its args.
 
 Plus the deopt-guard safety lint (:func:`deopt_guard_findings`): every
-immediately-re-evaluating state-field store on ``this`` in a
-TIB-speculating specialized body must carry its ``deoptcheck`` guard.
+hooked state-field store on ``this`` in a TIB-speculating specialized
+body must carry its ``deoptcheck`` guard.
 
 Enforcement (downgrade, don't run) hooks into each surface's producer:
 ``Quickener.quicken`` publishes a method's quickened body, on the
@@ -364,15 +364,14 @@ def tv_osr_findings(vm: Any) -> list[Finding]:
 # Deopt-guard safety lint.
 
 def deopt_guard_findings(vm: Any) -> list[Finding]:
-    """Every immediately-re-evaluating state-field store on ``this`` in
-    a TIB-speculating specialized body must be followed by its
-    ``deoptcheck`` guard — otherwise a frame that swaps its own
-    receiver's TIB keeps speculating on the stale state."""
+    """Every hooked state-field store on ``this`` in a TIB-speculating
+    specialized body must be followed by its ``deoptcheck`` guard —
+    otherwise a frame that swaps its own receiver's TIB keeps
+    speculating on the stale state."""
     if not getattr(vm.config, "osr", False):
         return []
     from repro.opt.ir import Reg
     from repro.opt.specialize import this_aliases
-    from repro.vm.osr import _reevaluates
 
     findings = []
     for _mcr, rm, tib, fn in _iter_special_irs(vm):
@@ -388,7 +387,6 @@ def deopt_guard_findings(vm: Any) -> list[Finding]:
                     instr.op == "putfield"
                     and ex.pc is not None
                     and ex.hook is not None
-                    and _reevaluates(ex.hook)
                     and isinstance(instr.args[0], Reg)
                     and instr.args[0].name in aliases
                 ):
@@ -402,7 +400,7 @@ def deopt_guard_findings(vm: Any) -> list[Finding]:
                     findings.append(Finding(
                         "deopt-guard", qname, ex.pc,
                         f"slot {ex.slot}",
-                        "re-evaluating state store on `this` in a "
+                        "hooked state store on `this` in a "
                         "specialized body lacks its deoptcheck guard",
                     ))
     return findings

@@ -6,11 +6,10 @@ module rewrites each method's resolved call/field instructions into
 *quickened* forms that carry a per-site inline-cache cell, and fuses the
 hottest adjacent opcode pairs into superinstructions.  The rewritten
 body lives in ``rm.quick_code`` — a shallow copy of ``rm.info.code`` —
-so the pristine bytecode keeps serving the verifier, the IR lowering,
-the cache digests, and the coalescing analysis untouched.  A method is
-quickened lazily, on its first interpreted call (as Jikes RVM compiles
-baseline code on first invocation), so setup pays nothing for methods
-that never run.
+so the pristine bytecode keeps serving the verifier, the IR lowering
+and the cache digests untouched.  A method is quickened lazily, on its
+first interpreted call (as Jikes RVM compiles baseline code on first
+invocation), so setup pays nothing for methods that never run.
 
 Why TIB identity is the cache key
 ---------------------------------

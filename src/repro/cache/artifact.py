@@ -82,7 +82,6 @@ def resolve_pin(vm: Any, desc: list | tuple) -> Any:
     ``["cell", cls, key]``    a static method's JTOC cell
     ``["intrinsic", name]``   an intrinsic's implementation function
     ``["instance_hook"]``     the manager's shared PUTFIELD state hook
-    ``["deferred_hook"]``     the manager's coalesced-write hook
     ``["static_hook", key]``  the PUTSTATIC hook for one state field
     ``["ctor_hook", cls]``    a mutable class's constructor-exit hook
     ``["manager"]``           the mutation manager itself
@@ -122,8 +121,6 @@ def resolve_pin(vm: Any, desc: list | tuple) -> Any:
             return INTRINSICS[desc[1]].fn
         if kind == "instance_hook":
             return _manager(vm).instance_state_hook()
-        if kind == "deferred_hook":
-            return _manager(vm).deferred_state_hook()
         if kind == "static_hook":
             return _manager(vm).static_hooks[desc[1]]
         if kind == "ctor_hook":

@@ -116,30 +116,22 @@ def environment_payload(vm: Any) -> dict:
     """The VM-construction facts that steer codegen besides bytecode:
     the mutation plan (hooks, hot states, lifetime constants), telemetry
     attachment (selects instrumented hook closures and disables the
-    inline fast paths), the swap-coalescing toggle (moves hooks between
-    PUTFIELD sites, changing which stores carry hook calls), and the
-    attach-time analysis audit (a downgraded class loses its hooks and
-    specializations, so the set of downgrades shapes compiled code),
-    and the OSR toggle (it decides whether specialized code carries
-    mid-frame deopt guards)."""
+    inline fast paths), the attach-time analysis audit (a downgraded
+    class loses its hooks and specializations, so the set of downgrades
+    shapes compiled code), and the OSR toggle (it decides whether
+    specialized code carries mid-frame deopt guards)."""
     manager = getattr(vm, "mutation_manager", None)
     plan_dict = None
-    coalesce = None
     analysis = None
     if manager is not None:
         from repro.profiling.reports import plan_to_dict
 
         plan_dict = plan_to_dict(manager.plan)
         plan_dict["k"] = manager.plan.config.k
-        coalesce = manager.plan.config.coalesce_swaps
-        analysis = {
-            "audit_hooks": manager.plan.config.audit_hooks,
-            "downgraded": sorted(manager.downgraded_classes),
-        }
+        analysis = {"downgraded": sorted(manager.downgraded_classes)}
     return {
         "plan": plan_dict,
         "telemetry": vm.telemetry is not None,
-        "coalesce": coalesce,
         "analysis": analysis,
         "osr": bool(getattr(vm.config, "osr", False)),
         # Translation-validation verdict digest: a rejected OSR entry

@@ -64,7 +64,7 @@ from repro.cache.keys import (
 #: v4: analysis-audit environment — ``environment_payload`` gained the
 #: ``analysis`` entry (audit flag + downgraded classes), changing every
 #: compile key's shape.
-#: v5: per-session swap accounting — opt2 inline swap/coalesce counting
+#: v5: per-session swap accounting — opt2's inline hook counting
 #: reads ``vm.mutation_stats`` at runtime instead of pinning the
 #: compiling VM's stats record, so shared-code-space sessions charge
 #: themselves; v4 artifacts carry the old pinned form.
@@ -102,7 +102,12 @@ from repro.cache.keys import (
 #: access indexes its linker slot, opt2 inlines the swap of every
 #: single-state-field class, and ``environment_payload`` dropped its
 #: ``shapes`` entry.
-SCHEMA_VERSION = 13
+#: v14: every hooked state write re-evaluates (Fig. 4) — each carries
+#: the manager's one instance hook, so the counting-only hook and its
+#: pin kind are gone; ``environment_payload`` dropped the toggle that
+#: chose between the two hooks, and its ``analysis`` entry dropped the
+#: audit on/off flag (the audit always runs).
+SCHEMA_VERSION = 14
 
 
 def cache_stamp() -> str:

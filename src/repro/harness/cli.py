@@ -193,8 +193,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               f" ({tiers(mut)})")
         print(f"  tib swaps        baseline {base['tib_swaps']}, "
               f"mutated {mut['tib_swaps']} "
-              f"(of which {mut['deopt_swaps']} back to class TIB; "
-              f"{mut['swaps_coalesced']} coalesced)")
+              f"(of which {mut['deopt_swaps']} back to class TIB)")
         print(f"  hooks fired      baseline {base['hooks_fired']}, "
               f"mutated {mut['hooks_fired']}; "
               f"specials compiled: {mut['specials_compiled']}")
@@ -447,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "lint",
         help="statically verify mutation invariants (hook completeness, "
-             "deferral regions, lifetime constants, quick-code hooks)",
+             "lifetime constants, quick-code hooks)",
     )
     p.add_argument("workloads", nargs="*",
                    help="workloads to lint (default: all)")

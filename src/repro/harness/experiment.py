@@ -41,7 +41,6 @@ class Measurement:
     tib_swaps: int
     special_versions: int
     output: str
-    swaps_coalesced: int = 0
     objects_allocated: int = 0
     #: Modeled object volume (width-packed charges) and the
     #: declared-field baseline the packing is measured against.
@@ -162,7 +161,6 @@ def run_workload(
         special_tib_bytes=vm.tib_space.special_tib_bytes,
         tib_swaps=vm.mutation_stats.tib_swaps,
         special_versions=vm.mutation_stats.specials_compiled,
-        swaps_coalesced=vm.mutation_stats.swaps_coalesced,
         output=output,
         objects_allocated=vm.heap.objects_allocated,
         modeled_heap_bytes=vm.heap.modeled_object_bytes(),
@@ -186,7 +184,6 @@ def telemetry_compile_summary(report: dict | None) -> dict:
         "compile_seconds_by_tier": {},
         "tib_swaps": 0,
         "deopt_swaps": 0,
-        "swaps_coalesced": 0,
         "hooks_fired": 0,
         "specials_compiled": 0,
     }
@@ -202,7 +199,6 @@ def telemetry_compile_summary(report: dict | None) -> dict:
     # swap-back subset), matching Measurement.tib_swaps exactly.
     out["tib_swaps"] = counters.get("mutation.tib_swap", 0)
     out["deopt_swaps"] = counters.get("mutation.deopt_to_class_tib", 0)
-    out["swaps_coalesced"] = counters.get("mutation.swaps_coalesced", 0)
     out["hooks_fired"] = counters.get("mutation.hooks_fired", 0)
     out["specials_compiled"] = counters.get(
         "mutation.specials_compiled", 0

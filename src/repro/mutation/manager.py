@@ -30,22 +30,14 @@ At runtime:
   specialized version alongside the general code — with no value
   guards — then re-applies the current static match.
 
-Two refinements over the literal Fig. 4/5:
-
-* **Swap coalescing** (``MutationConfig.coalesce_swaps``): when a
-  method writes several state fields of the same object back-to-back,
-  all but the last write get a lightweight *deferred* hook that only
-  counts the avoided re-evaluation; the last write of the region swaps
-  once, from the final field values.  Region legality is decided
-  conservatively at hook-installation time (:mod:`.coalesce`): any
-  call, branch, or potentially-raising instruction between the writes
-  is a barrier, so dispatch never sees a stale TIB.
-* **Unified accounting**: every swap path — the class-specialized
-  re-evaluation closures and the opt2 inline fast path — bumps
-  ``vm.mutation_stats.tib_swaps`` through
-  :meth:`MutationManager.record_swap` (the inline path bumps the same
-  field directly), and the ``mutation.tib_swap`` telemetry counter
-  mirrors it in instrumented runs, so both reporters agree.
+Every hooked state-field write re-evaluates, as in Fig. 4, so a write
+of two state fields back-to-back may swap twice.  **Unified
+accounting**: every swap path — the class-specialized re-evaluation
+closures and the opt2 inline fast path — bumps
+``vm.mutation_stats.tib_swaps`` through
+:meth:`MutationManager.record_swap` (the inline path bumps the same
+field directly), and the ``mutation.tib_swap`` telemetry counter mirrors
+it in instrumented runs, so both reporters agree.
 
 **Per-session accounting** (``repro.server``): every hook and
 re-evaluation closure charges the ``vm`` *it was invoked with*, never a
@@ -131,11 +123,10 @@ class MutationManager:
         #: Hook registries, keyed symbolically so cached compiled code
         #: can re-link against this VM's hooks (repro.cache).
         self._instance_hook: Any = None
-        self._deferred_hook: Any = None
         self.static_hooks: dict[str, Any] = {}
         self.ctor_hooks: dict[str, Any] = {}
         #: class name -> findings that caused the specialization-safety
-        #: audit to downgrade its plan (see :meth:`_audit_hooks`).
+        #: audit to downgrade its plan (see :meth:`_audit_plans`).
         self.downgraded_classes: dict[str, list] = {}
 
     # ------------------------------------------------------------------
@@ -156,8 +147,7 @@ class MutationManager:
             self._mark_mutable_methods(mcr)
             self._convert_imt(mcr)
         self._install_field_hooks()
-        if self.plan.config.audit_hooks:
-            self._audit_hooks()
+        self._audit_plans()
         self._install_ctor_hooks()
         self._publish_lifetime_constants()
         vm.adaptive.recompile_listeners.append(self.on_recompiled)
@@ -231,48 +221,12 @@ class MutationManager:
             self._instance_hook = hook
         return self._instance_hook
 
-    def deferred_state_hook(self):
-        """The shared hook for coalesced (all-but-last) state writes of
-        an update region: counts the avoided re-evaluation and returns.
-        The region's final write re-evaluates from the then-current
-        field values, so deferral loses nothing."""
-        if self._deferred_hook is None:
-            hook = self._make_deferred_hook()
-            hook.cache_ref = ("deferred_hook",)  # type: ignore[attr-defined]
-            self._deferred_hook = hook
-        return self._deferred_hook
-
-    def _make_deferred_hook(self):
-        tel = self.vm.telemetry
-
-        if tel is None:
-
-            def deferred(vm: Any, obj: Any) -> None:
-                vm.mutation_stats.swaps_coalesced += 1
-
-            # opt2 inlines the count so the deferred write costs no call.
-            deferred.inline_spec = ("deferred",)  # type: ignore[attr-defined]
-            return deferred
-
-        def deferred_tel(vm: Any, obj: Any) -> None:
-            vm.mutation_stats.swaps_coalesced += 1
-            if tel.enabled:
-                tel.count("mutation.swaps_coalesced")
-                tel.emit(
-                    "swap_coalesced",
-                    cls=obj.tib.type_info.name if obj is not None else None,
-                )
-
-        return deferred_tel
-
     def _install_field_hooks(self) -> None:
         instance_keys, static_keys = self._state_field_keys()
         unit = self.vm.unit
-        coalesce = self.plan.config.coalesce_swaps
         for method in unit.all_methods():
             if method.is_abstract:
                 continue
-            hooked_putfields = False
             for instr in method.code:
                 if instr.op is Op.PUTFIELD:
                     cls_name, field_name = instr.arg
@@ -283,7 +237,6 @@ class MutationManager:
                     key = f"{finfo.declaring_class}.{finfo.name}"
                     if key in instance_keys:
                         instr.state_hook = self.instance_state_hook()
-                        hooked_putfields = True
                 elif instr.op is Op.PUTSTATIC:
                     cls_name, field_name = instr.arg
                     finfo = unit.lookup_field(cls_name, field_name)
@@ -301,8 +254,6 @@ class MutationManager:
                             )
                             self.static_hooks[key] = hook
                         instr.state_hook = hook
-            if hooked_putfields and coalesce:
-                self._coalesce_method(method)
 
     @staticmethod
     def _warn_unresolved(method: Any, cls_name: str, field_name: str) -> None:
@@ -316,30 +267,18 @@ class MutationManager:
             stacklevel=3,
         )
 
-    def _coalesce_method(self, method: Any) -> None:
-        """Replace the re-evaluating hook with the deferred hook on every
-        all-but-last write of a provably-safe update region."""
-        from repro.mutation.coalesce import deferrable_writes
-
-        deferred = None
-        for index in deferrable_writes(method, self._instance_hook):
-            if deferred is None:
-                deferred = self.deferred_state_hook()
-            method.code[index].state_hook = deferred
-
-    def _audit_hooks(self) -> None:
+    def _audit_plans(self) -> None:
         """Specialization-safety audit (paper-soundness backstop): after
-        hook installation, re-prove on the instruction CFG that every
-        reachable state-field write of every attached plan carries its
-        hook and that every coalesce-deferred hook's barrier-free region
-        holds (:func:`repro.analysis.specsafety.audit_attached_plans`).
+        hook installation, re-check that every state-field write of every
+        attached plan carries its hook
+        (:func:`repro.analysis.specsafety.audit_attached_plans`).
 
         The installer establishes this by construction, so a finding
-        means an installer/coalescer regression or a hand-patched
-        program; either way running specialized code behind an unproven
-        hook set is unsound, so the violating class is **downgraded**
-        instead: its special TIBs are detached and its objects keep the
-        class TIB (correct, merely unspecialized)."""
+        means an installer regression or a hand-patched program; either
+        way running specialized code behind an incomplete hook set is
+        unsound, so the violating class is **downgraded** instead: its
+        special TIBs are detached and its objects keep the class TIB
+        (correct, merely unspecialized)."""
         from repro.analysis.specsafety import audit_attached_plans
 
         for name, findings in sorted(audit_attached_plans(self).items()):
@@ -788,8 +727,7 @@ class MutationManager:
                 )
         stats = self.vm.mutation_stats
         lines.append(
-            f"tib swaps: {stats.tib_swaps} "
-            f"({stats.swaps_coalesced} coalesced), "
+            f"tib swaps: {stats.tib_swaps}, "
             f"special versions: {stats.specials_compiled}"
         )
         return "\n".join(lines)

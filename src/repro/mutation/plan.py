@@ -10,15 +10,8 @@ VM, applies to any VM running the same source.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any
-
-
-def _coalesce_default() -> bool:
-    """Swap coalescing defaults on; ``JX_COALESCE_SWAPS=0`` restores the
-    paper's strict per-write re-evaluation (CI runs tier-1 both ways)."""
-    return os.environ.get("JX_COALESCE_SWAPS", "1") != "0"
 
 
 @dataclass
@@ -47,18 +40,6 @@ class MutationConfig:
     state_field_types: frozenset[str] = frozenset(
         {"int", "boolean", "string"}
     )
-    #: Deferred re-evaluation: coalesce consecutive same-object state
-    #: writes into one TIB swap at the last write of the region (see
-    #: :mod:`repro.mutation.coalesce`).  Off reproduces Fig. 4's strict
-    #: per-write behavior for differential testing.
-    coalesce_swaps: bool = field(default_factory=_coalesce_default)
-    #: Post-installation specialization-safety audit
-    #: (:mod:`repro.analysis.specsafety`): re-prove on the instruction
-    #: CFG that every reachable state-field write of every attached plan
-    #: carries a hook and every deferred hook's region is safe; a class
-    #: that fails is *downgraded* (special TIBs detached) rather than
-    #: run unsound specialized code.
-    audit_hooks: bool = True
 
 
 @dataclass

@@ -202,9 +202,8 @@ class Lowerer:
                 value = stack.pop()
                 obj = stack.pop()
                 cls_name, field_name = instr.arg
-                # Carries whichever hook the mutation manager installed
-                # — re-evaluating or deferred (coalesced); pycodegen
-                # branches on the hook's inline_spec, never on a flag.
+                # Carries the hook the mutation manager installed;
+                # pycodegen emits a call to it after the store.
                 extra = Extra(
                     slot=instr.resolved,
                     key=f"{cls_name}.{field_name}",

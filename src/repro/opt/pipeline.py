@@ -153,8 +153,8 @@ class OptCompiler:
             )
             if (bindings.tib is not None
                     and getattr(self.vm.config, "osr", False)):
-                # Arm mid-frame deopt: after every TIB-re-evaluating
-                # state write on `this`, guard that the receiver still
+                # Arm mid-frame deopt: after every hooked state write
+                # on `this`, guard that the receiver still
                 # has the specialized-for TIB and bail to the
                 # interpreter otherwise (OSR's reverse direction).
                 from repro.vm.osr import insert_deopt_points

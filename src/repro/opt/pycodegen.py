@@ -252,17 +252,9 @@ class PyCodegen:
         elif op == "putfield":
             E(indent, f"{args[0]}.fields[{instr.extra.slot}] = {args[1]}")
             if instr.extra.hook is not None:
-                spec = getattr(instr.extra.hook, "inline_spec", None)
-                if spec is not None and spec[0] == "deferred":
-                    # Coalesced state write: no re-evaluation here, just
-                    # the skipped-swap count (no call on the fast path).
-                    # Charged to the *invoking* vm so sessions sharing
-                    # this code each keep their own count.
-                    E(indent, "vm.mutation_stats.swaps_coalesced += 1")
-                else:
-                    hook = self._pin("hook", instr.extra.hook,
-                                     hook_ref(instr.extra.hook))
-                    E(indent, f"{hook}(vm, {args[0]})")
+                hook = self._pin("hook", instr.extra.hook,
+                                 hook_ref(instr.extra.hook))
+                E(indent, f"{hook}(vm, {args[0]})")
         elif op == "getstatic":
             E(indent, f"{dest} = _sf[{instr.extra.slot}]")
         elif op == "putstatic":

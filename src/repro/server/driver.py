@@ -61,7 +61,6 @@ def serve(
                 digest=output_digest(result.output),
                 wall_seconds=wall,
                 tib_swaps=session.mutation_stats.tib_swaps,
-                swaps_coalesced=session.mutation_stats.swaps_coalesced,
                 special_tibs_created=(
                     session.mutation_stats.special_tibs_created
                 ),
@@ -76,7 +75,6 @@ def serve(
                 digest="",
                 wall_seconds=time.perf_counter() - start,
                 tib_swaps=0,
-                swaps_coalesced=0,
                 special_tibs_created=0,
                 objects_allocated=0,
                 error=f"{type(exc).__name__}: {exc}",

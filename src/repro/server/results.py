@@ -27,7 +27,6 @@ class SessionResult:
     #: Per-session mutation accounting (no other session's swaps bleed
     #: into these — see tests/test_server.py).
     tib_swaps: int
-    swaps_coalesced: int
     special_tibs_created: int
     objects_allocated: int
     #: Seconds this session's compiles spent waiting on cache key locks

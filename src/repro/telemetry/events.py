@@ -9,7 +9,6 @@ name                      emitted when
 ========================= ==================================================
 ``tib_swap``              an object's TIB pointer moves to a special TIB
 ``deopt_to_class_tib``    an object's TIB pointer moves back to the class TIB
-``swap_coalesced``        a deferred hook skipped a redundant re-evaluation
 ``hook_fired``            any state-field / constructor-exit hook runs
 ``state_reeval``          a class's static-side state match is re-applied
 ``tier_promote``          the adaptive system promotes a method's tier
@@ -48,7 +47,6 @@ from typing import Any, Callable
 EVENT_NAMES = (
     "tib_swap",
     "deopt_to_class_tib",
-    "swap_coalesced",
     "hook_fired",
     "state_reeval",
     "tier_promote",
@@ -69,7 +67,6 @@ EVENT_NAMES = (
 EVENT_CATEGORIES = {
     "tib_swap": "mutation",
     "deopt_to_class_tib": "mutation",
-    "swap_coalesced": "mutation",
     "hook_fired": "mutation",
     "state_reeval": "mutation",
     "special_install": "mutation",

@@ -160,10 +160,7 @@ def interpret(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                         f"null receiver writing field {instr.arg[1]!r}"
                     )
                 obj.fields[instr.resolved] = value
-                # The installed hook IS the policy: re-evaluating hooks
-                # swap the TIB, deferred (coalesced) hooks only count —
-                # so the interpreter honors swap coalescing without
-                # branching on a flag.
+                # A hooked state write re-evaluates the TIB (Fig. 4).
                 hook = instr.state_hook
                 if hook is not None:
                     hook(vm, obj)

@@ -29,7 +29,7 @@ code.  This module adds both transfers:
   keeps *future invocations* correct, but a frame that swaps its own
   receiver's TIB mid-loop is speculating on a stale state for the rest
   of the frame.  The specializer therefore plants ``deoptcheck``
-  instructions after each re-evaluating state write on ``this``
+  instructions after each hooked state write on ``this``
   (:func:`insert_deopt_points`): if the receiver's TIB moved, the frame
   bails to :func:`deopt_to_interpreter`, which resumes the bytecode
   interpreter at the recorded pc with the reconstructed locals.  Both
@@ -221,21 +221,12 @@ def deopt_to_interpreter(vm: Any, rm: Any, pc: int, locals_: list) -> Any:
     return interpret(vm, rm, locals_, pc)
 
 
-def _reevaluates(hook: Any) -> bool:
-    """Whether a state-write hook can swap the receiver's TIB inline.
-
-    Deferred (coalesced) hooks by definition skip re-evaluation at the
-    write, so the frame's speculation cannot be invalidated there."""
-    spec = getattr(hook, "inline_spec", None)
-    return spec is None or spec[0] != "deferred"
-
-
 def insert_deopt_points(fn: IRFunction, rm: Any, tib: Any) -> int:
     """Plant ``deoptcheck`` guards in specialized IR; returns the count.
 
-    After every re-evaluating state write on ``this`` that carries a
-    resume pc (the lowerer records one only where the operand stack is
-    empty), insert a guard comparing the receiver's TIB against the
+    After every hooked state write on ``this`` that carries a resume pc
+    (the lowerer records one only where the operand stack is empty),
+    insert a guard comparing the receiver's TIB against the
     specialized-for special TIB ``tib``.  The guard's args carry the
     live locals so the register allocator of the day (DCE) keeps their
     defining movs alive; dead locals deopt as ``None``.
@@ -254,7 +245,6 @@ def insert_deopt_points(fn: IRFunction, rm: Any, tib: Any) -> int:
                 instr.op == "putfield"
                 and ex.pc is not None
                 and ex.hook is not None
-                and _reevaluates(ex.hook)
                 and isinstance(instr.args[0], Reg)
                 and instr.args[0].name in aliases
             ):

@@ -130,7 +130,7 @@ class VMStats:
     specials_compiled: int = 0
     #: Inert, always 0: benchmarks/jxbench/protocol.py:231 reads it.
     specials_shared: int = 0
-    #: Re-evaluations skipped by swap coalescing (deferred state writes).
+    #: Inert, always 0: benchmarks/jxbench/protocol.py:229 reads it.
     swaps_coalesced: int = 0
     #: Mutable-class plans detached by the specialization-safety audit
     #: (repro.analysis.specsafety) because a state-field write could not

@@ -1,9 +1,10 @@
 """repro.analysis: CFG/dataflow framework, escape analysis, and the
 ``jx lint`` checks (hook completeness, spec safety, quick-code hooks).
 
-The two crafted fault programs mirror the acceptance criteria: an
-unhooked state-field write and a deferred hook on an unsafe path each
-produce exactly one finding of the expected check type.
+The crafted fault programs mirror the acceptance criteria: an unhooked
+state-field write produces exactly one hook-completeness finding, and an
+installer that leaves a write unhooked gets its class downgraded at
+attach.
 """
 
 import pytest
@@ -22,7 +23,6 @@ from repro.analysis import (
     InstrCFG,
     lint_vm,
     lint_workload,
-    may_raise,
     solve_backward,
     solve_forward,
 )
@@ -96,37 +96,6 @@ def test_cfg_edges_and_exception_flow():
             assert succs == [cfg.exit]
         if instr.op in (Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE):
             assert len(succs) == 2
-        # Exception edges are separate from normal flow, opt-in.
-        if may_raise(instr):
-            assert cfg.exit in cfg.all_succs(i)
-    # GETFIELD (reading grade) raises; CONST does not.
-    ops = [i.op for i in method.code]
-    assert Op.GETFIELD in ops
-    assert cfg.raises(ops.index(Op.GETFIELD))
-
-
-def test_cfg_forward_succs_redirect_back_edges():
-    src = """
-    class Main {
-        static void main() {
-            int total = 0;
-            for (int i = 0; i < 10; i++) { total += i; }
-            Sys.print("" + total);
-        }
-    }
-    """
-    unit = compile_source(src)
-    method = unit.classes["Main"].methods["main"]
-    cfg = InstrCFG(method.code)
-    saw_back_edge = False
-    for i in range(len(method.code)):
-        for s, f in zip(cfg.succs[i], cfg.forward_succs(i)):
-            if s <= i:
-                saw_back_edge = True
-                assert f == cfg.exit
-            else:
-                assert f == s
-    assert saw_back_edge, "loop program produced no back edge"
 
 
 def test_solve_forward_reachability_and_join():
@@ -191,20 +160,6 @@ def test_unhooked_state_write_is_exactly_one_finding():
     assert f.where == "SalaryEmployee.promote"
 
 
-def test_unsafe_deferred_hook_is_exactly_one_finding():
-    """A deferred hook whose forward paths reach EXIT (a barrier) before
-    any re-evaluating same-receiver write violates the coalesce region
-    rule."""
-    vm = _mutated_vm()
-    site = _hooked_site(vm, "SalaryEmployee", "promote")
-    site.state_hook = vm.mutation_manager.deferred_state_hook()
-    findings = lint_vm(vm)
-    assert len(findings) == 1
-    f = findings[0]
-    assert f.check == "spec-safety"
-    assert f.subject == "SalaryEmployee.grade"
-
-
 def test_foreign_hook_closure_is_flagged():
     vm = _mutated_vm()
     site = _hooked_site(vm, "SalaryEmployee", "demoteTo")
@@ -228,25 +183,24 @@ def test_missing_ctor_exit_hook_is_flagged():
 # Attach-time audit: violations downgrade the plan
 # ---------------------------------------------------------------------------
 
-def test_unsafe_coalescer_is_downgraded_at_attach(monkeypatch):
-    """Seed an installer fault: a coalescer that defers *every* hooked
-    write (unsafe — the last write of a region must re-evaluate).  The
-    audit must detach the class, count the downgrade, and leave the
-    program correct (merely unspecialized)."""
-    from repro.mutation import coalesce
-    from repro.mutation.plan import MutationConfig
+def test_unhooked_write_is_downgraded_at_attach(monkeypatch):
+    """Seed an installer fault: an installer that leaves one
+    ``GradeEmployee.moveTo`` state write unhooked.  The audit must
+    detach the class, count the downgrade, and leave the program
+    correct (merely unspecialized)."""
+    from repro.mutation.manager import MutationManager
     from tests.test_tib_properties import MULTI_SOURCE
 
-    def bogus(method, instance_hook):
-        return [
-            i for i, ins in enumerate(method.code)
-            if ins.op is Op.PUTFIELD and ins.state_hook is instance_hook
-        ]
+    plan = build_mutation_plan(MULTI_SOURCE)
+    install = MutationManager._install_field_hooks
 
-    monkeypatch.setattr(coalesce, "deferrable_writes", bogus)
-    plan = build_mutation_plan(
-        MULTI_SOURCE, config=MutationConfig(coalesce_swaps=True)
-    )
+    def faulty(self):
+        install(self)
+        move = self.vm.unit.classes["GradeEmployee"].methods["moveTo"]
+        site = next(i for i in move.code if i.state_hook is not None)
+        site.state_hook = None
+
+    monkeypatch.setattr(MutationManager, "_install_field_hooks", faulty)
     tel = Telemetry()
     vm = VM(compile_source(MULTI_SOURCE), mutation_plan=plan, telemetry=tel)
     monkeypatch.undo()
@@ -267,19 +221,6 @@ def test_unsafe_coalescer_is_downgraded_at_attach(monkeypatch):
     findings = lint_vm(vm)
     assert [f.check for f in findings] == ["spec-safety"]
     assert "downgraded" in findings[0].message
-
-
-def test_audit_can_be_disabled():
-    from repro.mutation.plan import MutationConfig
-
-    config = MutationConfig()
-    assert config.audit_hooks is True  # default on
-    plan = build_mutation_plan(
-        SALARY, config=MutationConfig(audit_hooks=False)
-    )
-    vm = VM(compile_source(SALARY), mutation_plan=plan)
-    assert vm.mutation_stats.plans_downgraded == 0
-    assert vm.mutation_manager.downgraded_classes == {}
 
 
 # ---------------------------------------------------------------------------

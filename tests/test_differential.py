@@ -5,13 +5,10 @@ compile-cache runs.  Any tier- or cache-dependent divergence is a VM
 bug by definition (the paper's transformation is semantics-preserving).
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro import VM, VMConfig, compile_source
 from repro.mutation import build_mutation_plan
-from repro.mutation.plan import MutationPlan
 from repro.workloads import PAPER_ORDER, get_workload
 from tests.helpers import AGGRESSIVE, INTERP_ONLY, OPT1_ONLY
 
@@ -23,17 +20,6 @@ def _run(spec, source, adaptive, plan=None, cache=None, config=None):
     vm = VM(unit, mutation_plan=plan, adaptive_config=adaptive,
             compile_cache=cache, config=config)
     return vm.run().output, vm
-
-
-def _with_coalesce(plan, value):
-    """The same plan with the coalesce_swaps toggle forced; shares the
-    per-class plans (attach only reads them)."""
-    return MutationPlan(
-        classes=plan.classes,
-        lifetime_constants=plan.lifetime_constants,
-        config=replace(plan.config, coalesce_swaps=value),
-        hot_methods=plan.hot_methods,
-    )
 
 
 @pytest.mark.parametrize("name", PAPER_ORDER)
@@ -76,24 +62,13 @@ def test_all_configurations_byte_identical(name, tmp_path):
     assert noosr_vm.mutation_stats.osr_enters == 0
     assert noosr_vm.mutation_stats.osr_deopts == 0
 
-    special, on_vm = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True)
-    )
+    special, special_vm = _run(spec, source, AGGRESSIVE, plan=plan)
     assert special == reference, (
         f"{name}: specialized run diverged from interpreter"
     )
 
-    nocoalesce, off_vm = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, False)
-    )
-    assert nocoalesce == reference, (
-        f"{name}: per-write (coalesce off) run diverged from interpreter"
-    )
-    assert off_vm.mutation_stats.swaps_coalesced == 0
-    assert on_vm.mutation_stats.tib_swaps <= off_vm.mutation_stats.tib_swaps
-
     special_noquick, _ = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
+        spec, source, AGGRESSIVE, plan=plan,
         config=VMConfig(quicken=False),
     )
     assert special_noquick == reference, (
@@ -102,21 +77,20 @@ def test_all_configurations_byte_identical(name, tmp_path):
 
     # Packing never models an object larger than its declared layout.
     assert (
-        on_vm.heap.modeled_object_bytes() <= on_vm.heap.declared_object_bytes
+        special_vm.heap.modeled_object_bytes()
+        <= special_vm.heap.declared_object_bytes
     )
 
     # Specialized code with and without mid-frame deopt guards: OSR must
     # be invisible in output either way.
     special_osr, _ = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
-        config=VMConfig(osr=True),
+        spec, source, AGGRESSIVE, plan=plan, config=VMConfig(osr=True),
     )
     assert special_osr == reference, (
         f"{name}: specialized OSR-on run diverged"
     )
     special_noosr, _ = _run(
-        spec, source, AGGRESSIVE, plan=_with_coalesce(plan, True),
-        config=VMConfig(osr=False),
+        spec, source, AGGRESSIVE, plan=plan, config=VMConfig(osr=False),
     )
     assert special_noosr == reference, (
         f"{name}: specialized OSR-off run diverged"

@@ -4,7 +4,7 @@ The invariants here are the whole point of the CodeSpace/Session split
 (DESIGN decision 16):
 
 * a session is observationally identical to a solo VM — byte-identical
-  output *and* identical mutation accounting (swaps, coalescing);
+  output *and* identical mutation accounting (swaps);
 * no per-session counter ever bleeds into another session or into the
   template;
 * tearing a session down releases everything it allocated — the shared
@@ -63,8 +63,8 @@ def _workload_bits(name: str, scale: float = SCALE):
 # Differential: session == solo VM
 # ---------------------------------------------------------------------------
 
-# salarydb exercises plain swaps; jbb2000 also exercises coalescing
-# (deferred hooks) and multiple mutable classes.
+# salarydb exercises plain swaps; jbb2000 also exercises back-to-back
+# state writes to one object and multiple mutable classes.
 @pytest.mark.parametrize("name", ["salarydb", "jbb2000"])
 def test_session_byte_identical_to_solo_vm(name):
     spec, unit, plan = _workload_bits(name)
@@ -79,14 +79,10 @@ def test_session_byte_identical_to_solo_vm(name):
 
     assert got.output == ref.output
     assert got.value == ref.value
-    # Mutation accounting matches exactly — swaps, coalescing, and the
-    # specials all live in shared structures but charge the session.
+    # Mutation accounting matches exactly — swaps and the specials all
+    # live in shared structures but charge the session.
     assert session.mutation_stats.tib_swaps == \
         solo.mutation_stats.tib_swaps
-    assert session.mutation_stats.swaps_coalesced == \
-        solo.mutation_stats.swaps_coalesced
-    if name == "jbb2000" and plan.config.coalesce_swaps:
-        assert session.mutation_stats.swaps_coalesced > 0
 
 
 def test_unmutated_session_matches_solo_vm():
@@ -113,7 +109,6 @@ def test_session_swap_counts_never_bleed():
     a = space.create_session(seed=7)
     a.run()
     a_swaps = a.mutation_stats.tib_swaps
-    a_coalesced = a.mutation_stats.swaps_coalesced
     assert a_swaps > 0
 
     b = space.create_session(seed=7)
@@ -121,7 +116,6 @@ def test_session_swap_counts_never_bleed():
 
     # b's run changed nothing about a or the template.
     assert a.mutation_stats.tib_swaps == a_swaps
-    assert a.mutation_stats.swaps_coalesced == a_coalesced
     assert b.mutation_stats.tib_swaps == a_swaps  # same work, same count
     assert space.vm.mutation_stats.tib_swaps == template_swaps
 

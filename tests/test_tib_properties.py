@@ -180,7 +180,7 @@ def test_non_state_field_writes_never_fire_hooks():
 
 
 # ---------------------------------------------------------------------------
-# Swap coalescing (deferred re-evaluation for multi-field updates)
+# Multi-field state updates: every state write re-evaluates (Fig. 4)
 # ---------------------------------------------------------------------------
 
 MULTI_SOURCE = """
@@ -221,12 +221,8 @@ class Main {
 """
 
 
-def _multi_vm(coalesce=True, telemetry=None):
-    from repro.mutation.plan import MutationConfig
-
-    plan = build_mutation_plan(
-        MULTI_SOURCE, config=MutationConfig(coalesce_swaps=coalesce)
-    )
+def _multi_vm(telemetry=None):
+    plan = build_mutation_plan(MULTI_SOURCE)
     class_plan = plan.classes.get("GradeEmployee")
     assert class_plan is not None and len(class_plan.instance_fields) == 2, (
         "plan must select both grade and region — test is vacuous otherwise"
@@ -268,30 +264,10 @@ def _move_args(mcr, values):
     return [by_name["grade"], by_name["region"]]
 
 
-def test_multi_field_update_swaps_once_per_region():
-    vm = _multi_vm(coalesce=True)
-    mcr, a, b = _hot_pair_differing_in_both(vm)
-    rc = mcr.rc
-    obj = rc.allocate(vm)
-    rc.own_methods["<init>/2"].compiled.invoke(vm, [obj] + _move_args(mcr, a))
-    _check_multi_tib(vm, obj)
-    move = rc.own_methods["moveTo"].compiled
-    for target in (b, a, b, a):
-        swaps_before = vm.mutation_stats.tib_swaps
-        coalesced_before = vm.mutation_stats.swaps_coalesced
-        move.invoke(vm, [obj] + _move_args(mcr, target))
-        _check_multi_tib(vm, obj)
-        assert vm.mutation_stats.tib_swaps == swaps_before + 1, (
-            "a two-field update region must swap exactly once"
-        )
-        assert vm.mutation_stats.swaps_coalesced == coalesced_before + 1
-
-
 def test_per_write_mode_swaps_twice_per_region():
-    """The control: with coalescing off, the same region re-evaluates at
-    both writes (both hot states differ in both fields, so each write
-    lands on a different TIB)."""
-    vm = _multi_vm(coalesce=False)
+    """A two-field update re-evaluates at both writes (both hot states
+    differ in both fields, so each write lands on a different TIB)."""
+    vm = _multi_vm()
     mcr, a, b = _hot_pair_differing_in_both(vm)
     rc = mcr.rc
     obj = rc.allocate(vm)
@@ -301,99 +277,35 @@ def test_per_write_mode_swaps_twice_per_region():
     move.invoke(vm, [obj] + _move_args(mcr, b))
     _check_multi_tib(vm, obj)
     assert vm.mutation_stats.tib_swaps == swaps_before + 2
-    assert vm.mutation_stats.swaps_coalesced == 0
 
 
 @pytest.mark.parametrize("seed", [5, 77])
-def test_identical_tibs_with_coalescing_on_and_off(seed):
-    """Driving two VMs — coalescing on and off — through the same write
-    sequence leaves their objects on corresponding TIBs after every
-    region (re-evaluation from final values loses nothing)."""
-    vm_on = _multi_vm(coalesce=True)
-    vm_off = _multi_vm(coalesce=False)
-    objs = []
-    for vm in (vm_on, vm_off):
-        rc = vm.classes["GradeEmployee"]
-        obj = rc.allocate(vm)
-        rc.own_methods["<init>/2"].compiled.invoke(vm, [obj, 0, 0])
-        objs.append((vm, rc, obj))
+def test_random_writes_keep_tib_matching_state(seed):
+    """After every call of a random sequence of two-field updates (with
+    and without a call between the writes) the object sits on the TIB
+    its current field values select."""
+    vm = _multi_vm()
+    rc = vm.classes["GradeEmployee"]
+    obj = rc.allocate(vm)
+    rc.own_methods["<init>/2"].compiled.invoke(vm, [obj, 0, 0])
     rng = random.Random(seed)
     for _ in range(200):
         method = rng.choice(["moveTo", "moveToNoted", "raise"])
         args = [rng.randrange(4), rng.randrange(4)] \
             if method != "raise" else []
-        keys = []
-        for vm, rc, obj in objs:
-            rc.own_methods[method].compiled.invoke(vm, [obj] + args)
-            _check_multi_tib(vm, obj)
-            mcr = vm.mutation_manager.mcrs["GradeEmployee"]
-            keys.append(mcr.read_instance_values(obj))
-        assert keys[0] == keys[1]
-    assert vm_on.mutation_stats.swaps_coalesced > 0
-    assert vm_off.mutation_stats.swaps_coalesced == 0
-    assert (
-        vm_on.mutation_stats.tib_swaps <= vm_off.mutation_stats.tib_swaps
-    )
-
-
-def test_call_between_writes_is_a_barrier():
-    """moveToNoted calls a method between its two state writes, so the
-    first write must keep the re-evaluating hook (the callee dispatches
-    through the TIB, which therefore has to be fresh)."""
-    from repro.bytecode.opcodes import Op
-
-    vm = _multi_vm(coalesce=True)
-    manager = vm.mutation_manager
-    assert manager._deferred_hook is not None, (
-        "coalescing never engaged — test is vacuous"
-    )
-
-    def hooks_of(method_key):
-        minfo = vm.unit.classes["GradeEmployee"].methods[method_key]
-        return [
-            instr.state_hook
-            for instr in minfo.code
-            if instr.op is Op.PUTFIELD and instr.state_hook is not None
-        ]
-
-    plain = hooks_of("moveTo")
-    assert plain[0] is manager._deferred_hook
-    assert plain[-1] is manager._instance_hook
-    noted = hooks_of("moveToNoted")
-    assert all(h is manager._instance_hook for h in noted), (
-        "a call between state writes must bar deferral"
-    )
-    # Behavioral half: the barrier region re-evaluates at both writes.
-    mcr, a, b = _hot_pair_differing_in_both(vm)
-    rc = mcr.rc
-    obj = rc.allocate(vm)
-    rc.own_methods["<init>/2"].compiled.invoke(vm, [obj] + _move_args(mcr, a))
-    swaps_before = vm.mutation_stats.tib_swaps
-    rc.own_methods["moveToNoted"].compiled.invoke(
-        vm, [obj] + _move_args(mcr, b)
-    )
-    _check_multi_tib(vm, obj)
-    assert vm.mutation_stats.tib_swaps == swaps_before + 2
+        rc.own_methods[method].compiled.invoke(vm, [obj] + args)
+        _check_multi_tib(vm, obj)
+    assert vm.mutation_stats.tib_swaps > 0
 
 
 def test_swap_counters_agree_under_telemetry():
     """Acceptance: vm.mutation_stats.tib_swaps and the
-    mutation.tib_swap counter report the same value, and coalescing is
-    visible in both telemetry and VMStats."""
-    vm = _multi_vm(coalesce=True, telemetry=True)
+    mutation.tib_swap counter report the same value."""
+    vm = _multi_vm(telemetry=True)
     vm.run()
     counters = vm.telemetry.summary()["counters"]
     assert vm.mutation_stats.tib_swaps > 0
     assert counters["mutation.tib_swap"] == vm.mutation_stats.tib_swaps
-    assert vm.mutation_stats.swaps_coalesced > 0
-    assert (
-        counters["mutation.swaps_coalesced"]
-        == vm.mutation_stats.swaps_coalesced
-    )
-    assert (
-        vm.telemetry.bus.count("swap_coalesced")
-        == vm.mutation_stats.swaps_coalesced
-    )
 
 
 # ---------------------------------------------------------------------------
