@@ -108,6 +108,11 @@ class FieldInfo:
         """(declaring class, name) — the canonical field identity."""
         return (self.declaring_class, self.name)
 
+    def copy(self) -> "FieldInfo":
+        """Return an unlinked copy of this field (``slot`` reset)."""
+        return FieldInfo(self.name, self.type, self.declaring_class,
+                         self.is_static, self.access)
+
     def __str__(self) -> str:
         mods = ("static " if self.is_static else "") + self.access
         return f"{mods} {self.type} {self.declaring_class}.{self.name}"
@@ -172,6 +177,16 @@ class MethodInfo:
     def bytecode_size(self) -> int:
         return len(self.code)
 
+    def copy(self) -> "MethodInfo":
+        """Return an unlinked copy of this method: every instruction is
+        copied with :meth:`Instr.copy`."""
+        return MethodInfo(
+            self.name, list(self.param_types), self.return_type,
+            self.declaring_class, self.is_static, self.access,
+            [instr.copy() for instr in self.code], self.max_locals,
+            list(self.local_names), self.is_abstract,
+        )
+
     def __str__(self) -> str:
         params = ", ".join(str(t) for t in self.param_types)
         return f"{self.return_type} {self.qualified_name}({params})"
@@ -212,6 +227,17 @@ class ClassInfo:
 
     def static_methods(self) -> list[MethodInfo]:
         return [m for m in self.methods.values() if m.is_static]
+
+    def copy(self) -> "ClassInfo":
+        """Return an unlinked copy of this class; its fields and methods
+        are copied too, since linking writes into them."""
+        return ClassInfo(
+            self.name, self.super_name, list(self.interface_names),
+            self.is_interface,
+            {name: f.copy() for name, f in self.fields.items()},
+            {key: m.copy() for key, m in self.methods.items()},
+            self.source_name,
+        )
 
     def __str__(self) -> str:
         kind = "interface" if self.is_interface else "class"

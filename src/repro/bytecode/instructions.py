@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bytecode.opcodes import OP_INFO, Op
+from repro.bytecode.opcodes import CALL_OPS, OP_INFO, Op
+
+_BRANCHES = frozenset(op for op, info in OP_INFO.items() if info.is_branch)
+_RETURN = Op.RETURN
 
 
 class Instr:
@@ -44,16 +47,11 @@ class Instr:
 
     @property
     def is_branch(self) -> bool:
-        return OP_INFO[self.op].is_branch
+        return self.op in _BRANCHES
 
     @property
     def is_call(self) -> bool:
-        return self.op in (
-            Op.INVOKEVIRTUAL,
-            Op.INVOKESPECIAL,
-            Op.INVOKESTATIC,
-            Op.INVOKEINTERFACE,
-        )
+        return self.op in CALL_OPS
 
     def __repr__(self) -> str:
         info = OP_INFO[self.op]
@@ -77,5 +75,5 @@ def relink_targets(code: list[Instr], index_map: dict[int, int]) -> None:
     transforms that delete or reorder instructions.
     """
     for instr in code:
-        if instr.is_branch and instr.op != Op.RETURN and instr.arg is not None:
+        if instr.is_branch and instr.op != _RETURN and instr.arg is not None:
             instr.arg = index_map[instr.arg]

@@ -39,6 +39,18 @@ from repro.bytecode.opcodes import (
 )
 
 
+# Opcode members bound once: an ``Op.X`` attribute read costs several
+# times a module-global read, and the setup path checks each pristine
+# instruction against these.
+_LOAD = Op.LOAD
+_STORE = Op.STORE
+_JUMP = Op.JUMP
+_RETURN = Op.RETURN
+_RETURN_VOID = Op.RETURN_VOID
+_INTRINSIC = Op.INTRINSIC
+_COND_JUMPS = frozenset({Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE})
+
+
 class VerifyError(Exception):
     """Raised when a method body violates bytecode structural rules."""
 
@@ -60,15 +72,12 @@ def stack_effect(instr: Instr, *, returns_value: bool | None = None) -> tuple[in
     after void-returning expression statements, so here a call is assumed
     to push exactly when ``returns_value`` is not ``False``.
     """
-    info = OP_INFO[instr.op]
-    if instr.op in CALL_OPS:
-        nargs = instr.arg[2]
-        pushes = 1 if returns_value in (True, None) else 0
-        return nargs, pushes
-    if instr.op is Op.INTRINSIC:
-        nargs = instr.arg[1]
-        pushes = 1 if returns_value in (True, None) else 0
-        return nargs, pushes
+    op = instr.op
+    if op in CALL_OPS:
+        return instr.arg[2], 1 if returns_value in (True, None) else 0
+    if op is _INTRINSIC:
+        return instr.arg[1], 1 if returns_value in (True, None) else 0
+    info = OP_INFO[op]
     return info.pops, info.pushes
 
 
@@ -95,37 +104,36 @@ def verify_method(
     call_returns = call_returns or {}
 
     n = len(code)
+    max_locals = method.max_locals
     # Branch-target validity.
     for i, instr in enumerate(code):
-        if instr.op in QUICK_OPS:
+        op = instr.op
+        if op in QUICK_OPS:
             raise VerifyError(
                 method, i,
-                f"runtime-only quickened opcode {instr.op.name} "
+                f"runtime-only quickened opcode {op.name} "
                 f"in pristine code",
             )
-        if instr.is_branch and instr.op not in (Op.RETURN, Op.RETURN_VOID):
+        if instr.is_branch:
             if not isinstance(instr.arg, int) or not (0 <= instr.arg < n):
                 raise VerifyError(method, i, f"bad branch target {instr.arg!r}")
-        if instr.op in (Op.LOAD, Op.STORE):
-            if not (0 <= instr.arg < method.max_locals):
+        elif op is _LOAD or op is _STORE:
+            if not (0 <= instr.arg < max_locals):
                 raise VerifyError(
                     method, i,
                     f"local index {instr.arg} out of range "
-                    f"(max_locals={method.max_locals})",
+                    f"(max_locals={max_locals})",
                 )
-        if instr.op in CALL_OPS or instr.op is Op.INTRINSIC:
-            nargs = instr.arg[2] if instr.op in CALL_OPS else instr.arg[1]
+        elif op in CALL_OPS or op is _INTRINSIC:
+            nargs = instr.arg[2] if op in CALL_OPS else instr.arg[1]
             if nargs < 0:
                 raise VerifyError(method, i, f"negative arg count {nargs}")
 
     # Fall-through-off-the-end check.
-    last = code[-1]
-    if not OP_INFO[last.op].is_terminator and last.op not in (
-        Op.JUMP_IF_TRUE,
-        Op.JUMP_IF_FALSE,
-    ):
+    last = code[-1].op
+    if not OP_INFO[last].is_terminator and last not in _COND_JUMPS:
         raise VerifyError(method, n - 1, "control can fall off end of code")
-    if last.op in (Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE):
+    if last in _COND_JUMPS:
         raise VerifyError(method, n - 1, "conditional branch at end of code")
 
     # Stack-depth dataflow.
@@ -137,22 +145,22 @@ def verify_method(
         depth = depths[i]
         assert depth is not None
         instr = code[i]
-        returns_value = call_returns.get(i)
-        pops, pushes = stack_effect(instr, returns_value=returns_value)
+        op = instr.op
+        pops, pushes = stack_effect(instr, returns_value=call_returns.get(i))
         if depth < pops:
             raise VerifyError(
                 method, i, f"stack underflow (depth={depth}, pops={pops})"
             )
         out = depth - pops + pushes
-        successors: list[int] = []
-        if instr.op is Op.JUMP:
-            successors = [instr.arg]
-        elif instr.op in (Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE):
-            successors = [instr.arg, i + 1]
-        elif instr.op in (Op.RETURN, Op.RETURN_VOID):
-            successors = []
+        successors: tuple[int, ...]
+        if op is _JUMP:
+            successors = (instr.arg,)
+        elif op in _COND_JUMPS:
+            successors = (instr.arg, i + 1)
+        elif op is _RETURN or op is _RETURN_VOID:
+            successors = ()
         else:
-            successors = [i + 1]
+            successors = (i + 1,)
         for s in successors:
             if depths[s] is None:
                 depths[s] = out

@@ -8,8 +8,11 @@ library).
 
 from __future__ import annotations
 
+import threading
+
 from repro.bytecode.classfile import ClassInfo, ProgramUnit
-from repro.bytecode.verify import verify_program
+from repro.bytecode.opcodes import CALL_OPS, Op
+from repro.bytecode.verify import verify_method
 from repro.lang.codegen import generate
 from repro.lang.errors import JxError, LexError, ParseError, SemanticError
 from repro.lang.lexer import tokenize
@@ -26,22 +29,47 @@ __all__ = [
     "compile_source",
     "compile_stdlib",
     "parse_source",
+    "stdlib_class_names",
     "tokenize",
 ]
 
+_INTRINSIC = Op.INTRINSIC
+
+#: The standard library as compiled once per process (the boot image):
+#: never linked, only copied.  ``None`` until the first request.
+_PRISTINE_STDLIB: list[ClassInfo] | None = None
+_PRISTINE_LOCK = threading.Lock()
+
+
+def _pristine_stdlib() -> list[ClassInfo]:
+    """The process-wide compiled stdlib, compiled on first use."""
+    global _PRISTINE_STDLIB
+    if _PRISTINE_STDLIB is None:
+        with _PRISTINE_LOCK:
+            if _PRISTINE_STDLIB is None:
+                prebuilt = build_prebuilt_classes()
+                stdlib_ast = parse_source(STDLIB_SOURCE, "<stdlib>")
+                unit = analyze(stdlib_ast, prebuilt)
+                generate(stdlib_ast, unit)
+                _PRISTINE_STDLIB = list(unit.classes.values())
+    return _PRISTINE_STDLIB
+
 
 def compile_stdlib() -> list[ClassInfo]:
-    """Compile the full standard library (prebuilt + self-hosted layers).
+    """The full standard library (prebuilt + self-hosted layers).
 
-    Returns a fresh list of ClassInfo objects each call: linked programs
-    carry resolution state inside their instructions, so class objects
-    must never be shared between two VMs.
+    The stdlib is compiled once per process, as Jikes RVM boots from an
+    image that already holds its class library.  Each call returns a
+    fresh unlinked copy (:meth:`ClassInfo.copy`): linking writes field
+    slots, resolved operands and state hooks into the classes it links,
+    so class objects must never be shared between two VMs.
     """
-    prebuilt = build_prebuilt_classes()
-    stdlib_ast = parse_source(STDLIB_SOURCE, "<stdlib>")
-    unit = analyze(stdlib_ast, prebuilt)
-    generate(stdlib_ast, unit)
-    return list(unit.classes.values())
+    return [cls.copy() for cls in _pristine_stdlib()]
+
+
+def stdlib_class_names() -> frozenset[str]:
+    """Names of the standard library's classes and interfaces."""
+    return frozenset(cls.name for cls in _pristine_stdlib())
 
 
 def compile_source(
@@ -83,9 +111,6 @@ def verify_program_with_intrinsics(unit: ProgramUnit) -> None:
     signatures and the intrinsic registry, then delegates to the
     structural verifier.
     """
-    from repro.bytecode.opcodes import CALL_OPS, Op
-    from repro.bytecode.verify import verify_method
-
     returns = intrinsic_returns()
     for method in unit.all_methods():
         if method.is_abstract:
@@ -103,7 +128,7 @@ def verify_program_with_intrinsics(unit: ProgramUnit) -> None:
                         f"{cls_name}.{key}"
                     )
                 call_returns[i] = target.return_type.name != "void"
-            elif instr.op is Op.INTRINSIC:
+            elif instr.op is _INTRINSIC:
                 name, _ = instr.arg
                 if name not in returns:
                     raise SemanticError(

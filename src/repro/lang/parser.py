@@ -19,6 +19,27 @@ _PRIMITIVE_TYPES = ("int", "double", "boolean", "string")
 _COMPOUND_OPS = {"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
                  "<<=": "<<", ">>=": ">>", "&=": "&", "|=": "|", "^=": "^"}
 
+#: Binding power of each binary operator, loosest first; every level is
+#: left-associative.
+_BINARY_PREC = {
+    "||": 1,
+    "&&": 2,
+    "|": 3,
+    "^": 4,
+    "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, "<=": 7, ">": 7, ">=": 7,
+    "<<": 8, ">>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
+#: ``instanceof`` binds at the relational level and ends that chain.
+_RELATIONAL = 7
+_TIGHTEST = max(_BINARY_PREC.values())
+
+_PUNCT = TokKind.PUNCT
+_KEYWORD = TokKind.KEYWORD
+
 
 class Parser:
     """Parses one Jx compilation unit (any number of class declarations)."""
@@ -31,8 +52,10 @@ class Parser:
     # -- token stream helpers ---------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:
+            return self.tokens[-1]  # EOF
 
     def _next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -420,7 +443,7 @@ class Parser:
         return self._parse_ternary()
 
     def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_or()
+        cond = self._parse_binary(1)
         if self._accept_punct("?"):
             then = self._parse_expr()
             self._expect_punct(":")
@@ -430,52 +453,39 @@ class Parser:
             )
         return cond
 
-    def _binop_level(self, sub, lexemes: tuple[str, ...]) -> ast.Expr:
-        left = sub()
+    def _parse_binary(self, min_prec: int) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY_PREC`: the operand and
+        every operator binding at ``min_prec`` or tighter.
+
+        After an operator at level ``p``, only operators at ``p`` or
+        looser may follow here (tighter ones went into its right
+        operand), and after ``instanceof`` only those looser than the
+        relational level, so ``a instanceof T < b`` stops at ``<``.
+        """
+        left = self._parse_unary()
+        cap = _TIGHTEST
         while True:
             tok = self._peek()
-            if tok.kind is TokKind.PUNCT and tok.value in lexemes:
-                self._next()
-                right = sub()
+            kind = tok.kind
+            if kind is _PUNCT:
+                prec = _BINARY_PREC.get(tok.value, 0)
+            elif kind is _KEYWORD and tok.value == "instanceof":
+                prec = _RELATIONAL
+            else:
+                return left
+            if prec < min_prec or prec > cap:
+                return left
+            self._next()
+            if kind is _KEYWORD:
+                rtype = self._parse_type()
+                left = ast.InstanceOf(expr=left, type=rtype, line=left.line)
+                cap = _RELATIONAL - 1
+            else:
+                right = self._parse_binary(prec + 1)
                 left = ast.BinOp(
                     op=tok.value, left=left, right=right, line=tok.line
                 )
-            else:
-                return left
-
-    def _parse_or(self) -> ast.Expr:
-        return self._binop_level(self._parse_and, ("||",))
-
-    def _parse_and(self) -> ast.Expr:
-        return self._binop_level(self._parse_bitor, ("&&",))
-
-    def _parse_bitor(self) -> ast.Expr:
-        return self._binop_level(self._parse_bitxor, ("|",))
-
-    def _parse_bitxor(self) -> ast.Expr:
-        return self._binop_level(self._parse_bitand, ("^",))
-
-    def _parse_bitand(self) -> ast.Expr:
-        return self._binop_level(self._parse_equality, ("&",))
-
-    def _parse_equality(self) -> ast.Expr:
-        return self._binop_level(self._parse_relational, ("==", "!="))
-
-    def _parse_relational(self) -> ast.Expr:
-        left = self._binop_level(self._parse_shift, ("<", "<=", ">", ">="))
-        if self._accept_keyword("instanceof"):
-            rtype = self._parse_type()
-            return ast.InstanceOf(expr=left, type=rtype, line=left.line)
-        return left
-
-    def _parse_shift(self) -> ast.Expr:
-        return self._binop_level(self._parse_additive, ("<<", ">>"))
-
-    def _parse_additive(self) -> ast.Expr:
-        return self._binop_level(self._parse_multiplicative, ("+", "-"))
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        return self._binop_level(self._parse_unary, ("*", "/", "%"))
+                cap = prec
 
     def _looks_like_cast(self) -> bool:
         """Disambiguate ``(Type) expr`` from parenthesized expressions."""

@@ -19,6 +19,10 @@ class TokKind(enum.Enum):
     EOF = "eof"
 
 
+# Bound once: a ``TokKind.X`` read costs several module-global reads.
+_PUNCT = TokKind.PUNCT
+_KEYWORD = TokKind.KEYWORD
+
 KEYWORDS = frozenset(
     {
         "class",
@@ -67,10 +71,10 @@ class Token(NamedTuple):
     col: int
 
     def is_punct(self, lexeme: str) -> bool:
-        return self.kind is TokKind.PUNCT and self.value == lexeme
+        return self.kind is _PUNCT and self.value == lexeme
 
     def is_keyword(self, word: str) -> bool:
-        return self.kind is TokKind.KEYWORD and self.value == word
+        return self.kind is _KEYWORD and self.value == word
 
     def __str__(self) -> str:
         if self.kind in (TokKind.PUNCT, TokKind.KEYWORD):

@@ -97,9 +97,9 @@ class OnlineMutationController:
 
     def _select_candidates(self) -> dict[str, MutableClassPlan]:
         unit = self.vm.unit
-        from repro.lang import compile_stdlib
+        from repro.lang import stdlib_class_names
 
-        stdlib_names = {c.name for c in compile_stdlib()}
+        stdlib_names = stdlib_class_names()
         classes = {
             name
             for name, cls in unit.classes.items()

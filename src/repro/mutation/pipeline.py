@@ -105,9 +105,9 @@ def build_mutation_plan(
     hot_classes = profile.hot_classes(config.hot_method_share)
     # The stdlib is infrastructure (the paper's boot classpath), not a
     # mutation target.
-    from repro.lang import compile_stdlib
+    from repro.lang import stdlib_class_names
 
-    hot_classes -= {c.name for c in compile_stdlib()}
+    hot_classes -= stdlib_class_names()
 
     # Step 2: state fields via EQ1 (on the already-linked unit1).
     state_fields = derive_state_fields(unit1, hot_classes, hotness, config)

@@ -22,6 +22,7 @@ from typing import Any, Iterator
 from repro.bytecode.classfile import (
     ClassInfo,
     FieldInfo,
+    JxType,
     MethodInfo,
     ProgramUnit,
     STATIC_INIT_NAME,
@@ -33,6 +34,23 @@ from repro.vm.intrinsics import INTRINSICS
 from repro.vm.jtoc import JTOC, JTOCMethodCell
 from repro.vm.tib import TIB, TIBSpaceTracker
 from repro.vm.values import VMObject
+
+
+# Opcode members bound once (an ``Op.X`` read costs several module-global
+# reads), since linking checks every instruction of the program.
+_GETFIELD = Op.GETFIELD
+_PUTFIELD = Op.PUTFIELD
+_GETSTATIC = Op.GETSTATIC
+_PUTSTATIC = Op.PUTSTATIC
+_INVOKEVIRTUAL = Op.INVOKEVIRTUAL
+_INVOKESPECIAL = Op.INVOKESPECIAL
+_INVOKESTATIC = Op.INVOKESTATIC
+_INVOKEINTERFACE = Op.INVOKEINTERFACE
+_NEW = Op.NEW
+_NEWARRAY = Op.NEWARRAY
+_INSTANCEOF = Op.INSTANCEOF
+_CHECKCAST = Op.CHECKCAST
+_INTRINSIC = Op.INTRINSIC
 
 
 class LinkError(Exception):
@@ -321,7 +339,7 @@ class Linker:
 
     def _resolve_instr(self, instr, rm: RuntimeMethod) -> None:
         op = instr.op
-        if op in (Op.GETFIELD, Op.PUTFIELD):
+        if op is _GETFIELD or op is _PUTFIELD:
             cls_name, field_name = instr.arg
             finfo = self.unit.lookup_field(cls_name, field_name)
             if finfo is None or finfo.is_static:
@@ -330,7 +348,7 @@ class Linker:
                     f"{cls_name}.{field_name}"
                 )
             instr.resolved = finfo.slot
-        elif op in (Op.GETSTATIC, Op.PUTSTATIC):
+        elif op is _GETSTATIC or op is _PUTSTATIC:
             cls_name, field_name = instr.arg
             finfo = self.unit.lookup_field(cls_name, field_name)
             if finfo is None or not finfo.is_static:
@@ -339,7 +357,7 @@ class Linker:
                     f"{cls_name}.{field_name}"
                 )
             instr.resolved = finfo.slot
-        elif op is Op.INVOKEVIRTUAL:
+        elif op is _INVOKEVIRTUAL:
             cls_name, key, _ = instr.arg
             target_rc = self.classes[cls_name]
             offset = target_rc.vtable_layout.get(key)
@@ -350,7 +368,7 @@ class Linker:
                 )
             returns = self._returns(target_rc.vtable_rms[offset])
             instr.resolved = (offset, returns)
-        elif op is Op.INVOKESPECIAL:
+        elif op is _INVOKESPECIAL:
             cls_name, key, _ = instr.arg
             target_rm = self._find_declared(cls_name, key)
             if target_rm is None:
@@ -359,7 +377,7 @@ class Linker:
                     f"{cls_name}.{key}"
                 )
             instr.resolved = (target_rm, self._returns(target_rm))
-        elif op is Op.INVOKESTATIC:
+        elif op is _INVOKESTATIC:
             cls_name, key, _ = instr.arg
             target_rm = self._find_declared(cls_name, key)
             if target_rm is None or target_rm.jtoc_cell is None:
@@ -367,7 +385,7 @@ class Linker:
                     f"{rm.qualified_name}: no static method {cls_name}.{key}"
                 )
             instr.resolved = (target_rm.jtoc_cell, self._returns(target_rm))
-        elif op is Op.INVOKEINTERFACE:
+        elif op is _INVOKEINTERFACE:
             iface_name, key, _ = instr.arg
             target = self.unit.lookup_method(iface_name, key)
             if target is None:
@@ -379,11 +397,9 @@ class Linker:
                 )
             returns = target.return_type.name != "void"
             instr.resolved = (imt_slot_for(key), key, returns)
-        elif op is Op.NEW:
+        elif op is _NEW:
             instr.resolved = self.classes[instr.arg]
-        elif op is Op.NEWARRAY:
-            from repro.bytecode.classfile import JxType
-
+        elif op is _NEWARRAY:
             type_str = instr.arg
             dims = 0
             base = type_str
@@ -391,9 +407,9 @@ class Linker:
                 base = base[:-2]
                 dims += 1
             instr.resolved = JxType(base, dims).default_value()
-        elif op in (Op.INSTANCEOF, Op.CHECKCAST):
+        elif op is _INSTANCEOF or op is _CHECKCAST:
             instr.resolved = self.classes[instr.arg]
-        elif op is Op.INTRINSIC:
+        elif op is _INTRINSIC:
             name, _ = instr.arg
             instr.resolved = INTRINSICS[name]
 

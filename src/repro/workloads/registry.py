@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.bytecode.classfile import ProgramUnit
-from repro.lang import compile_source
+from repro.lang import compile_source, stdlib_class_names
 
 
 @dataclass
@@ -65,24 +65,12 @@ class WorkloadSpec:
         unit = compile_source(
             self.source(0.01), include_stdlib=True, verify=False
         )
-        stdlib_names = _stdlib_class_names()
+        stdlib_names = stdlib_class_names()
         classes = [
             c for name, c in unit.classes.items() if name not in stdlib_names
         ]
         methods = sum(len(c.methods) for c in classes)
         return len(classes), methods
-
-
-_STDLIB_CACHE: set[str] = set()
-
-
-def _stdlib_class_names() -> set[str]:
-    global _STDLIB_CACHE
-    if not _STDLIB_CACHE:
-        from repro.lang import compile_stdlib
-
-        _STDLIB_CACHE = {c.name for c in compile_stdlib()}
-    return _STDLIB_CACHE
 
 
 _REGISTRY: dict[str, WorkloadSpec] = {}

@@ -1,11 +1,18 @@
-"""Parser unit tests."""
+"""Parser unit tests, plus a differential check of the precedence-climbing
+expression parser against the one-method-per-level chain it replaced."""
+
+import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bytecode.classfile import JxType
 from repro.lang import ast
 from repro.lang.errors import ParseError
-from repro.lang.parser import parse_source
+from repro.lang.parser import Parser, parse_source
+from repro.lang.stdlib import STDLIB_SOURCE
+from repro.lang.tokens import TokKind
+from repro.workloads import all_workloads
 
 
 def parse_one(source):
@@ -194,3 +201,202 @@ def test_missing_semicolon_raises():
 def test_void_field_rejected():
     with pytest.raises(ParseError):
         parse_source("class C { void f; }")
+
+
+# ---------------------------------------------------------------------------
+# The reference parser
+# ---------------------------------------------------------------------------
+
+class _ReferenceParser(Parser):
+    """The parser with its ten-level binary-expression chain (one method
+    per precedence level) and clamping ``_peek``, kept as the
+    differential reference."""
+
+    def _peek(self, offset: int = 0):
+        i = min(self.pos + offset, len(self.tokens) - 1)
+        return self.tokens[i]
+
+    def _parse_ternary(self) -> ast.Expr:
+        cond = self._parse_or()
+        if self._accept_punct("?"):
+            then = self._parse_expr()
+            self._expect_punct(":")
+            otherwise = self._parse_ternary()
+            return ast.Ternary(
+                cond=cond, then=then, otherwise=otherwise, line=cond.line
+            )
+        return cond
+
+    def _binop_level(self, sub, lexemes):
+        left = sub()
+        while True:
+            tok = self._peek()
+            if tok.kind is TokKind.PUNCT and tok.value in lexemes:
+                self._next()
+                right = sub()
+                left = ast.BinOp(
+                    op=tok.value, left=left, right=right, line=tok.line
+                )
+            else:
+                return left
+
+    def _parse_or(self):
+        return self._binop_level(self._parse_and, ("||",))
+
+    def _parse_and(self):
+        return self._binop_level(self._parse_bitor, ("&&",))
+
+    def _parse_bitor(self):
+        return self._binop_level(self._parse_bitxor, ("|",))
+
+    def _parse_bitxor(self):
+        return self._binop_level(self._parse_bitand, ("^",))
+
+    def _parse_bitand(self):
+        return self._binop_level(self._parse_equality, ("&",))
+
+    def _parse_equality(self):
+        return self._binop_level(self._parse_relational, ("==", "!="))
+
+    def _parse_relational(self):
+        left = self._binop_level(self._parse_shift, ("<", "<=", ">", ">="))
+        if self._accept_keyword("instanceof"):
+            rtype = self._parse_type()
+            return ast.InstanceOf(expr=left, type=rtype, line=left.line)
+        return left
+
+    def _parse_shift(self):
+        return self._binop_level(self._parse_additive, ("<<", ">>"))
+
+    def _parse_additive(self):
+        return self._binop_level(self._parse_multiplicative, ("+", "-"))
+
+    def _parse_multiplicative(self):
+        return self._binop_level(self._parse_unary, ("*", "/", "%"))
+
+
+# ---------------------------------------------------------------------------
+# Differential: the precedence-climbing parser against the reference
+# ---------------------------------------------------------------------------
+
+def _dump(node):
+    """A node as nested plain data: its type and every attribute, the
+    ones the parser sets outside the dataclass fields included
+    (``Assign.compound_op``)."""
+    if isinstance(node, list):
+        return [_dump(n) for n in node]
+    if dataclasses.is_dataclass(node) and not isinstance(node, JxType):
+        return (type(node).__name__,
+                {k: _dump(v) for k, v in sorted(vars(node).items())})
+    return node
+
+
+def _parse_outcome(parser_cls, source):
+    """The program as :func:`_dump` data, or the ParseError's
+    (message, line, col)."""
+    try:
+        return "ast", _dump(parser_cls(source).parse_program())
+    except ParseError as e:
+        return "error", (e.message, e.line, e.col)
+
+
+def _agree(source):
+    expected = _parse_outcome(_ReferenceParser, source)
+    assert _parse_outcome(Parser, source) == expected, source
+    return expected
+
+
+def test_parser_matches_reference_on_stdlib():
+    kind, _ = _agree(STDLIB_SOURCE)
+    assert kind == "ast"
+
+
+@pytest.mark.parametrize("spec", all_workloads(), ids=lambda s: s.name)
+def test_parser_matches_reference_on_workloads(spec):
+    assert _agree(spec.bench_source())[0] == "ast"
+    assert _agree(spec.profile_source())[0] == "ast"
+
+
+def _in_method(expr):
+    return "class C { void m() { x = " + expr + "; } }"
+
+
+@pytest.mark.parametrize("expr, found", [
+    ("a instanceof T + 1", "'+'"),
+    ("a instanceof T < b", "'<'"),
+    ("a instanceof T instanceof U", "'instanceof'"),
+    ("a == b instanceof T < c", "'<'"),
+])
+def test_instanceof_ends_the_relational_chain(expr, found):
+    kind, (message, line, col) = _agree(_in_method(expr))
+    assert kind == "error"
+    assert message == f"expected ';', found {found}"
+    assert (line, col) == (1, len("class C { void m() { x = ")
+                              + expr.rindex(found.strip("'")) + 1)
+
+
+@pytest.mark.parametrize("expr", [
+    "a < b instanceof T",
+    "a + b instanceof T == c",
+    "a == b instanceof T",
+    "a instanceof T == b < c",
+    "a instanceof T != b && c instanceof U || d",
+    "a instanceof T ? b : c",
+    "a instanceof T & b | c ^ d",
+    "a - b - c * d / e % f << 2 >> 1",
+    "a || b && c || d",
+])
+def test_instanceof_and_precedence_corners(expr):
+    assert _agree(_in_method(expr))[0] == "ast"
+
+
+_BINARY_OPS = ["||", "&&", "|", "^", "&", "==", "!=", "<", "<=", ">", ">=",
+               "<<", ">>", "+", "-", "*", "/", "%"]
+_ATOMS = st.sampled_from(
+    ["a", "b", "1", "2.5", '"s"', "true", "null", "this", "x.f", "m(1)",
+     "arr[0]", "new Foo()"]
+)
+
+
+def _extend(sub):
+    return st.one_of(
+        st.tuples(sub, st.sampled_from(_BINARY_OPS), sub).map(" ".join),
+        st.tuples(st.sampled_from(["-", "!", "(int) ", "(double) ",
+                                   "(Foo) ", "(Foo[]) "]),
+                  sub).map("".join),
+        st.tuples(sub, st.sampled_from(["Foo", "int", "Foo[]"])).map(
+            " instanceof ".join),
+        st.tuples(sub, sub, sub).map(lambda t: f"{t[0]} ? {t[1]} : {t[2]}"),
+        sub.map(lambda e: f"({e})"),
+    )
+
+
+@given(st.recursive(_ATOMS, _extend, max_leaves=12))
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_reference_on_generated_expressions(expr):
+    _agree(_in_method(expr))
+
+
+_CHAIN_STEPS = st.one_of(
+    st.tuples(st.sampled_from(_BINARY_OPS), _ATOMS).map(" ".join),
+    st.sampled_from(["instanceof Foo", "instanceof int[]"]),
+)
+
+
+@given(st.tuples(_ATOMS, st.lists(_CHAIN_STEPS, max_size=8)).map(
+    lambda t: " ".join([t[0], *t[1]])))
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_reference_on_generated_operator_chains(expr):
+    """Unparenthesized chains, so every pair of neighbouring operators,
+    ``instanceof`` included, meets in one precedence loop."""
+    _agree(_in_method(expr))
+
+
+@given(st.lists(
+    st.sampled_from(_BINARY_OPS + ["a", "1", "instanceof", "T", "?", ":",
+                                   "(", ")", "-", "!", "(int)", "="]),
+    max_size=16,
+).map(" ".join))
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_reference_on_generated_token_runs(expr):
+    _agree(_in_method(expr))

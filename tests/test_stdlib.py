@@ -1,5 +1,15 @@
-"""Self-hosted stdlib tests (also a standing compiler integration test)."""
+"""Self-hosted stdlib tests (also a standing compiler integration test),
+and the once-per-process stdlib every ``compile_source`` copies."""
 
+import sys
+import threading
+
+import repro.lang
+from repro import VM
+from repro.cache.keys import program_digest
+from repro.lang import compile_source, compile_stdlib, stdlib_class_names
+from repro.mutation import build_mutation_plan
+from repro.workloads import get_workload
 from tests.helpers import assert_all_tiers_agree, run_source, wrap_main
 
 
@@ -127,3 +137,124 @@ def test_stdlib_under_all_tiers():
             """
         )
     )
+
+
+# ---------------------------------------------------------------------------
+# The stdlib is compiled once per process; each unit links its own copy.
+# ---------------------------------------------------------------------------
+
+_PROGRAM = wrap_main(
+    "Vector v = new Vector(); v.add(new Box(3)); "
+    "Sys.print(((Box) v.get(0)).n + \" \" + v.size());",
+    prelude="class Box { int n; Box(int x) { n = x; } }",
+)
+
+
+def _classfile_objects(classes):
+    """ids of every ClassInfo, FieldInfo, MethodInfo and Instr reachable
+    from ``classes``."""
+    ids = set()
+    for cls in classes:
+        ids.add(id(cls))
+        ids.update(id(f) for f in cls.fields.values())
+        for m in cls.methods.values():
+            ids.add(id(m))
+            ids.update(id(instr) for instr in m.code)
+    return ids
+
+
+def _clear_memo(monkeypatch):
+    monkeypatch.setattr(repro.lang, "_PRISTINE_STDLIB", None)
+
+
+def test_two_units_share_no_classfile_object():
+    a = compile_source(_PROGRAM)
+    b = compile_source(_PROGRAM)
+    assert _classfile_objects(a.classes.values()).isdisjoint(
+        _classfile_objects(b.classes.values()))
+    assert _classfile_objects(a.classes.values()).isdisjoint(
+        _classfile_objects(repro.lang._pristine_stdlib()))
+
+
+def test_linking_leaves_the_pristine_stdlib_unlinked(monkeypatch):
+    spec = get_workload("salarydb")
+    plan = build_mutation_plan(spec.profile_source(),
+                               entry_class=spec.entry_class,
+                               entry_method=spec.entry_method)
+    vm = VM(compile_source(spec.source(0.05), entry_class=spec.entry_class,
+                           entry_method=spec.entry_method),
+            mutation_plan=plan, seed=42)
+    assert vm.run().output
+    assert vm.mutation_stats.tib_swaps > 0
+    pristine = repro.lang._pristine_stdlib()
+    linked = {cls.name: vm.unit.classes[cls.name] for cls in pristine}
+    assert any(instr.resolved is not None
+               for cls in linked.values() for m in cls.methods.values()
+               for instr in m.code)
+
+    for cls in pristine:
+        assert all(f.slot == -1 for f in cls.fields.values()), cls.name
+        for m in cls.methods.values():
+            for instr in m.code:
+                assert instr.resolved is None, (m.qualified_name, instr)
+                assert instr.state_hook is None, (m.qualified_name, instr)
+    # A copy of a linked class is unlinked, and equal to the pristine one.
+    assert [linked[cls.name].copy() for cls in pristine] == pristine
+
+    _clear_memo(monkeypatch)
+    assert repro.lang._pristine_stdlib() == pristine
+
+
+def test_threads_racing_on_an_empty_memo_get_disjoint_units(monkeypatch):
+    _clear_memo(monkeypatch)
+    compiles = []
+    build = repro.lang.build_prebuilt_classes
+
+    def counting_build():
+        compiles.append(threading.get_ident())
+        return build()
+
+    monkeypatch.setattr(repro.lang, "build_prebuilt_classes", counting_build)
+    start = threading.Barrier(4)
+    units, errors = [None] * 4, []
+
+    def compile_one(i):
+        try:
+            start.wait()
+            units[i] = compile_source(_PROGRAM)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=compile_one, args=(i,))
+               for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(compiles) == 1
+    objects = [_classfile_objects(u.classes.values()) for u in units]
+    for i in range(4):
+        repro.lang.verify_program_with_intrinsics(units[i])
+        assert VM(units[i], seed=42).run().output == "3 1\n"
+        for j in range(i):
+            assert objects[i].isdisjoint(objects[j])
+
+
+def test_program_digest_does_not_depend_on_the_memo(monkeypatch):
+    memoized = compile_source(_PROGRAM)
+    _clear_memo(monkeypatch)
+    fresh = compile_source(_PROGRAM)
+    assert program_digest(memoized) == program_digest(fresh)
+
+
+def test_stdlib_class_names_match_compile_stdlib():
+    names = stdlib_class_names()
+    assert names == {cls.name for cls in compile_stdlib()}
+    assert {"Object", "Sys", "StringBuilder", "Vector"} <= names
