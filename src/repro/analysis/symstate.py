@@ -225,8 +225,9 @@ def step(code: list, st: SymState) -> list[SymState]:
     """Execute ``code[st.pc]`` symbolically; return successor paths.
 
     Handles the full ISA — pristine ops, standalone quickened ops, and
-    every superinstruction — mirroring ``interpret``/``interpret_quick``
-    exactly (including fused null-check placement and live hook reads).
+    every superinstruction — mirroring ``interpret_quick``, the one
+    loop that runs both pristine and quickened bodies, exactly
+    (including fused null-check placement and live hook reads).
     """
     pc = st.pc
     instr = code[pc]
@@ -281,7 +282,7 @@ def step(code: list, st: SymState) -> list[SymState]:
         return [st]
 
     # -- objects and fields ---------------------------------------------
-    elif op in (Op.GETFIELD, Op.GETFIELD_QUICK):
+    elif op is Op.GETFIELD:
         obj = st.pop()
         st.null_check(obj)
         st.stack.append(

@@ -94,9 +94,8 @@ class Op(enum.IntEnum):
 
     # -- quickened forms (runtime-only; never appear in ``info.code``) ---------
     # The quickener (:mod:`repro.bytecode.quicken`) rewrites resolved
-    # call/field instructions into these in a method's ``quick_code``
+    # virtual and interface calls into these in a method's ``quick_code``
     # shadow array.  They are never verified, lowered, or persisted.
-    GETFIELD_QUICK = 120        # GETFIELD with a pre-resolved slot
     INVOKEVIRTUAL_QUICK = 121   # resolved: a TIB-keyed VirtualIC cell
     INVOKEINTERFACE_QUICK = 122  # resolved: a TIB-keyed InterfaceIC cell
 
@@ -201,7 +200,6 @@ OP_INFO: dict[Op, OpInfo] = {
     Op.ARRAYLEN: OpInfo("arraylen", 1, 1, has_arg=False),
     Op.INTRINSIC: OpInfo("intrinsic", VARIABLE, VARIABLE),
     Op.NOP: OpInfo("nop", 0, 0, has_arg=False),
-    Op.GETFIELD_QUICK: OpInfo("getfield_quick", 1, 1),
     Op.INVOKEVIRTUAL_QUICK: OpInfo("invokevirtual_quick", VARIABLE, VARIABLE),
     Op.INVOKEINTERFACE_QUICK: OpInfo(
         "invokeinterface_quick", VARIABLE, VARIABLE
@@ -289,7 +287,6 @@ def branch_target(instr) -> int | None:
 #: Runtime-only opcodes produced by the quickener; the verifier, the
 #: bytecode-to-IR lowering, and the persistent cache must never see one.
 QUICK_OPS = frozenset({
-    Op.GETFIELD_QUICK,
     Op.INVOKEVIRTUAL_QUICK,
     Op.INVOKEINTERFACE_QUICK,
     Op.LOAD_GETFIELD,

@@ -1,8 +1,8 @@
 """Bytecode quickening and TIB-keyed inline caches.
 
-The baseline interpreter re-resolves ``receiver.tib.entries[offset]``
-(and a full IMT probe for interface calls) on every single call.  This
-module rewrites each method's resolved call/field instructions into
+Pristine bytecode re-resolves ``receiver.tib.entries[offset]`` (and a
+full IMT probe for interface calls) on every single call.  This module
+rewrites each method's resolved virtual and interface calls into
 *quickened* forms that carry a per-site inline-cache cell, and fuses the
 hottest adjacent opcode pairs into superinstructions.  The rewritten
 body lives in ``rm.quick_code`` — a shallow copy of ``rm.info.code`` —
@@ -92,14 +92,15 @@ _IDIOM_GETTER = (Op.LOAD, Op.GETFIELD, Op.RETURN)
 def _fast_rm(vm: Any, cm: Any) -> Any:
     """The IC's inline fast-path target for one resolved method, or None.
 
-    When the target is quickened baseline code with no constructor-exit
-    hook and the VM has no telemetry object, the IC records the target
+    When the target is baseline code with no constructor-exit hook and
+    the VM has no telemetry object, the IC records the target
     RuntimeMethod itself (``r0``/``r1``) and the interpreter's hit arm
     folds the ``BaselineCompiled.invoke`` wrapper's work (entry-tick
     sampling) inline, then jumps straight into ``interpret_quick`` —
     an IC hit then skips the generic invoke dispatch entirely.  A target
-    not yet quickened is quickened here, as its first call would.  Every
-    in-place change that could invalidate this specialization (a
+    not yet quickened is quickened here, as its first call would; one
+    whose body TV refused runs its pristine bytecode in the same loop.
+    Every in-place change that could invalidate this specialization (a
     recompile install replacing the table entry, a mid-run manager
     attach installing hooks) flushes the IC, so the target is
     re-examined on the next miss; otherwise ``None`` keeps the hit on
@@ -113,8 +114,7 @@ def _fast_rm(vm: Any, cm: Any) -> Any:
     ):
         if not rm.quick_tried:
             vm.quickener.quicken(rm)
-        if rm.quick_code is not None:
-            return rm
+        return rm
     return None
 
 
@@ -310,8 +310,7 @@ class Quickener:
         inline target).  Under ``VMConfig.tv`` the body is published
         only once translation validation proves it; a refused body is
         recorded, never retried, and the method interprets its pristine
-        bytecode.  ``quick_pad`` is set before ``quick_code``, so a
-        reader that sees the body sees a complete one.
+        bytecode.
         """
         rm.quick_tried = True
         sites, fused = self.sites, self.fused
@@ -331,7 +330,6 @@ class Quickener:
             self.validated += 1
             if not prove_quick_body(vm, rm, quick):
                 return
-        rm.quick_pad = [None] * (rm.info.max_locals - rm.info.num_args)
         rm.quick_code = quick
 
     def _rewrite(self, rm: Any) -> list[Instr]:
@@ -430,11 +428,6 @@ class Quickener:
                     f"{qname}@{i}", quick, i, instr,
                 )
                 self.caches.append(new.resolved)
-                quick[i] = new
-                self.sites += 1
-            elif op is Op.GETFIELD:
-                new = Instr(Op.GETFIELD_QUICK, instr.arg, instr.line)
-                new.resolved = instr.resolved
                 quick[i] = new
                 self.sites += 1
         self.methods_quickened += 1

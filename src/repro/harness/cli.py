@@ -74,8 +74,7 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
         return 0
     # --quick runs the program first, so the methods that ran show
     # their warm inline caches, then quickens the methods the run never
-    # called.  Asking for the quickened view forces quickening on even
-    # under JX_QUICKEN=0.
+    # called.  Asking for the quickened view forces quickening on.
     from repro.bytecode import disassemble_quick
     from repro.vm.runtime import VMConfig
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.vm.adaptive import ENTRY_TICKS, NEVER
-from repro.vm.interpreter import interpret, interpret_quick
+from repro.vm.interpreter import interpret_quick
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bytecode.classfile import MethodInfo
@@ -105,23 +105,22 @@ class BaselineCompiled(CompiledMethod):
         samples.ticks += ENTRY_TICKS
         if samples.ticks >= samples.threshold:
             vm.adaptive.on_hot(rm)
-        if rm.quick_code is None and not rm.quick_tried:
+        if not rm.quick_tried:
             # First interpreted call: quicken and validate the body now.
             quickener = vm.quickener
             if quickener is not None:
                 quickener.quicken(rm)
-        run = interpret if rm.quick_code is None else interpret_quick
         tel = vm.telemetry
         if tel is not None and tel.enabled:
             # Interpreter-tick accounting: entry ticks here, backedge
             # ticks as the delta accumulated while interpreting.
             tel.count("dispatch.opt0")
             before = samples.ticks
-            result = run(vm, rm, args)
+            result = interpret_quick(vm, rm, args)
             tel.count("interp.ticks",
                       ENTRY_TICKS + samples.ticks - before)
         else:
-            result = run(vm, rm, args)
+            result = interpret_quick(vm, rm, args)
         hook = rm.ctor_exit_hook
         if hook is not None:
             hook(vm, args[0])

@@ -1,4 +1,4 @@
-"""The opt0 execution engine: a direct bytecode interpreter.
+"""The opt0 execution engine: the VM's one bytecode dispatch loop.
 
 This is JxVM's analog of running a method's baseline-compiled code in
 Jikes RVM: no optimization, straight-line semantics, plus the sampling
@@ -6,6 +6,14 @@ that drives the adaptive system (method-entry ticks are credited by the
 compiled-method wrapper; *backedge* ticks are credited here so that
 loop-dominated methods get hot without being re-invoked — the yieldpoint
 analog).
+
+:func:`interpret_quick` runs a method's quickened body
+(``rm.quick_code``, :mod:`repro.bytecode.quicken`) once one is
+published, and its pristine ``info.code`` otherwise: with quickening
+off, before the first call quickens it, or when translation validation
+refused the body.  Quickening preserves every slot and pc, so both
+bodies share one frame layout, and an OSR deopt resumes here on
+whichever body is published.
 
 State-field write hooks: PUTFIELD/PUTSTATIC instructions that the
 mutation manager marked (``instr.state_hook``) invoke the distributed
@@ -79,7 +87,6 @@ _POP = Op.POP
 _DUP = Op.DUP
 _SWAP = Op.SWAP
 _NOP = Op.NOP
-_GETFIELD_QUICK = Op.GETFIELD_QUICK
 _INVOKEVIRTUAL_QUICK = Op.INVOKEVIRTUAL_QUICK
 _INVOKEINTERFACE_QUICK = Op.INVOKEINTERFACE_QUICK
 _LOAD_GETFIELD = Op.LOAD_GETFIELD
@@ -115,327 +122,23 @@ class JxStackTrace(VMRuntimeError):
         super().__init__(f"{cause}\n  at {trace}")
 
 
-def interpret(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
-    """Execute ``rm``'s bytecode with ``args`` as the initial locals.
+def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
+    """Execute ``rm``'s bytecode — the VM's one dispatch loop.
 
-    A non-zero ``pc`` resumes mid-method — the OSR deopt path
-    (:func:`repro.vm.osr.deopt_to_interpreter`) re-enters here with the
-    reconstructed frame; deopt pcs always have an empty operand stack,
-    so ``args`` (the full locals list there) plus ``pc`` is the whole
-    frame.
-    """
-    info = rm.info
-    code = info.code
-    locals_: list[Any] = args + [None] * (info.max_locals - len(args))
-    stack: list[Any] = []
-    samples = rm.samples
-    adaptive = vm.adaptive
-    osr = vm.osr
-    tel = vm.telemetry
-    if tel is not None and tel.enabled:
-        tel.count("interp.frames")
-    try:
-        while True:
-            instr = code[pc]
-            op = instr.op
-            pc += 1
-            if op is _LOAD:
-                stack.append(locals_[instr.arg])
-            elif op is _CONST:
-                stack.append(instr.arg)
-            elif op is _STORE:
-                locals_[instr.arg] = stack.pop()
-            elif op is _GETFIELD:
-                obj = stack.pop()
-                if obj is None:
-                    raise NullPointerError(
-                        f"null receiver reading field {instr.arg[1]!r}"
-                    )
-                stack.append(obj.fields[instr.resolved])
-            elif op is _PUTFIELD:
-                value = stack.pop()
-                obj = stack.pop()
-                if obj is None:
-                    raise NullPointerError(
-                        f"null receiver writing field {instr.arg[1]!r}"
-                    )
-                obj.fields[instr.resolved] = value
-                # A hooked state write re-evaluates the TIB (Fig. 4).
-                hook = instr.state_hook
-                if hook is not None:
-                    hook(vm, obj)
-            elif op is _JUMP:
-                target = instr.arg
-                if target < pc:
-                    samples.ticks += 1
-                    if samples.ticks >= samples.threshold:
-                        adaptive.on_hot(rm)
-                        # The method just got promoted under this frame:
-                        # transfer the live frame into the compiled code
-                        # instead of interpreting the rest of the loop
-                        # (cold path — the threshold is now retired or
-                        # far away, so steady state never reaches here).
-                        if (
-                            osr is not None
-                            and not stack
-                            and rm.compiled.opt_level > 0
-                        ):
-                            entry = osr.entry_for(rm, target)
-                            if entry is not None:
-                                return entry(vm, locals_)
-                pc = target
-            elif op is _JUMP_IF_FALSE:
-                if not stack.pop():
-                    target = instr.arg
-                    if target < pc:
-                        samples.ticks += 1
-                        if samples.ticks >= samples.threshold:
-                            adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
-                    pc = target
-            elif op is _JUMP_IF_TRUE:
-                if stack.pop():
-                    target = instr.arg
-                    if target < pc:
-                        samples.ticks += 1
-                        if samples.ticks >= samples.threshold:
-                            adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
-                    pc = target
-            elif op is _ADD:
-                b = stack.pop()
-                stack[-1] = stack[-1] + b
-            elif op is _SUB:
-                b = stack.pop()
-                stack[-1] = stack[-1] - b
-            elif op is _MUL:
-                b = stack.pop()
-                stack[-1] = stack[-1] * b
-            elif op is _CMP_LT:
-                b = stack.pop()
-                stack[-1] = stack[-1] < b
-            elif op is _CMP_LE:
-                b = stack.pop()
-                stack[-1] = stack[-1] <= b
-            elif op is _CMP_GT:
-                b = stack.pop()
-                stack[-1] = stack[-1] > b
-            elif op is _CMP_GE:
-                b = stack.pop()
-                stack[-1] = stack[-1] >= b
-            elif op is _CMP_EQ:
-                b = stack.pop()
-                a = stack[-1]
-                stack[-1] = (a is b) if _is_ref(a) or _is_ref(b) else (a == b)
-            elif op is _CMP_NE:
-                b = stack.pop()
-                a = stack[-1]
-                stack[-1] = (
-                    (a is not b) if _is_ref(a) or _is_ref(b) else (a != b)
-                )
-            elif op is _INVOKEVIRTUAL:
-                argc = instr.arg[2]
-                callargs = stack[-argc:]
-                del stack[-argc:]
-                receiver = callargs[0]
-                if receiver is None:
-                    raise NullPointerError(
-                        f"null receiver calling {instr.arg[1]!r}"
-                    )
-                offset, returns = instr.resolved
-                result = receiver.tib.entries[offset].invoke(vm, callargs)
-                if returns:
-                    stack.append(result)
-            elif op is _INVOKESTATIC:
-                argc = instr.arg[2]
-                callargs = stack[-argc:] if argc else []
-                if argc:
-                    del stack[-argc:]
-                cell, returns = instr.resolved
-                result = cell.compiled.invoke(vm, callargs)
-                if returns:
-                    stack.append(result)
-            elif op is _INVOKESPECIAL:
-                argc = instr.arg[2]
-                callargs = stack[-argc:]
-                del stack[-argc:]
-                if callargs[0] is None:
-                    raise NullPointerError(
-                        f"null receiver calling {instr.arg[1]!r}"
-                    )
-                target_rm, returns = instr.resolved
-                result = target_rm.compiled.invoke(vm, callargs)
-                if returns:
-                    stack.append(result)
-            elif op is _INVOKEINTERFACE:
-                argc = instr.arg[2]
-                callargs = stack[-argc:]
-                del stack[-argc:]
-                receiver = callargs[0]
-                if receiver is None:
-                    raise NullPointerError(
-                        f"null receiver calling {instr.arg[1]!r}"
-                    )
-                slot, key, returns = instr.resolved
-                compiled = receiver.tib.imt.dispatch(receiver, slot, key)
-                result = compiled.invoke(vm, callargs)
-                if returns:
-                    stack.append(result)
-            elif op is _GETSTATIC:
-                stack.append(vm.jtoc.get(instr.resolved))
-            elif op is _PUTSTATIC:
-                vm.jtoc.set(instr.resolved, stack.pop())
-                hook = instr.state_hook
-                if hook is not None:
-                    hook(vm, None)
-            elif op is _ALOAD:
-                idx = stack.pop()
-                arr = stack.pop()
-                if arr is None:
-                    raise NullPointerError("null array in load")
-                if not 0 <= idx < len(arr.data):
-                    raise ArrayBoundsError(
-                        f"index {idx} out of range [0, {len(arr.data)})"
-                    )
-                stack.append(arr.data[idx])
-            elif op is _ASTORE:
-                value = stack.pop()
-                idx = stack.pop()
-                arr = stack.pop()
-                if arr is None:
-                    raise NullPointerError("null array in store")
-                if not 0 <= idx < len(arr.data):
-                    raise ArrayBoundsError(
-                        f"index {idx} out of range [0, {len(arr.data)})"
-                    )
-                arr.data[idx] = value
-            elif op is _ARRAYLEN:
-                arr = stack.pop()
-                if arr is None:
-                    raise NullPointerError("null array in length")
-                stack.append(len(arr.data))
-            elif op is _NEWARRAY:
-                length = stack.pop()
-                arr = VMArray(instr.arg, length, instr.resolved)
-                vm.heap.record_array(length, instr.arg)
-                stack.append(arr)
-            elif op is _NEW:
-                stack.append(instr.resolved.allocate(vm))
-            elif op is _CONCAT:
-                b = stack.pop()
-                stack[-1] = jx_str(stack[-1]) + jx_str(b)
-            elif op is _INTRINSIC:
-                intr = instr.resolved
-                n = intr.nargs
-                if n:
-                    callargs = stack[-n:]
-                    del stack[-n:]
-                    result = intr.fn(vm.intrinsic_ctx, *callargs)
-                else:
-                    result = intr.fn(vm.intrinsic_ctx)
-                if intr.returns:
-                    stack.append(result)
-            elif op is _IDIV:
-                b = stack.pop()
-                stack[-1] = jx_truncate_div(stack[-1], b)
-            elif op is _FDIV:
-                b = stack.pop()
-                if b == 0:
-                    stack[-1] = float("nan") if stack[-1] == 0 else (
-                        float("inf") if stack[-1] > 0 else float("-inf")
-                    )
-                else:
-                    stack[-1] = stack[-1] / b
-            elif op is _IREM:
-                b = stack.pop()
-                stack[-1] = jx_rem(stack[-1], b)
-            elif op is _NEG:
-                stack[-1] = -stack[-1]
-            elif op is _NOT:
-                stack[-1] = not stack[-1]
-            elif op is _I2D:
-                stack[-1] = float(stack[-1])
-            elif op is _D2I:
-                stack[-1] = int(stack[-1])
-            elif op is _SHL:
-                b = stack.pop()
-                stack[-1] = stack[-1] << b
-            elif op is _SHR:
-                b = stack.pop()
-                stack[-1] = stack[-1] >> b
-            elif op is _BAND:
-                b = stack.pop()
-                stack[-1] = stack[-1] & b
-            elif op is _BOR:
-                b = stack.pop()
-                stack[-1] = stack[-1] | b
-            elif op is _BXOR:
-                b = stack.pop()
-                stack[-1] = stack[-1] ^ b
-            elif op is _INSTANCEOF:
-                obj = stack.pop()
-                stack.append(
-                    obj is not None
-                    and instr.resolved.name in obj.tib.type_info.all_supertypes
-                )
-            elif op is _CHECKCAST:
-                obj = stack[-1]
-                if (
-                    obj is not None
-                    and instr.resolved.name
-                    not in obj.tib.type_info.all_supertypes
-                ):
-                    raise ClassCastError(
-                        f"cannot cast {obj.tib.type_info.name} to "
-                        f"{instr.resolved.name}"
-                    )
-            elif op is _RETURN:
-                return stack.pop()
-            elif op is _RETURN_VOID:
-                return None
-            elif op is _POP:
-                stack.pop()
-            elif op is _DUP:
-                stack.append(stack[-1])
-            elif op is _SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-            elif op is _NOP:
-                pass
-            else:  # pragma: no cover
-                raise VMRuntimeError(f"unhandled opcode {op!r}")
-    except JxStackTrace as trace:
-        trace.frames.append(_frame_desc(rm, code, pc))
-        raise
-    except VMRuntimeError as exc:
-        if tel is not None and tel.enabled:
-            tel.count("interp.errors")
-        raise JxStackTrace(exc, [_frame_desc(rm, code, pc)]) from exc
+    Runs ``rm.quick_code`` when a quickened body is published and the
+    pristine ``rm.info.code`` otherwise.  A call (``pc`` 0) passes the
+    arguments, padded here with ``rm.quick_pad``; a non-zero ``pc``
+    resumes mid-method — the OSR deopt path
+    (:func:`repro.vm.osr.deopt_to_interpreter`) passes the full rebuilt
+    locals list and the resume pc (deopt pcs have an empty operand
+    stack, so the locals are the whole frame).
 
+    Over a quickened body:
 
-def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
-    """Execute ``rm.quick_code`` — the quickened dispatch loop.
-
-    Same semantics as :func:`interpret` (identical outputs, tick
-    accounting, hook firing, and stack traces) over the quickened body:
-
-    * call/field sites run their quickened forms; virtual/interface
-      calls go through TIB-identity-keyed inline caches whose hit path
-      is two identity checks and a cached entry callable — a TIB swap
-      changes the key, so mutation redirects sites with no guards;
+    * call sites run their quickened forms; virtual/interface calls go
+      through TIB-identity-keyed inline caches whose hit path is two
+      identity checks and a cached entry callable — a TIB swap changes
+      the key, so mutation redirects sites with no guards;
     * superinstructions cover the hottest adjacent pairs plus the loop
       idioms (``i += c`` and the counted-loop head collapse from four
       dispatches to one); every fused instruction skips the slots it
@@ -447,21 +150,20 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
       handling — and the hot ops, where a per-op Python call would cost
       more than the identity ladder — in the loop itself).
 
-    The original :func:`interpret` is untouched so ``JX_QUICKEN=0``
-    runs exactly the pre-quickening code.
+    Every pristine opcode has an arm or a cold-table handler too, so an
+    unquickened body runs through the same ladder, only without the
+    fused shortcuts.
     """
     code = rm.quick_code
-    locals_: list[Any] = args + rm.quick_pad
+    if code is None:
+        code = rm.info.code
+    locals_: list[Any] = args if pc else args + rm.quick_pad
     stack: list[Any] = []
     samples = rm.samples
-    # Quickening is slot- and pc-preserving, so OSR transfers use the
-    # same (locals, pc) coordinates as the pristine interpreter.
-    osr = vm.osr
     tel = vm.telemetry
     tel_on = tel is not None and tel.enabled
     if tel_on:
         tel.count("interp.frames")
-    pc = 0
     try:
         while True:
             instr = code[pc]
@@ -485,7 +187,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                 pc += 1
             elif op is _CONST:
                 stack.append(instr.arg)
-            elif op is _GETFIELD_QUICK:
+            elif op is _GETFIELD:
                 obj = stack.pop()
                 if obj is None:
                     raise NullPointerError(
@@ -542,15 +244,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     if target < pc:
                         samples.ticks += 1
                         if samples.ticks >= samples.threshold:
-                            vm.adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
+                            entry = _backedge_promote(vm, rm, target, stack)
+                            if entry is not None:
+                                return entry(vm, locals_)
                     pc = target
             elif op is _JUMP_IF_FALSE:
                 if not stack.pop():
@@ -558,15 +254,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     if target < pc:
                         samples.ticks += 1
                         if samples.ticks >= samples.threshold:
-                            vm.adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
+                            entry = _backedge_promote(vm, rm, target, stack)
+                            if entry is not None:
+                                return entry(vm, locals_)
                     pc = target
             elif op is _ITER_LT_JF:
                 a = instr.arg
@@ -576,15 +266,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     if target < pc:
                         samples.ticks += 1
                         if samples.ticks >= samples.threshold:
-                            vm.adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
+                            entry = _backedge_promote(vm, rm, target, stack)
+                            if entry is not None:
+                                return entry(vm, locals_)
                     pc = target
             elif op is _INC:
                 a = instr.arg
@@ -670,15 +354,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                 if target < pc:
                     samples.ticks += 1
                     if samples.ticks >= samples.threshold:
-                        vm.adaptive.on_hot(rm)
-                        if (
-                            osr is not None
-                            and not stack
-                            and rm.compiled.opt_level > 0
-                        ):
-                            entry = osr.entry_for(rm, target)
-                            if entry is not None:
-                                return entry(vm, locals_)
+                        entry = _backedge_promote(vm, rm, target, stack)
+                        if entry is not None:
+                            return entry(vm, locals_)
                 pc = target
             elif op is _CMP_EQ_JF:
                 b = stack.pop()
@@ -690,15 +368,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     if target < pc:
                         samples.ticks += 1
                         if samples.ticks >= samples.threshold:
-                            vm.adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
+                            entry = _backedge_promote(vm, rm, target, stack)
+                            if entry is not None:
+                                return entry(vm, locals_)
                     pc = target
             elif op is _INVOKEINTERFACE_QUICK:
                 ic = instr.resolved
@@ -751,8 +423,8 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                 obj.fields[instr.resolved] = value
                 # Quick code shares PUTFIELD/PUTSTATIC Instr objects
                 # with ``info.code``, so hooks installed mid-run (the
-                # online controller) are live here too; the installed
-                # hook IS the policy, exactly as in interpret().
+                # online controller) are live in both bodies; the
+                # installed hook IS the policy.
                 hook = instr.state_hook
                 if hook is not None:
                     hook(vm, obj)
@@ -831,15 +503,9 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                     if target < pc:
                         samples.ticks += 1
                         if samples.ticks >= samples.threshold:
-                            vm.adaptive.on_hot(rm)
-                            if (
-                                osr is not None
-                                and not stack
-                                and rm.compiled.opt_level > 0
-                            ):
-                                entry = osr.entry_for(rm, target)
-                                if entry is not None:
-                                    return entry(vm, locals_)
+                            entry = _backedge_promote(vm, rm, target, stack)
+                            if entry is not None:
+                                return entry(vm, locals_)
                     pc = target
             elif op is _CMP_LE:
                 b = stack.pop()
@@ -878,7 +544,8 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
                 if hook is not None:
                     hook(vm, None)
             elif op is _INVOKEVIRTUAL:
-                # A megamorphic site de-quickened back to the plain path.
+                # A pristine body, or a megamorphic site de-quickened
+                # back to the plain path.
                 argc = instr.arg[2]
                 callargs = stack[-argc:]
                 del stack[-argc:]
@@ -917,6 +584,22 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any]) -> Any:
         if tel_on:
             tel.count("interp.errors")
         raise JxStackTrace(exc, [_frame_desc(rm, code, pc)]) from exc
+
+
+def _backedge_promote(vm: Any, rm: Any, target: int, stack: list) -> Any:
+    """A back-edge crossed ``rm``'s threshold: promote it, and return
+    the OSR continuation to finish this frame in, or ``None`` to keep
+    interpreting.
+
+    Cold path — the promotion retires the threshold or moves it far
+    away, so this runs once per promotion.  A frame transfers only at
+    an empty operand stack, where its locals are the whole frame.
+    """
+    vm.adaptive.on_hot(rm)
+    osr = vm.osr
+    if osr is not None and not stack and rm.compiled.opt_level > 0:
+        return osr.entry_for(rm, target)
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -101,13 +101,14 @@ class RuntimeMethod:
         #: (opt_level, wall seconds) per recompilation, for Fig. 11.
         self.compile_history: list[tuple[int, float]] = []
         #: Quickened body (:mod:`repro.bytecode.quicken`): a runtime-only
-        #: shadow of ``info.code`` with inline-cache call/field sites and
-        #: fused superinstructions; ``None`` when quickening is off, before
-        #: the method's first interpreted call, or when TV refused it.
+        #: shadow of ``info.code`` with inline-cache call sites and fused
+        #: superinstructions; ``None`` when quickening is off, before the
+        #: method's first interpreted call, or when TV refused it — the
+        #: interpreter then runs ``info.code``.
         self.quick_code: list | None = None
-        #: Precomputed ``[None] * (max_locals - num_args)`` so the
-        #: quickened frame prologue builds its locals with one concat.
-        self.quick_pad: list | None = None
+        #: ``[None] * (max_locals - num_args)``, so the interpreter's
+        #: frame prologue builds a call's locals with one concat.
+        self.quick_pad = [None] * (info.max_locals - info.num_args)
         #: Whether the quickener has built (and validated) this body
         #: already; a refused body is never rebuilt.
         self.quick_tried = False

@@ -31,17 +31,21 @@ code.  This module adds both transfers:
   of the frame.  The specializer therefore plants ``deoptcheck``
   instructions after each hooked state write on ``this``
   (:func:`insert_deopt_points`): if the receiver's TIB moved, the frame
-  bails to :func:`deopt_to_interpreter`, which resumes the bytecode
-  interpreter at the recorded pc with the reconstructed locals.  Both
-  continuing and deopting are behaviorally correct (the specializer
-  never folds self-written fields), which is exactly what makes the
-  differential tests able to compare ``JX_OSR`` on/off byte-for-byte.
+  bails to :func:`deopt_to_interpreter`, which resumes the interpreter
+  loop at the recorded pc with the reconstructed locals — on the
+  method's quickened body when one is published, its pristine
+  bytecode otherwise.  Both continuing and deopting are behaviorally
+  correct (the specializer never folds self-written fields), which is
+  exactly what makes the differential tests able to compare ``JX_OSR``
+  on/off byte-for-byte.
 
 Frame mapping is trivial by construction: transfers happen only at pcs
 where the operand stack is provably empty (loop back-edge targets, and
 post-store pcs recorded by the lowerer only at depth 0), so the frame
-*is* the locals list.  Quickening is slot- and pc-preserving, so frames
-captured in ``interpret_quick`` transfer with the same coordinates.
+*is* the locals list.  Quickening is slot- and pc-preserving, and
+translation validation proves every slot of a published body from a
+generic state, so a pristine pc is a valid entry into the quickened
+body and both bodies transfer with the same coordinates.
 
 Sessions of a shared code space never OSR-enter (their thresholds are
 frozen at NEVER), but deopt guards baked into shared specialized code
@@ -58,7 +62,7 @@ from repro.analysis.liveness import live_locals
 from repro.opt.ir import Extra, IRFunction, IRInstr, Reg
 from repro.telemetry.core import maybe as _tel_maybe
 from repro.vm.adaptive import CompileEvent
-from repro.vm.interpreter import interpret
+from repro.vm.interpreter import interpret_quick
 
 __all__ = ["OSRManager", "deopt_to_interpreter", "insert_deopt_points"]
 
@@ -201,8 +205,9 @@ class OSRManager:
 
 
 def deopt_to_interpreter(vm: Any, rm: Any, pc: int, locals_: list) -> Any:
-    """Resume ``rm`` in the bytecode interpreter at ``pc`` with the
-    reconstructed ``locals_`` frame (the OSR exit / mid-frame deopt).
+    """Resume ``rm`` in :func:`~repro.vm.interpreter.interpret_quick` at
+    ``pc`` with the reconstructed ``locals_`` frame (the OSR exit /
+    mid-frame deopt), on the quickened body when one is published.
 
     Called from specialized code when a ``deoptcheck`` guard observes
     that the receiver's TIB moved off the specialized-for state.  No
@@ -218,7 +223,7 @@ def deopt_to_interpreter(vm: Any, rm: Any, pc: int, locals_: list) -> Any:
             "osr_deopt", method=rm.info.qualified_name, pc=pc
         )
         tel.count("osr.deopt")
-    return interpret(vm, rm, locals_, pc)
+    return interpret_quick(vm, rm, locals_, pc)
 
 
 def insert_deopt_points(fn: IRFunction, rm: Any, tib: Any) -> int:

@@ -57,11 +57,6 @@ from repro.vm.values import VMRuntimeError
 _MIN_RECURSION_LIMIT = 20000
 
 
-def _quicken_default() -> bool:
-    """Quickening defaults on; ``JX_QUICKEN=0`` disables it globally."""
-    return os.environ.get("JX_QUICKEN", "1") != "0"
-
-
 def _osr_default() -> bool:
     """On-stack replacement defaults on; ``JX_OSR=0`` disables it."""
     return os.environ.get("JX_OSR", "1") != "0"
@@ -79,9 +74,10 @@ class VMConfig:
 
     #: Rewrite interpreted bytecode into quickened forms with TIB-keyed
     #: inline caches and fused superinstructions
-    #: (:mod:`repro.bytecode.quicken`).  Off, the VM runs exactly the
-    #: pre-quickening interpreter.
-    quicken: bool = field(default_factory=_quicken_default)
+    #: (:mod:`repro.bytecode.quicken`).  Off, the interpreter runs every
+    #: method's pristine bytecode — the reference the differential
+    #: tests and jxbench's reference engine compare against.
+    quicken: bool = True
     #: On-stack replacement (:mod:`repro.vm.osr`): transfer running
     #: interpreter frames into compiled code at hot loop back-edges, and
     #: bail compiled specialized frames back to the interpreter when a

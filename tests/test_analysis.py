@@ -340,8 +340,8 @@ def test_verify_method_rejects_quick_ops_in_pristine_code():
 def test_verify_quick_accepts_all_quickened_workload_bodies():
     from repro import VMConfig
 
-    # Quickening must be on regardless of the JX_QUICKEN matrix leg —
-    # the verifier under test only sees bodies the quickener produced.
+    # Quickening is named explicitly: the verifier under test only sees
+    # bodies the quickener produced.
     vm = _mutated_vm(adaptive_config=AGGRESSIVE,
                      config=VMConfig(quicken=True))
     vm.run()

@@ -163,7 +163,6 @@ def test_cli_lint_tv_counts_bodies_and_strict_fails_when_partial(
     when fewer bodies were validated than there are methods."""
     from repro.bytecode.quicken import Quickener
 
-    monkeypatch.setenv("JX_QUICKEN", "1")
     monkeypatch.setenv("JX_TV", "1")
     assert cli_main(["lint", "salarydb", "--strict", "--tv"]) == 0
     out = capsys.readouterr().out

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro import VM, VMConfig, compile_source
+from repro.bytecode.builder import CodeBuilder, make_method
+from repro.bytecode.classfile import INT
+from repro.bytecode.opcodes import QUICK_OPS, Op
 from repro.vm.interpreter import JxStackTrace
-from tests.helpers import run_source, wrap_main
+from tests.helpers import INTERP_ONLY, run_source, wrap_main
 
 
 def out(body, prelude=""):
@@ -351,3 +355,75 @@ def test_deterministic_rng():
     first = out(body)
     assert first == out(body)
     assert len(first.split(",")) == 6
+
+
+#: Holds every pristine opcode the front end emits; ``Main.swapSub`` is
+#: reassembled below with the two it never emits, SWAP and NOP.
+ALL_OPS_SOURCE = """
+interface Shape { int area(); }
+class Rect implements Shape {
+    int w;
+    int h;
+    Rect(int w0, int h0) { w = w0; h = h0; }
+    public int area() { return w * h; }
+    public int grow(int d) { w += d; return w; }
+}
+class Square extends Rect {
+    Square(int s) { super(s, s); }
+    public int area() { return super.area() + 0; }
+}
+class Main {
+    static int count;
+    static int swapSub(int a, int b) { return a - b; }
+    static void main() {
+        Shape s = new Square(3);
+        Rect r = new Rect(2, 5);
+        r.grow(1);
+        int[] xs = new int[4];
+        for (int i = 0; i < xs.length; i++) { xs[i] = i * i; }
+        int t = xs[3] / 2 + xs[2] % 3 - (0 - 1);
+        int bits = (t << 2) >> 1;
+        bits = (bits & 12) | (bits ^ 5);
+        double d = t;
+        d = d / 4.0;
+        int back = (int) d;
+        boolean b = !(t <= 3) && t >= 1 || t > 100 || t != 7;
+        boolean eq = t == 9;
+        Shape q = r;
+        Rect rr = (Rect) q;
+        if (s instanceof Rect) { count = count + 10; }
+        Sys.print(s.area() + " " + rr.area() + " " + t + " " + bits + " "
+                  + d + " " + back + " " + b + " " + eq + " " + -t + " "
+                  + count + " " + swapSub(2, 9));
+    }
+}
+"""
+
+
+def _all_ops_vm(quicken):
+    unit = compile_source(ALL_OPS_SOURCE)
+    cb = CodeBuilder(num_params=2)
+    cb.load(0)
+    cb.load(1)
+    cb.emit(Op.SWAP)
+    cb.emit(Op.NOP)
+    cb.emit(Op.SUB)
+    cb.emit(Op.RETURN)
+    unit.classes["Main"].methods["swapSub"] = make_method(
+        "swapSub", "Main", [INT, INT], INT, cb, is_static=True
+    )
+    return VM(unit, adaptive_config=INTERP_ONLY,
+              config=VMConfig(quicken=quicken))
+
+
+@pytest.mark.parametrize("quicken", [False, True])
+def test_every_pristine_opcode_runs_through_the_one_loop(quicken):
+    """The interpreter loop runs every opcode outside ``QUICK_OPS``,
+    over pristine bodies (quickening off) and quickened ones alike."""
+    vm = _all_ops_vm(quicken)
+    assert vm.run().output == "9 15 6 13 1.5 1 true false -6 10 7\n"
+    ran = [rm for rm in vm.all_runtime_methods() if rm.samples.invocations]
+    assert {instr.op for rm in ran for instr in rm.info.code} == (
+        set(Op) - QUICK_OPS
+    )
+    assert all((rm.quick_code is not None) is quicken for rm in ran)

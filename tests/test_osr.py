@@ -20,7 +20,12 @@ import json
 
 import pytest
 
+import repro.vm.osr as osr_mod
 from repro import VM, Telemetry, VMConfig, compile_source
+from repro.analysis.tv import _iter_special_irs
+from repro.bytecode import Instr
+from repro.bytecode.opcodes import Op
+from repro.bytecode.quicken import Quickener
 from repro.cache import compile_key
 from repro.cache.keys import stable_digest
 from repro.opt.pipeline import OptConfig
@@ -195,10 +200,10 @@ def _deopt_plan():
     return plan
 
 
-def _deopt_run(write_at, adaptive, osr=True):
+def _deopt_run(write_at, adaptive, osr=True, **config):
     source = DEOPT_SOURCE.replace("WRITE_AT", str(write_at))
     vm = VM(compile_source(source), mutation_plan=_deopt_plan(),
-            adaptive_config=adaptive, config=VMConfig(osr=osr))
+            adaptive_config=adaptive, config=VMConfig(osr=osr, **config))
     return vm, vm.run().output
 
 
@@ -223,6 +228,83 @@ def test_deopt_at_nth_iteration_is_unobservable(write_at):
     off_vm, off_out = _deopt_run(write_at, agg, osr=False)
     assert off_out == ref
     assert off_vm.mutation_stats.osr_deopts == 0
+
+
+class _ReadLog(list):
+    """A copy of a code body that logs each slot read from it."""
+
+    def __init__(self, body, reads):
+        super().__init__(body)
+        self.reads = reads
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("body", ["quick", "pristine", "refused"])
+@pytest.mark.parametrize("write_at", [0, 51, 420, 899])
+def test_deopt_resumes_on_the_published_body(monkeypatch, write_at, body):
+    """A deopt resumes the interpreter loop at its guard's pc on the
+    method's published quickened body, and on ``info.code`` when
+    quickening is off or TV refused the body; either way the run
+    matches the interpreter."""
+    # Guard pcs are read from freshly compiled specials' IR; a
+    # cache-linked special carries none.
+    monkeypatch.delenv("JX_CACHE_DIR", raising=False)
+    interp_vm, ref = _deopt_run(write_at, INTERP_ONLY)
+    if body == "refused":
+        rewrite = Quickener._rewrite
+
+        def corrupt_spin(self, rm):
+            quick = rewrite(self, rm)
+            if rm.qualified_name == "Worker.spin":
+                i = next(k for k, ins in enumerate(quick)
+                         if ins.op is Op.INC)
+                local, step = quick[i].arg
+                quick[i] = Instr(Op.INC, (local, step + 1), quick[i].line)
+            return quick
+
+        monkeypatch.setattr(Quickener, "_rewrite", corrupt_spin)
+    resumes = []
+    resume = osr_mod.interpret_quick
+
+    def recording(vm, rm, locals_, pc):
+        published, reads = rm.quick_code, []
+        if published is not None:
+            rm.quick_code = _ReadLog(published, reads)
+        try:
+            return resume(vm, rm, locals_, pc)
+        finally:
+            rm.quick_code = published
+            resumes.append((rm, pc, published, reads[:1]))
+
+    monkeypatch.setattr(osr_mod, "interpret_quick", recording)
+    agg = AdaptiveConfig(opt1_ticks=16, opt2_ticks=32)
+    vm, out = _deopt_run(write_at, agg, quicken=body != "pristine", tv=True)
+    assert out == ref
+    assert heap_digest(vm) == heap_digest(interp_vm)
+    assert vm.mutation_stats.tib_swaps == interp_vm.mutation_stats.tib_swaps
+    assert len(resumes) == vm.mutation_stats.osr_deopts >= 1
+    spin = vm.classes["Worker"].own_methods["spin"]
+    guard_pcs = {
+        ins.extra.pc
+        for _mcr, rm, _tib, fn in _iter_special_irs(vm) if rm is spin
+        for block in fn.blocks.values() for ins in block.instrs
+        if ins.op == "deoptcheck"
+    }
+    assert guard_pcs
+    for rm, pc, published, first_read in resumes:
+        assert rm is spin and pc in guard_pcs
+        if body == "quick":
+            # The loop's first read is the resume slot of the body the
+            # quickener published.
+            assert published is spin.quick_code is not None
+            assert first_read == [pc]
+        else:
+            assert published is None
+    if body == "refused":
+        assert spin.quick_tried and "quicken:Worker.spin" in vm.tv_downgrades
 
 
 # ---------------------------------------------------------------------------

@@ -216,15 +216,10 @@ def test_fusion_priority_guard_keeps_add_for_putfield():
     )
 
 
-def test_quicken_off_leaves_no_quick_code(monkeypatch):
+def test_quicken_off_leaves_no_quick_code():
     vm = _quick_vm(FUSION_SOURCE, quicken=False)
     assert vm.quickener is None
     assert all(rm.quick_code is None for rm in vm.all_runtime_methods())
-    # The env kill switch drives the VMConfig default.
-    monkeypatch.setenv("JX_QUICKEN", "0")
-    assert VMConfig().quicken is False
-    monkeypatch.setenv("JX_QUICKEN", "1")
-    assert VMConfig().quicken is True
 
 
 # ---------------------------------------------------------------------------

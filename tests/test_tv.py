@@ -74,7 +74,6 @@ def test_lint_tv_validates_each_body_once(monkeypatch):
     from repro.analysis.lint import lint_vm, workload_vm
     from repro.workloads.registry import get_workload
 
-    monkeypatch.setenv("JX_QUICKEN", "1")
     monkeypatch.setenv("JX_TV", "1")
     vm = workload_vm(get_workload("salarydb"))
     real = tv_mod.validate_quick_method
