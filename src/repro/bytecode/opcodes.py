@@ -268,6 +268,13 @@ def op_width(op: Op) -> int:
     return OP_WIDTH.get(op, 1)
 
 
+#: Branches that carry their target as the whole arg.
+_WHOLE_ARG_BRANCHES = frozenset({
+    Op.JUMP, Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE, Op.CMP_LT_JF, Op.CMP_EQ_JF,
+})
+_ITER_LT_JF = Op.ITER_LT_JF
+
+
 def branch_target(instr) -> int | None:
     """The branch-target index of a (possibly quickened) branch
     instruction, or ``None`` for non-branches and RETURN-likes.
@@ -276,10 +283,9 @@ def branch_target(instr) -> int | None:
     whole arg; ``ITER_LT_JF`` packs it as ``arg[2]``.
     """
     op = instr.op
-    if op in (Op.JUMP, Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE,
-              Op.CMP_LT_JF, Op.CMP_EQ_JF):
+    if op in _WHOLE_ARG_BRANCHES:
         return instr.arg if isinstance(instr.arg, int) else None
-    if op is Op.ITER_LT_JF:
+    if op is _ITER_LT_JF:
         return instr.arg[2]
     return None
 

@@ -49,6 +49,18 @@ _RETURN = Op.RETURN
 _RETURN_VOID = Op.RETURN_VOID
 _INTRINSIC = Op.INTRINSIC
 _COND_JUMPS = frozenset({Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE})
+_LOAD_LOAD = Op.LOAD_LOAD
+_IC_CALLS = frozenset({Op.INVOKEVIRTUAL_QUICK, Op.INVOKEINTERFACE_QUICK})
+#: Quick ops whose arg is one local index, and those whose packed arg
+#: holds one at ``arg[0]`` (see :func:`_quick_local_indices`).
+_LOCAL_ARG_OPS = frozenset({
+    Op.LOAD, Op.STORE, Op.ADD_STORE, Op.LOAD_RETURN,
+    Op.LOAD_ADD, Op.LOAD_SUB, Op.LOAD_MUL,
+})
+_LOCAL_ARG0_OPS = frozenset({
+    Op.LOAD_GETFIELD, Op.LOAD_CONST, Op.GETFIELD_RETURN,
+    Op.INC, Op.ITER_LT_JF, Op.FIELD_INC,
+})
 
 
 class VerifyError(Exception):
@@ -204,13 +216,11 @@ def _quick_local_indices(instr: Instr) -> tuple[int, ...]:
     packs ``(local, putfield_instr, const)``).
     """
     op, a = instr.op, instr.arg
-    if op in (Op.LOAD, Op.STORE, Op.ADD_STORE, Op.LOAD_RETURN,
-              Op.LOAD_ADD, Op.LOAD_SUB, Op.LOAD_MUL):
+    if op in _LOCAL_ARG_OPS:
         return (a,)
-    if op in (Op.LOAD_GETFIELD, Op.LOAD_CONST, Op.GETFIELD_RETURN,
-              Op.INC, Op.ITER_LT_JF, Op.FIELD_INC):
+    if op in _LOCAL_ARG0_OPS:
         return (a[0],)
-    if op is Op.LOAD_LOAD:
+    if op is _LOAD_LOAD:
         return (a[0], a[1])
     return ()
 
@@ -230,17 +240,17 @@ def stack_effect_quick(instr: Instr) -> tuple[int, int]:
         if isinstance(resolved, tuple):
             pushes = 1 if resolved[-1] else 0
         return instr.arg[2], pushes
-    if op in (Op.INVOKEVIRTUAL_QUICK, Op.INVOKEINTERFACE_QUICK):
+    if op in _IC_CALLS:
         ic = instr.resolved
         if ic is None:
             return instr.arg[2], 1
         return ic.argc, 1 if ic.returns else 0
-    if op is Op.INTRINSIC:
+    if op is _INTRINSIC:
         intr = instr.resolved
         if intr is None:
             return instr.arg[1], 1
         return intr.nargs, 1 if intr.returns else 0
-    info = OP_INFO[instr.op]
+    info = OP_INFO[op]
     return info.pops, info.pushes
 
 
@@ -271,7 +281,7 @@ def stack_depths(code: list[Instr], fail) -> dict[int, int]:
         nxt = i + op_width(op)
         if op in _QUICK_TERMINATORS:
             successors: tuple = ()
-        elif op is Op.JUMP:
+        elif op is _JUMP:
             successors = (instr.arg,)
         elif op in _QUICK_COND_BRANCHES:
             successors = (branch_target(instr), nxt)
@@ -334,7 +344,7 @@ def verify_quick_depths(method: MethodInfo,
                     f"local index {local} out of range "
                     f"(max_locals={method.max_locals})",
                 )
-        if instr.op in CALL_OPS or instr.op is Op.INTRINSIC:
+        if instr.op in CALL_OPS or instr.op is _INTRINSIC:
             nargs = (instr.arg[2] if instr.op in CALL_OPS
                      else instr.arg[1])
             if nargs < 0:

@@ -17,7 +17,8 @@ a compile key commits to
 * the **specialization bindings** (state-field slots and values, per
   :class:`~repro.opt.specialize.SpecBindings`);
 * the **opt-pass configuration** (every :class:`OptConfig` /
-  :class:`InlineConfig` field);
+  :class:`InlineConfig` field), as its digest — both configs are
+  frozen, so an :class:`OptCompiler` computes it once;
 * the **mutation environment** — the full mutation plan (hooked fields,
   hot states, lifetime constants, trade-off constants) plus whether
   telemetry is attached, both of which select different hook closures
@@ -112,6 +113,11 @@ def opt_config_payload(config: Any) -> dict:
     }
 
 
+def opt_config_digest(config: Any) -> str:
+    """Digest of :func:`opt_config_payload`, the form a key carries."""
+    return stable_digest(opt_config_payload(config))
+
+
 def environment_payload(vm: Any) -> dict:
     """The VM-construction facts that steer codegen besides bytecode:
     the mutation plan (hooks, hot states, lifetime constants), telemetry
@@ -161,11 +167,13 @@ def compile_key(
     program_dig: str | None = None,
     method_dig: str | None = None,
     env_dig: str | None = None,
+    config_dig: str | None = None,
 ) -> str:
     """The cache key for one (method, tier, bindings, OSR entry pc)
     compile request.  The ``*_dig`` arguments pass digests a caller has
-    memoised (see :meth:`repro.cache.store.CompileCache.key_for`);
-    omitted ones are computed here."""
+    memoised (see :meth:`repro.cache.store.CompileCache.key_for` and
+    :attr:`repro.opt.pipeline.OptCompiler.config_digest`); omitted ones
+    are computed here."""
     payload = {
         "program": program_dig or program_digest(vm.unit),
         "class": rm.rclass.name,
@@ -174,7 +182,7 @@ def compile_key(
         "opt_level": opt_level,
         "entry_pc": entry_pc,
         "bindings": bindings_payload(bindings),
-        "opt_config": opt_config_payload(config),
+        "opt_config": config_dig or opt_config_digest(config),
         "env": env_dig or stable_digest(environment_payload(vm)),
     }
     return stable_digest(payload)

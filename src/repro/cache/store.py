@@ -4,31 +4,48 @@ Layout::
 
     <cache root>/
         v<schema>-<repro version>-<cpython cache tag>/   # the "stamp"
-            ab/                                          # key[:2] shard
-                ab3f...e1.json                           # one entry
+            <program digest[:16]>-<random>.pack          # one flush
 
 The stamp directory bakes the cache schema version, the repro package
 version, and the CPython bytecode tag into the path, so upgrading any
 of them busts the whole cache without touching individual keys (stale
 stamps are ignored by lookups and removed by ``clear``).
 
-Each entry is a JSON document ``{"key", "meta", "artifact_sha",
-"artifact"}``; ``artifact_sha`` is verified on load, so a truncated or
-hand-poisoned file is detected and treated as a miss (the poisoning
-tests assert a recompile, never a mis-link).
+A pack holds one entry per line: the key, a space, and the JSON
+document ``{"key", "meta", "artifact_sha", "artifact"}``.  Its name
+starts with the digest of the program every one of its keys commits to
+(see :mod:`repro.cache.keys`), so a lookup reads only the packs of its
+own program however many programs share the directory.
+``artifact_sha`` is verified on load, so a truncated or hand-poisoned
+entry is detected and treated as a miss (the poisoning tests assert a
+recompile, never a mis-link), while the other entries of its pack
+still hit.
 
-Writes are atomic (temp file + ``os.replace``) so concurrent VMs
-sharing a cache directory can only ever observe complete entries.
+Writes are behind and atomic.  :meth:`CompileCache.store` serializes
+the entry and keeps only that text in memory, where
+:meth:`~CompileCache.load` on the same instance sees it at once.
+:meth:`CompileCache.flush` writes every entry stored since the last
+flush as one pack (one per program, and a VM runs one program) — one
+temp file, one ``os.replace`` — and drops the texts; the VM flushes
+when its outermost :meth:`~repro.vm.runtime.VM.call_static` returns or
+raises.  Other instances and processes see the entries once the pack
+lands: a lookup that misses re-lists the stamp directory and indexes
+the packs of its program that this instance has not read yet (each
+entry's offset, not its text), so each pack is scanned at most once
+per instance, and a hit reads and parses only its own entry.  A key in
+two packs (two processes compiled it at once) links from any valid
+copy.
 
 Concurrency: one :class:`CompileCache` instance may be shared by many
 threads (the ``repro.server`` sessions all hold the code space's
-store).  Atomic writes already make *torn* entries impossible; the
-per-key locks (:meth:`CompileCache.key_lock`) additionally make the
-load→compile→store sequence exclusive per key, so two concurrent
-compilers of the same key serialize and the second becomes a hit
-instead of a duplicate compile.  Time spent waiting is accounted in
-``lock_wait_seconds`` (surfaced as ``cache.lock_wait_seconds``
-telemetry by the opt pipeline).
+store).  Flushes and directory reads of one instance take turns under
+one lock, and a flushed entry stays in memory until its pack has
+landed, so no lookup can fall between the two.  The per-key locks
+(:meth:`CompileCache.key_lock`) make the load→compile→store sequence
+exclusive per key, so two concurrent compilers of the same key
+serialize and the second becomes a hit instead of a duplicate compile.
+Time spent waiting is accounted in ``lock_wait_seconds`` (surfaced as
+``cache.lock_wait_seconds`` telemetry by the opt pipeline).
 """
 
 from __future__ import annotations
@@ -42,7 +59,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro import __version__
 from repro.cache.keys import (
@@ -107,7 +124,21 @@ from repro.cache.keys import (
 #: pin kind are gone; ``environment_payload`` dropped the toggle that
 #: chose between the two hooks, and its ``analysis`` entry dropped the
 #: audit on/off flag (the audit always runs).
-SCHEMA_VERSION = 14
+#: v15: write-behind packs — a stamp directory holds one pack file per
+#: flush and program, one entry per line, named after the program
+#: digest its keys commit to, instead of one file per entry under
+#: two-hex-digit shard directories; and the key carries the opt
+#: config's digest instead of its rendering, as it does the
+#: environment's.
+SCHEMA_VERSION = 15
+
+_PACK_SUFFIX = ".pack"
+#: A pack's name starts with this many hex digits of the program digest
+#: its keys commit to, so a lookup reads only its own program's packs.
+_PROGRAM_PREFIX = 16
+#: The name prefix of entries stored under keys :meth:`key_for` never
+#: made; only lookups of such keys read those packs.
+_NO_PROGRAM = "unkeyed"
 
 
 def cache_stamp() -> str:
@@ -136,12 +167,86 @@ def _environment_digest(vm: Any) -> str:
     return memo[1]
 
 
+def _pack_lines(path: Path) -> Iterator[tuple[str, int, bytes]]:
+    """``(key, offset, entry text)`` for each line of one pack file, the
+    offset being where the entry text starts.  Raises ``OSError`` when
+    the file cannot be read."""
+    with open(path, "rb") as handle:
+        offset = 0
+        for line in handle:
+            key, _, text = line.rstrip(b"\n").partition(b" ")
+            yield key.decode("ascii", "replace"), offset + len(key) + 1, text
+            offset += len(line)
+
+
+def read_pack(path: Path) -> list[tuple[str, str]]:
+    """``(key, entry text)`` for each line of one pack file.  Bytes that
+    do not decode become replacement characters, so damage to one
+    entry makes only that entry fail its checks."""
+    return [
+        (key, text.decode("utf-8", "replace"))
+        for key, _, text in _pack_lines(path)
+    ]
+
+
+def write_pack(path: Path, entries: Iterable[tuple[str, str]]) -> None:
+    """Atomically write ``(key, entry text)`` pairs to ``path``: one temp
+    file in its directory, then one ``os.replace``."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            for key, text in entries:
+                handle.write(f"{key} {text}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _checked_artifact(key: str, text: str | bytes) -> dict | None:
+    """The artifact of one entry text, or None unless the text parses,
+    names ``key`` and matches its checksum."""
+    try:
+        entry = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(entry, dict) or entry.get("key") != key:
+        return None
+    artifact = entry.get("artifact")
+    if artifact is None:
+        return None
+    if entry.get("artifact_sha") != stable_digest(artifact):
+        return None
+    return artifact
+
+
+def _entries_on_disk(stamp_dir: Path) -> dict[str, str]:
+    """``key -> entry text`` for every entry under one stamp directory
+    (the first copy of a key wins).  Stamps before v15 kept one file
+    per entry in two-hex-digit shards; those count by name, textless."""
+    entries: dict[str, str] = {}
+    for path in stamp_dir.glob("*" + _PACK_SUFFIX):
+        try:
+            pairs = read_pack(path)
+        except OSError:
+            continue
+        for key, text in pairs:
+            entries.setdefault(key, text)
+    for path in stamp_dir.glob("*/*.json"):
+        entries.setdefault(path.stem, "")
+    return entries
+
+
 class CompileCache:
     """A file-backed, cross-VM-instance compile cache.
 
     One instance may serve many VMs (or many instances may share one
-    directory); all persistent state lives in the filesystem and all
-    in-memory state is counters.
+    directory).  Persistent state lives in the stamp directory's packs;
+    in memory are counters, the entries stored since the last flush,
+    and where each entry of the packs read so far lies.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -160,6 +265,17 @@ class CompileCache:
         # key locks are held across a whole load→compile→store sequence.
         self._registry_lock = threading.Lock()
         self._key_locks: dict[str, threading.Lock] = {}
+        #: key -> entry text stored since the last flush.
+        self._pending: dict[str, str] = {}
+        #: key -> (pack name, offset, length) of each copy of its entry
+        #: in the packs read so far.
+        self._index: dict[str, list[tuple[str, int, int]]] = {}
+        self._packs_read: set[str] = set()
+        #: key -> the program-digest prefix that names its packs, for
+        #: every key :meth:`key_for` made.
+        self._program_of: dict[str, str] = {}
+        #: Serializes flushes and pack reads.
+        self._io_lock = threading.Lock()
 
     # -- concurrency --------------------------------------------------------
 
@@ -194,10 +310,12 @@ class CompileCache:
 
     def key_for(self, vm: Any, rm: Any, opt_level: int,
                 bindings: Any, config: Any,
-                entry_pc: int | None = None) -> str:
+                entry_pc: int | None = None,
+                config_dig: str | None = None) -> str:
         """:func:`~repro.cache.keys.compile_key` with its program,
         method and environment digests memoised (on the unit, the
-        ``MethodInfo`` and the VM)."""
+        ``MethodInfo`` and the VM); the caller passes the opt config's
+        digest it memoised (:attr:`OptCompiler.config_digest`)."""
         program = getattr(vm.unit, "_jxcache_program_digest", None)
         if program is None:
             program = program_digest(vm.unit)
@@ -206,85 +324,132 @@ class CompileCache:
         method = getattr(info, "_jxcache_method_digest", None)
         if method is None:
             method = info._jxcache_method_digest = method_digest(info)
-        return compile_key(vm, rm, opt_level, bindings, config, entry_pc,
-                           program_dig=program, method_dig=method,
-                           env_dig=_environment_digest(vm))
-
-    def _path(self, key: str) -> Path:
-        return self.dir / key[:2] / f"{key}.json"
+        key = compile_key(vm, rm, opt_level, bindings, config, entry_pc,
+                          program_dig=program, method_dig=method,
+                          env_dig=_environment_digest(vm),
+                          config_dig=config_dig)
+        self._program_of[key] = program[:_PROGRAM_PREFIX]
+        return key
 
     # -- entry I/O ----------------------------------------------------------
 
     def load(self, key: str) -> dict | None:
         """Return the entry's artifact dict, or None for a miss.
 
-        Every failure mode — absent file, malformed JSON, wrong key,
-        checksum mismatch — is a miss; a stale or corrupt entry is
+        Looks in the entries stored since the last flush, then in the
+        packs read so far, and on a miss indexes the packs that landed
+        since.  Every failure mode — absent entry, malformed JSON, wrong
+        key, checksum mismatch — is a miss; a stale or corrupt entry is
         never linked.
         """
-        path = self._path(key)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict) or entry.get("key") != key:
-            return None
-        artifact = entry.get("artifact")
-        if artifact is None:
-            return None
-        if entry.get("artifact_sha") != stable_digest(artifact):
-            return None
+        text = self._pending.get(key)
+        if text is not None:
+            return _checked_artifact(key, text)
+        artifact = self._load_indexed(key)
+        if artifact is None and self._read_new_packs(
+            self._program_of.get(key)
+        ):
+            artifact = self._load_indexed(key)
         return artifact
 
+    def _load_indexed(self, key: str) -> dict | None:
+        for name, offset, length in self._index.get(key, ()):
+            try:
+                with open(self.dir / name, "rb") as handle:
+                    handle.seek(offset)
+                    text = handle.read(length)
+            except OSError:
+                continue
+            artifact = _checked_artifact(key, text)
+            if artifact is not None:
+                return artifact
+        return None
+
+    def _read_new_packs(self, program: str | None) -> bool:
+        """Index the stamp directory's packs of ``program`` (a key's
+        program-digest prefix; ``None`` for all) that this instance has
+        not read yet; returns whether there were any.  I/O errors read
+        as an empty directory."""
+        prefix = "" if program is None else f"{program}-"
+        with self._io_lock:
+            try:
+                names = [
+                    name for name in os.listdir(self.dir)
+                    if name.endswith(_PACK_SUFFIX)
+                    and name.startswith(prefix)
+                    and name not in self._packs_read
+                ]
+            except OSError:
+                return False
+            for name in names:
+                self._packs_read.add(name)
+                try:
+                    for key, offset, text in _pack_lines(self.dir / name):
+                        self._index.setdefault(key, []).append(
+                            (name, offset, len(text))
+                        )
+                except OSError:
+                    continue
+            return bool(names)
+
     def store(self, key: str, artifact: dict, meta: dict) -> None:
-        """Atomically persist one entry (best-effort: cache I/O errors
-        never fail a compile)."""
-        path = self._path(key)
-        entry = {
+        """Serialize one entry and keep it until the next :meth:`flush`;
+        :meth:`load` on this instance sees it at once."""
+        self._pending[key] = json.dumps({
             "key": key,
             "meta": meta,
             "artifact_sha": stable_digest(artifact),
             "artifact": artifact,
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, suffix=".tmp"
-            )
+        }, separators=(",", ":"))
+
+    def flush(self) -> None:
+        """Write every entry stored since the last flush as one pack per
+        program (a VM's entries all share one) and count them in
+        ``stores`` (best-effort: an I/O error drops the entries and never
+        fails the run).  The entries stay visible to :meth:`load` until
+        their pack has landed."""
+        if not self._pending:
+            return
+        with self._io_lock:
+            batch = dict(self._pending)
+            by_program: dict[str, list[tuple[str, str]]] = {}
+            for key, text in batch.items():
+                program = self._program_of.pop(key, _NO_PROGRAM)
+                by_program.setdefault(program, []).append((key, text))
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            self.stores += 1
-        except OSError:
-            pass
+                self.dir.mkdir(parents=True, exist_ok=True)
+                for program, entries in by_program.items():
+                    name = f"{program}-{os.urandom(16).hex()}{_PACK_SUFFIX}"
+                    write_pack(self.dir / name, entries)
+                    self.stores += len(entries)
+            except OSError:
+                pass
+            for key in batch:
+                del self._pending[key]
 
     # -- maintenance --------------------------------------------------------
 
     def clear(self) -> int:
-        """Delete every entry (all stamps, including stale ones);
-        returns the number of entry files removed."""
+        """Delete every entry (all stamps, including stale ones, and the
+        entries not flushed yet); returns the number of entries removed
+        from disk."""
+        with self._io_lock:
+            self._pending.clear()
+            self._index.clear()
+            self._packs_read.clear()
         removed = 0
         if self.root.is_dir():
             for stamp_dir in list(self.root.iterdir()):
                 if not stamp_dir.is_dir() or not stamp_dir.name.startswith("v"):
                     continue
-                removed += sum(
-                    1 for _ in stamp_dir.glob("*/*.json")
-                )
+                removed += len(_entries_on_disk(stamp_dir))
                 shutil.rmtree(stamp_dir, ignore_errors=True)
         return removed
 
     def stats(self) -> dict:
         """Aggregate persistent + session statistics."""
         entries = 0
+        packs = 0
         total_bytes = 0
         by_tier: dict[str, int] = {}
         stale_entries = 0
@@ -292,29 +457,34 @@ class CompileCache:
             for stamp_dir in self.root.iterdir():
                 if not stamp_dir.is_dir():
                     continue
-                current = stamp_dir.name == self.dir.name
-                for path in stamp_dir.glob("*/*.json"):
-                    if not current:
-                        stale_entries += 1
-                        continue
-                    entries += 1
+                on_disk = _entries_on_disk(stamp_dir)
+                if stamp_dir.name != self.dir.name:
+                    stale_entries += len(on_disk)
+                    continue
+                entries = len(on_disk)
+                for path in stamp_dir.glob("*" + _PACK_SUFFIX):
+                    packs += 1
                     try:
                         total_bytes += path.stat().st_size
-                        with open(path, encoding="utf-8") as handle:
-                            meta = json.load(handle).get("meta", {})
-                        if meta.get("special"):
-                            tier = "special"
-                        elif meta.get("osr_pc") is not None:
-                            tier = "osr"
-                        else:
-                            tier = f"opt{meta.get('opt_level', '?')}"
-                        by_tier[tier] = by_tier.get(tier, 0) + 1
-                    except (OSError, ValueError):
+                    except OSError:
                         continue
+                for text in on_disk.values():
+                    try:
+                        meta = json.loads(text).get("meta", {})
+                    except (ValueError, AttributeError):
+                        continue
+                    if meta.get("special"):
+                        tier = "special"
+                    elif meta.get("osr_pc") is not None:
+                        tier = "osr"
+                    else:
+                        tier = f"opt{meta.get('opt_level', '?')}"
+                    by_tier[tier] = by_tier.get(tier, 0) + 1
         lookups = self.hits + self.misses
         return {
             "dir": str(self.dir),
             "entries": entries,
+            "packs": packs,
             "stale_entries": stale_entries,
             "bytes": total_bytes,
             "by_tier": by_tier,

@@ -333,8 +333,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     stats = cache.stats()
     print(f"cache dir    {stats['dir']}")
     print(f"entries      {stats['entries']} "
-          f"({stats['bytes']} bytes; {stats['stale_entries']} stale "
-          f"from other VM versions)")
+          f"({stats['bytes']} bytes in {stats['packs']} pack files; "
+          f"{stats['stale_entries']} stale from other VM versions)")
     tiers = " ".join(
         f"{tier}={count}" for tier, count in sorted(
             stats["by_tier"].items()

@@ -9,6 +9,7 @@ library).
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable
 
 from repro.bytecode.classfile import ClassInfo, ProgramUnit
 from repro.bytecode.opcodes import CALL_OPS, Op
@@ -42,7 +43,9 @@ _PRISTINE_LOCK = threading.Lock()
 
 
 def _pristine_stdlib() -> list[ClassInfo]:
-    """The process-wide compiled stdlib, compiled on first use."""
+    """The process-wide compiled stdlib, compiled and verified on first
+    use.  Every unit's stdlib is a copy of these bodies and a program
+    cannot redefine a stdlib class, so no unit verifies them again."""
     global _PRISTINE_STDLIB
     if _PRISTINE_STDLIB is None:
         with _PRISTINE_LOCK:
@@ -51,6 +54,7 @@ def _pristine_stdlib() -> list[ClassInfo]:
                 stdlib_ast = parse_source(STDLIB_SOURCE, "<stdlib>")
                 unit = analyze(stdlib_ast, prebuilt)
                 generate(stdlib_ast, unit)
+                verify_program_with_intrinsics(unit)
                 _PRISTINE_STDLIB = list(unit.classes.values())
     return _PRISTINE_STDLIB
 
@@ -90,7 +94,9 @@ def compile_source(
         include_stdlib: Link against the standard library (``Sys``,
             ``Object``, ``StringBuilder``, ...).  Disable only for
             compiler-internals tests.
-        verify: Run the structural bytecode verifier over the result.
+        verify: Run the structural bytecode verifier over the
+            program's own classes (the stdlib was verified once, when
+            it was compiled).
 
     Raises:
         JxError: On any lexical, syntactic, or semantic error.
@@ -100,19 +106,27 @@ def compile_source(
     unit = analyze(program_ast, prebuilt, entry_class, entry_method)
     generate(program_ast, unit)
     if verify:
-        verify_program_with_intrinsics(unit)
+        stdlib = {id(cls) for cls in prebuilt}
+        verify_program_with_intrinsics(unit, [
+            cls for cls in unit.classes.values() if id(cls) not in stdlib
+        ])
     return unit
 
 
-def verify_program_with_intrinsics(unit: ProgramUnit) -> None:
-    """Verify all method bodies, resolving call/intrinsic result arity.
+def verify_program_with_intrinsics(
+    unit: ProgramUnit, classes: Iterable[ClassInfo] | None = None
+) -> None:
+    """Verify the method bodies of ``classes`` (default: every class of
+    ``unit``), resolving call/intrinsic result arity against ``unit``.
 
     Builds the exact per-call ``pushes a value?`` map from resolved method
     signatures and the intrinsic registry, then delegates to the
     structural verifier.
     """
     returns = intrinsic_returns()
-    for method in unit.all_methods():
+    if classes is None:
+        classes = unit.classes.values()
+    for method in (m for cls in classes for m in cls.methods.values()):
         if method.is_abstract:
             continue
         call_returns: dict[int, bool] = {}

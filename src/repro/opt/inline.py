@@ -39,7 +39,7 @@ from repro.opt.lowering import lower_method
 from repro.opt.specialize import SpecBindings, specialize_ir, this_aliases
 
 
-@dataclass
+@dataclass(frozen=True)
 class InlineConfig:
     """Inliner tunables."""
 

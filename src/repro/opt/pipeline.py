@@ -29,6 +29,7 @@ from typing import Any
 from repro.telemetry.core import maybe as _tel_maybe
 
 from repro.cache.artifact import code_artifact, link_code
+from repro.cache.keys import opt_config_digest
 from repro.opt.boundselim import eliminate_bounds_checks
 from repro.opt.branchfold import cleanup_cfg
 from repro.opt.constprop import constant_propagation
@@ -55,9 +56,10 @@ def _code_bytes(opt_level: int, fn: Any, source: str) -> int:
     return len(source)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptConfig:
-    """Optimizing-compiler tunables."""
+    """Optimizing-compiler tunables (frozen, so a compiler's memoised
+    :attr:`OptCompiler.config_digest` cannot go stale)."""
 
     inline: InlineConfig = field(default_factory=InlineConfig)
     #: Maximum simplify/constprop/cleanup/DCE fixpoint iterations.
@@ -70,6 +72,8 @@ class OptCompiler:
     def __init__(self, vm: Any, config: OptConfig | None = None) -> None:
         self.vm = vm
         self.config = config or OptConfig()
+        #: The compile-cache key's opt-config digest, once per compiler.
+        self.config_digest = opt_config_digest(self.config)
         #: id(RuntimeMethod) -> post-inline opt2 IR snapshot.
         self._ir_snapshots: dict[int, Any] = {}
 
@@ -216,7 +220,8 @@ class OptCompiler:
                 None, None, rm, opt_level, bindings, entry_pc
             )
         key = cache.key_for(self.vm, rm, opt_level, bindings,
-                            self.config, entry_pc)
+                            self.config, entry_pc,
+                            config_dig=self.config_digest)
         # The whole load→compile→store sequence runs under the key's
         # lock: a concurrent compiler of the same key waits here and
         # then hits what the first one stored, instead of recompiling

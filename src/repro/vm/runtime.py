@@ -190,6 +190,8 @@ class VM:
         # Inert: benchmarks/jxbench/protocol.py:241-242 reads it.
         self.memo = types.SimpleNamespace(hits=0, fills=0)
         self._initialized = False
+        #: Open call_static calls; the outermost one flushes the cache.
+        self._calls = 0
 
     def _build_program_world(
         self,
@@ -317,14 +319,23 @@ class VM:
 
     def call_static(self, class_name: str, method_key: str,
                     args: list[Any] | None = None) -> Any:
-        """Invoke a static method through its JTOC cell."""
-        self.initialize()
-        rm = self.lookup(class_name, method_key)
-        if not rm.info.is_static:
-            raise VMRuntimeError(
-                f"{rm.qualified_name} is not static"
-            )
-        return rm.jtoc_cell.compiled.invoke(self, list(args or []))
+        """Invoke a static method through its JTOC cell.  When the
+        outermost call returns or raises, the compile cache writes the
+        entries its compiles stored as one pack
+        (:meth:`~repro.cache.store.CompileCache.flush`)."""
+        self._calls += 1
+        try:
+            self.initialize()
+            rm = self.lookup(class_name, method_key)
+            if not rm.info.is_static:
+                raise VMRuntimeError(
+                    f"{rm.qualified_name} is not static"
+                )
+            return rm.jtoc_cell.compiled.invoke(self, list(args or []))
+        finally:
+            self._calls -= 1
+            if not self._calls and self.compile_cache is not None:
+                self.compile_cache.flush()
 
     def run(self) -> RunResult:
         """Initialize and execute the program entry point."""

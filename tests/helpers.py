@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any
+import json
+from pathlib import Path
+from typing import Any, Callable
 
 from repro import AdaptiveConfig, VM, compile_source
+from repro.cache.store import read_pack, write_pack
 from repro.mutation import MutationPlan, build_mutation_plan
 
 #: Promote aggressively so small test programs reach opt2.
@@ -84,3 +87,25 @@ class Main {{
     }}
 }}
 """
+
+
+def cache_entries(cache_dir: str | Path) -> list[dict]:
+    """Every compile-cache entry on disk under ``cache_dir``, parsed."""
+    return [
+        json.loads(text)
+        for path in sorted(Path(cache_dir).glob("*/*.pack"))
+        for _, text in read_pack(path)
+    ]
+
+
+def rewrite_cache_entries(cache_dir: str | Path,
+                          rewrite: Callable[[str], str]) -> int:
+    """Replace the text of every compile-cache entry on disk under
+    ``cache_dir`` with ``rewrite(text)``, in place; returns how many
+    entries there were."""
+    count = 0
+    for path in Path(cache_dir).glob("*/*.pack"):
+        pairs = read_pack(path)
+        write_pack(path, [(key, rewrite(text)) for key, text in pairs])
+        count += len(pairs)
+    return count

@@ -4,7 +4,15 @@ store/stats/clear/CLI surface behaves.
 """
 
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro import VM, compile_source
 from repro.cache import CompileCache, cache_stamp, compile_key
 from repro.cache.keys import method_digest, program_digest, stable_digest
@@ -12,7 +20,15 @@ from repro.harness.cli import main as cli_main
 from repro.mutation import build_mutation_plan
 from repro.opt.pipeline import OptConfig
 from repro.opt.specialize import SpecBindings
-from tests.helpers import AGGRESSIVE, INTERP_ONLY, OPT1_ONLY
+from repro.vm.values import VMRuntimeError
+from repro.workloads import get_workload
+from tests.helpers import (
+    AGGRESSIVE,
+    INTERP_ONLY,
+    OPT1_ONLY,
+    cache_entries,
+    rewrite_cache_entries,
+)
 
 LOOP = """
 class Main {
@@ -177,14 +193,14 @@ def test_poisoned_entry_is_a_miss_and_recompiles(tmp_path):
     out_cold = _vm(adaptive_config=AGGRESSIVE,
                    compile_cache=str(cache_dir)).run().output
 
-    entries = list(cache_dir.glob("*/*/*.json"))
-    assert entries
-    for path in entries:
-        entry = json.loads(path.read_text())
+    def poison(text):
+        entry = json.loads(text)
         if "source" in entry["artifact"]:
             entry["artifact"]["source"] = "def _jx(vm, args): return 666\n"
         entry["artifact"]["poisoned"] = True
-        path.write_text(json.dumps(entry))  # sha now stale on purpose
+        return json.dumps(entry)  # sha now stale on purpose
+
+    assert rewrite_cache_entries(cache_dir, poison)
 
     vm = _vm(adaptive_config=AGGRESSIVE, compile_cache=str(cache_dir))
     assert vm.run().output == out_cold
@@ -195,8 +211,7 @@ def test_poisoned_entry_is_a_miss_and_recompiles(tmp_path):
 def test_truncated_entry_is_a_miss(tmp_path):
     cache_dir = tmp_path / "jxcache"
     _vm(adaptive_config=AGGRESSIVE, compile_cache=str(cache_dir)).run()
-    for path in cache_dir.glob("*/*/*.json"):
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+    rewrite_cache_entries(cache_dir, lambda text: text[: len(text) // 2])
     vm = _vm(adaptive_config=AGGRESSIVE, compile_cache=str(cache_dir))
     out = vm.run().output
     assert vm.compile_cache.hits == 0
@@ -244,7 +259,7 @@ def test_schema_v9_opt1_ir_entry_is_a_miss(tmp_path):
     """Before schema v10 an opt1 entry held serialized IR.  Such an
     entry is stale by stamp, and even one planted under a current key
     is a counted link error and a recompile, never a crash."""
-    assert cache_stamp().startswith("v14-")
+    assert cache_stamp().startswith("v15-")
     cache_dir = tmp_path / "jxcache"
     out_cold = _vm(adaptive_config=OPT1_ONLY,
                    compile_cache=str(cache_dir)).run().output
@@ -259,17 +274,18 @@ def test_schema_v9_opt1_ir_entry_is_a_miss(tmp_path):
                               "line": 0}]},
         },
     }
-    entries = list(cache_dir.glob("*/*/*.json"))
-    assert entries
-    for path in entries:
-        entry = json.loads(path.read_text())
+    def plant(text):
+        entry = json.loads(text)
         entry["artifact"] = ir_entry
         entry["artifact_sha"] = stable_digest(ir_entry)
-        path.write_text(json.dumps(entry))
+        return json.dumps(entry)
+
+    entries = rewrite_cache_entries(cache_dir, plant)
+    assert entries
     vm = _vm(adaptive_config=OPT1_ONLY, compile_cache=str(cache_dir))
     assert vm.run().output == out_cold
     assert vm.compile_cache.hits == 0
-    assert vm.compile_cache.link_errors == len(entries)
+    assert vm.compile_cache.link_errors == entries
 
 
 def test_stats_counts_by_tier(tmp_path):
@@ -309,6 +325,152 @@ def test_jx_cache_dir_env_enables_cache(tmp_path, monkeypatch):
     assert vm.compile_cache.stores > 0
     monkeypatch.delenv("JX_CACHE_DIR")
     assert _vm().compile_cache is None
+
+
+# -- write-behind packs ------------------------------------------------------
+
+def test_cold_jbb2000_run_writes_one_pack(tmp_path):
+    """A cold run writes its entries as one pack: no per-entry files and
+    no shard directories."""
+    spec = get_workload("jbb2000")
+    plan = build_mutation_plan(spec.profile_source(),
+                               entry_class=spec.entry_class,
+                               entry_method=spec.entry_method)
+    unit = compile_source(spec.source(0.02), entry_class=spec.entry_class,
+                          entry_method=spec.entry_method)
+    vm = VM(unit, mutation_plan=plan, compile_cache=str(tmp_path))
+    vm.run()
+    (stamp,) = tmp_path.iterdir()
+    assert stamp.name == cache_stamp()
+    (pack,) = stamp.iterdir()
+    assert pack.suffix == ".pack" and pack.is_file()
+    stats = vm.compile_cache.stats()
+    assert stats["packs"] == 1
+    assert stats["entries"] == vm.compile_cache.stores > 0
+
+
+def test_child_process_warm_starts_from_a_flushed_pack(tmp_path):
+    cache_dir = tmp_path / "jxcache"
+    out_cold = _vm(adaptive_config=AGGRESSIVE,
+                   compile_cache=str(cache_dir)).run().output
+    child = """
+import json, sys
+from repro import VM, AdaptiveConfig, compile_source
+vm = VM(compile_source(sys.argv[1]), compile_cache=sys.argv[2],
+        adaptive_config=AdaptiveConfig(opt1_ticks=16, opt2_ticks=32))
+out = vm.run().output
+stats, cache = vm.compile_stats, vm.compile_cache
+print(json.dumps([out, stats.cached_methods, len(stats.events),
+                  cache.hits, cache.misses]))
+"""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("JX_CACHE_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, LOOP, str(cache_dir)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    out, cached, events, hits, misses = json.loads(proc.stdout)
+    assert out == out_cold
+    assert cached == events > 0
+    assert hits > 0 and misses == 0
+
+
+def test_a_run_that_raises_still_flushes(tmp_path):
+    crash = LOOP.replace('Sys.print("" + acc);',
+                         'int[] xs = new int[2]; Sys.print("" + xs[acc]);')
+    cold = _vm(crash, adaptive_config=AGGRESSIVE,
+               compile_cache=str(tmp_path))
+    with pytest.raises(VMRuntimeError):
+        cold.run()
+    assert cold.compile_cache.stores > 0
+    assert len(cache_entries(tmp_path)) == cold.compile_cache.stores
+    warm = _vm(crash, adaptive_config=AGGRESSIVE,
+               compile_cache=str(tmp_path))
+    with pytest.raises(VMRuntimeError):
+        warm.run()
+    assert warm.compile_cache.misses == 0
+    assert warm.compile_cache.hits == cold.compile_cache.stores
+
+
+def test_uncreatable_cache_dir_changes_nothing(tmp_path):
+    """Cache I/O errors never fail a run: a cache root under a regular
+    file can be neither listed nor created."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    expected = _vm(adaptive_config=AGGRESSIVE).run().output
+    for _ in range(2):
+        vm = _vm(adaptive_config=AGGRESSIVE,
+                 compile_cache=str(blocker / "jxcache"))
+        assert vm.run().output == expected
+        cache = vm.compile_cache
+        assert cache.misses > 0
+        assert (cache.hits, cache.stores) == (0, 0)
+        assert cache.stats()["entries"] == 0
+
+
+def test_one_poisoned_entry_misses_alone(tmp_path):
+    """Poisoning one entry of a pack makes only that key a miss and a
+    recompile; the recompile's pack then serves the key again."""
+    cold = _vm(adaptive_config=AGGRESSIVE, compile_cache=str(tmp_path))
+    out_cold = cold.run().output
+    stored = cold.compile_cache.stores
+    assert stored >= 2
+    victim = cache_entries(tmp_path)[0]["key"]
+
+    def poison(text):
+        entry = json.loads(text)
+        if entry["key"] == victim:
+            entry["artifact"]["source"] = "def _jx(vm, args): return 666\n"
+            entry["artifact"].pop("marshal", None)
+        return json.dumps(entry)  # the victim's sha is now stale
+
+    rewrite_cache_entries(tmp_path, poison)
+    warm = _vm(adaptive_config=AGGRESSIVE, compile_cache=str(tmp_path))
+    assert warm.run().output == out_cold
+    cache = warm.compile_cache
+    assert (cache.misses, cache.hits) == (1, stored - 1)
+    assert cache.stores == 1 and cache.link_errors == 0
+    third = _vm(adaptive_config=AGGRESSIVE, compile_cache=str(tmp_path))
+    assert third.run().output == out_cold
+    assert (third.compile_cache.misses, third.compile_cache.hits) == \
+        (0, stored)
+
+
+def test_threads_sharing_a_cache_store_each_key_once(tmp_path):
+    """More VMs than cores on one cache, with a short switch interval so
+    flushes interleave with other VMs' lookups and stores: every key
+    lands on disk exactly once, and a fresh instance warm-starts from
+    the packs without compiling."""
+    cache = CompileCache(tmp_path)
+    outputs, errors = [], []
+
+    def one_vm():
+        try:
+            vm = _vm(adaptive_config=AGGRESSIVE, compile_cache=cache)
+            outputs.append(vm.run().output)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=one_vm) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(outputs) == 6 and len(set(outputs)) == 1
+    assert cache.stats()["entries"] == cache.stores > 0
+    assert len(cache_entries(tmp_path)) == cache.stores
+    warm = _vm(adaptive_config=AGGRESSIVE, compile_cache=str(tmp_path))
+    assert warm.run().output == outputs[0]
+    assert warm.compile_cache.misses == 0
+    assert warm.compile_cache.hits == cache.stores
 
 
 # -- CLI ---------------------------------------------------------------------

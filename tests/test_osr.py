@@ -31,7 +31,7 @@ from repro.cache.keys import stable_digest
 from repro.opt.pipeline import OptConfig
 from repro.vm.adaptive import ENTRY_TICKS, AdaptiveConfig
 from repro.vm.values import VMArray
-from tests.helpers import INTERP_ONLY
+from tests.helpers import INTERP_ONLY, cache_entries, rewrite_cache_entries
 
 # ---------------------------------------------------------------------------
 # Heap digest
@@ -394,17 +394,17 @@ def _osr_run(n, cache_dir=None, config=None):
     return vm, vm.run().output
 
 
-def _osr_cache_files(cache_dir):
+def _osr_cache_entries(cache_dir):
     return [
-        path for path in cache_dir.glob("*/*/*.json")
-        if json.loads(path.read_text())["meta"].get("osr_pc") is not None
+        entry for entry in cache_entries(cache_dir)
+        if entry["meta"].get("osr_pc") is not None
     ]
 
 
 def test_warm_start_links_the_continuation_from_cache(tmp_path):
     ref_out, ref_heap = _reference()
     cold, _ = _osr_run(_FIRST_LOOP_N, tmp_path)
-    assert len(_osr_cache_files(tmp_path)) == 1
+    assert len(_osr_cache_entries(tmp_path)) == 1
     warm, out = _osr_run(_FIRST_LOOP_N, tmp_path)
     assert out == ref_out and heap_digest(warm) == ref_heap
     assert warm.mutation_stats.osr_enters == 1
@@ -434,16 +434,22 @@ def test_poisoned_continuation_is_a_miss_and_recompiles(tmp_path, poison):
     recompile that stores a fresh entry."""
     ref_out, ref_heap = _reference()
     _osr_run(_FIRST_LOOP_N, tmp_path)
-    (path,) = _osr_cache_files(tmp_path)
-    entry = json.loads(path.read_text())
-    artifact = entry["artifact"]
-    if poison == "checksum":
-        artifact["source"] = "def _jx_osr(vm, args): return 666\n"
-        artifact.pop("marshal", None)
-    else:
-        artifact["pins"].append(["_ghost", ["class", "NoSuchClass"]])
-        entry["artifact_sha"] = stable_digest(artifact)
-    path.write_text(json.dumps(entry))
+    (continuation,) = _osr_cache_entries(tmp_path)
+
+    def poison_continuation(text):
+        entry = json.loads(text)
+        if entry["key"] != continuation["key"]:
+            return text
+        artifact = entry["artifact"]
+        if poison == "checksum":
+            artifact["source"] = "def _jx_osr(vm, args): return 666\n"
+            artifact.pop("marshal", None)
+        else:
+            artifact["pins"].append(["_ghost", ["class", "NoSuchClass"]])
+            entry["artifact_sha"] = stable_digest(artifact)
+        return json.dumps(entry)
+
+    rewrite_cache_entries(tmp_path, poison_continuation)
 
     warm, out = _osr_run(_FIRST_LOOP_N, tmp_path)
     assert out == ref_out and heap_digest(warm) == ref_heap
@@ -466,7 +472,7 @@ def test_rejected_entry_never_links_the_stored_continuation(
     ref_out, _ = _reference()
     config = VMConfig(osr=True, tv=True)
     _osr_run(_FIRST_LOOP_N, tmp_path, config)
-    assert len(_osr_cache_files(tmp_path)) == 1
+    assert len(_osr_cache_entries(tmp_path)) == 1
     monkeypatch.setattr(tv, "check_osr_entry", lambda *args: False)
     warm, out = _osr_run(_FIRST_LOOP_N, tmp_path, config)
     assert out == ref_out

@@ -247,6 +247,46 @@ def test_threads_racing_on_an_empty_memo_get_disjoint_units(monkeypatch):
             assert objects[i].isdisjoint(objects[j])
 
 
+def _concrete(classes):
+    return [m for cls in classes for m in cls.methods.values()
+            if not m.is_abstract]
+
+
+def test_the_stdlib_is_verified_once_per_process(monkeypatch):
+    """Compiling the stdlib verifies it; each unit then verifies only
+    its own concrete methods, unless ``verify=False``."""
+    _clear_memo(monkeypatch)
+    verified = []
+    verify = repro.lang.verify_method
+
+    def counting_verify(method, *rest):
+        verified.append(method)
+        return verify(method, *rest)
+
+    monkeypatch.setattr(repro.lang, "verify_method", counting_verify)
+    units = [compile_source(_PROGRAM) for _ in range(2)]
+    names = stdlib_class_names()
+    own = [
+        _concrete(c for c in unit.classes.values() if c.name not in names)
+        for unit in units
+    ]
+    assert own[0] and len(own[0]) == len(own[1])
+    stdlib = _concrete(repro.lang._pristine_stdlib())
+    assert len(verified) == len(stdlib) + len(own[0]) + len(own[1])
+    assert {id(m) for m in verified} >= {id(m) for m in own[0] + own[1]}
+
+    verified.clear()
+    bare = compile_source(
+        "class Main { static int f(int x) { return x + 1; } "
+        "static void main() { int y = f(2); } }",
+        include_stdlib=False,
+    )
+    assert len(verified) == len(_concrete(bare.classes.values())) == 3
+    verified.clear()
+    compile_source(_PROGRAM, verify=False)
+    assert verified == []
+
+
 def test_program_digest_does_not_depend_on_the_memo(monkeypatch):
     memoized = compile_source(_PROGRAM)
     _clear_memo(monkeypatch)
