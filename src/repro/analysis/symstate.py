@@ -66,9 +66,13 @@ from __future__ import annotations
 from typing import Any
 
 from repro.bytecode.opcodes import (
-    CALL_OPS,
-    Op,
-    op_width,
+    ADD_PUTFIELD, ADD_RETURN, ADD_STORE, ALOAD, ARRAYLEN, ASTORE, CALL_OPS,
+    CHECKCAST, CMP_EQ_JF, CMP_LT_JF, CONST, DUP, FIELD_INC, GETFIELD,
+    GETFIELD_RETURN, GETSTATIC, INC, INSTANCEOF, INTRINSIC, INVOKEINTERFACE,
+    INVOKEINTERFACE_QUICK, INVOKESPECIAL, INVOKESTATIC, INVOKEVIRTUAL,
+    INVOKEVIRTUAL_QUICK, ITER_LT_JF, JUMP, JUMP_IF_FALSE, JUMP_IF_TRUE, LOAD,
+    LOAD_CONST, LOAD_GETFIELD, LOAD_LOAD, LOAD_RETURN, NEW, NEWARRAY, NOP, POP,
+    PUTFIELD, PUTSTATIC, RETURN, RETURN_VOID, STORE, SWAP, Op, op_width,
 )
 
 __all__ = [
@@ -114,53 +118,6 @@ _UN_OPS = {
 }
 
 _LOAD_ARITH = {Op.LOAD_ADD: "add", Op.LOAD_SUB: "sub", Op.LOAD_MUL: "mul"}
-
-# Opcode members bound once: ``step`` runs on every slot translation
-# validation proves, and an ``Op.X`` read costs several times a
-# module-global read.
-_ADD_PUTFIELD = Op.ADD_PUTFIELD
-_ADD_RETURN = Op.ADD_RETURN
-_ADD_STORE = Op.ADD_STORE
-_ALOAD = Op.ALOAD
-_ARRAYLEN = Op.ARRAYLEN
-_ASTORE = Op.ASTORE
-_CHECKCAST = Op.CHECKCAST
-_CMP_EQ_JF = Op.CMP_EQ_JF
-_CMP_LT_JF = Op.CMP_LT_JF
-_CONST = Op.CONST
-_DUP = Op.DUP
-_FIELD_INC = Op.FIELD_INC
-_GETFIELD = Op.GETFIELD
-_GETFIELD_RETURN = Op.GETFIELD_RETURN
-_GETSTATIC = Op.GETSTATIC
-_INC = Op.INC
-_INSTANCEOF = Op.INSTANCEOF
-_INTRINSIC = Op.INTRINSIC
-_INVOKEINTERFACE = Op.INVOKEINTERFACE
-_INVOKEINTERFACE_QUICK = Op.INVOKEINTERFACE_QUICK
-_INVOKESPECIAL = Op.INVOKESPECIAL
-_INVOKESTATIC = Op.INVOKESTATIC
-_INVOKEVIRTUAL = Op.INVOKEVIRTUAL
-_INVOKEVIRTUAL_QUICK = Op.INVOKEVIRTUAL_QUICK
-_ITER_LT_JF = Op.ITER_LT_JF
-_JUMP = Op.JUMP
-_JUMP_IF_FALSE = Op.JUMP_IF_FALSE
-_JUMP_IF_TRUE = Op.JUMP_IF_TRUE
-_LOAD = Op.LOAD
-_LOAD_CONST = Op.LOAD_CONST
-_LOAD_GETFIELD = Op.LOAD_GETFIELD
-_LOAD_LOAD = Op.LOAD_LOAD
-_LOAD_RETURN = Op.LOAD_RETURN
-_NEW = Op.NEW
-_NEWARRAY = Op.NEWARRAY
-_NOP = Op.NOP
-_POP = Op.POP
-_PUTFIELD = Op.PUTFIELD
-_PUTSTATIC = Op.PUTSTATIC
-_RETURN = Op.RETURN
-_RETURN_VOID = Op.RETURN_VOID
-_STORE = Op.STORE
-_SWAP = Op.SWAP
 
 
 class SymState:
@@ -287,17 +244,17 @@ def step(code: list, st: SymState) -> list[SymState]:
     st.via_fall = True
 
     # -- pure data movement / arithmetic -------------------------------
-    if op is _CONST:
+    if op is CONST:
         st.stack.append(("c", arg))
-    elif op is _LOAD:
+    elif op is LOAD:
         st.stack.append(st.locals[arg])
-    elif op is _STORE:
+    elif op is STORE:
         st.locals[arg] = st.pop()
-    elif op is _POP:
+    elif op is POP:
         st.pop()
-    elif op is _DUP:
+    elif op is DUP:
         st.stack.append(st.stack[-1] if st.stack else st.pop())
-    elif op is _SWAP:
+    elif op is SWAP:
         b, a = st.pop(), st.pop()
         st.stack += [b, a]
     elif op in _BIN_OPS:
@@ -305,17 +262,17 @@ def step(code: list, st: SymState) -> list[SymState]:
         st.stack.append(("bin", _BIN_OPS[op], a, b))
     elif op in _UN_OPS:
         st.stack.append(("un", _UN_OPS[op], st.pop()))
-    elif op is _NOP:
+    elif op is NOP:
         pass
 
     # -- control flow ---------------------------------------------------
-    elif op is _JUMP:
+    elif op is JUMP:
         st.pc = arg
         st.via_fall = False
         return [st]
-    elif op is _JUMP_IF_TRUE or op is _JUMP_IF_FALSE:
+    elif op is JUMP_IF_TRUE or op is JUMP_IF_FALSE:
         cond = st.pop()
-        on_taken = op is _JUMP_IF_TRUE
+        on_taken = op is JUMP_IF_TRUE
         taken, fall = st.fork(), st
         taken.conds.append((cond, on_taken))
         taken.pc = arg
@@ -323,104 +280,104 @@ def step(code: list, st: SymState) -> list[SymState]:
         fall.conds.append((cond, not on_taken))
         fall.pc = nxt
         return [taken, fall]
-    elif op is _RETURN:
+    elif op is RETURN:
         st.ret = ("v", st.pop())
         return [st]
-    elif op is _RETURN_VOID:
+    elif op is RETURN_VOID:
         st.ret = ("void",)
         return [st]
 
     # -- objects and fields ---------------------------------------------
-    elif op is _GETFIELD:
+    elif op is GETFIELD:
         obj = st.pop()
         st.null_check(obj)
         st.stack.append(
             ("fld", field_key(instr.resolved, pc), obj, st.heapver)
         )
-    elif op is _PUTFIELD:
+    elif op is PUTFIELD:
         value, obj = st.pop(), st.pop()
         _putfield(st, field_key(instr.resolved, pc), obj, value, instr)
-    elif op is _GETSTATIC:
+    elif op is GETSTATIC:
         if instr.resolved is None:
             raise TVUnprovable(pc, "unresolved static access")
         st.stack.append(("st", instr.resolved, st.heapver))
-    elif op is _PUTSTATIC:
+    elif op is PUTSTATIC:
         if instr.resolved is None:
             raise TVUnprovable(pc, "unresolved static access")
         value = st.pop()
         st.write_heap(("putst", instr.resolved, value, id(instr)))
-    elif op is _NEW:
+    elif op is NEW:
         st.effects.append(("alloc", ("obj", arg)))
         obj = st.result()
         st.nonnull.add(obj)
         st.stack.append(obj)
-    elif op is _INSTANCEOF:
+    elif op is INSTANCEOF:
         st.stack.append(("un", ("instanceof", arg), st.pop()))
-    elif op is _CHECKCAST:
+    elif op is CHECKCAST:
         if not st.stack:
             raise TVUnprovable(pc, "symbolic stack underflow")
         st.effects.append(("cast", arg, st.stack[-1]))
 
     # -- arrays ----------------------------------------------------------
-    elif op is _NEWARRAY:
+    elif op is NEWARRAY:
         length = st.pop()
         st.effects.append(("alloc", ("arr", arg, length)))
         ref = st.result()
         st.nonnull.add(ref)
         st.stack.append(ref)
-    elif op is _ALOAD:
+    elif op is ALOAD:
         idx, ref = st.pop(), st.pop()
         st.null_check(ref)
         st.effects.append(("bound", ref, idx))
         st.stack.append(("el", ref, idx, st.heapver))
-    elif op is _ASTORE:
+    elif op is ASTORE:
         value, idx, ref = st.pop(), st.pop(), st.pop()
         st.null_check(ref)
         st.effects.append(("bound", ref, idx))
         st.write_heap(("aset", ref, idx, value))
-    elif op is _ARRAYLEN:
+    elif op is ARRAYLEN:
         ref = st.pop()
         st.null_check(ref)
         st.stack.append(("un", "arraylen", ref))
 
     # -- calls -----------------------------------------------------------
-    elif op is _INVOKEVIRTUAL:
+    elif op is INVOKEVIRTUAL:
         if instr.resolved is None:
             raise TVUnprovable(pc, "unresolved virtual call")
         offset, returns = instr.resolved
         _do_call(st, ("callv", offset), arg[2], returns,
                  receiver_checked=True)
-    elif op is _INVOKEVIRTUAL_QUICK:
+    elif op is INVOKEVIRTUAL_QUICK:
         ic = instr.resolved
         if ic is None:
             raise TVUnprovable(pc, "virtual IC site with no cache cell")
         _do_call(st, ("callv", ic.offset), ic.argc, ic.returns,
                  receiver_checked=True)
-    elif op is _INVOKEINTERFACE:
+    elif op is INVOKEINTERFACE:
         if instr.resolved is None:
             raise TVUnprovable(pc, "unresolved interface call")
         slot, key, returns = instr.resolved
         _do_call(st, ("calli", slot, key), arg[2], returns,
                  receiver_checked=True)
-    elif op is _INVOKEINTERFACE_QUICK:
+    elif op is INVOKEINTERFACE_QUICK:
         ic = instr.resolved
         if ic is None:
             raise TVUnprovable(pc, "interface IC site with no cache cell")
         _do_call(st, ("calli", ic.slot, ic.key), ic.argc, ic.returns,
                  receiver_checked=True)
-    elif op is _INVOKESPECIAL:
+    elif op is INVOKESPECIAL:
         if instr.resolved is None:
             raise TVUnprovable(pc, "unresolved special call")
         target_rm, returns = instr.resolved
         _do_call(st, ("calls", id(target_rm)), arg[2], returns,
                  receiver_checked=True)
-    elif op is _INVOKESTATIC:
+    elif op is INVOKESTATIC:
         if instr.resolved is None:
             raise TVUnprovable(pc, "unresolved static call")
         cell, returns = instr.resolved
         _do_call(st, ("callst", id(cell)), arg[2], returns,
                  receiver_checked=False)
-    elif op is _INTRINSIC:
+    elif op is INTRINSIC:
         intr = instr.resolved
         if intr is None:
             raise TVUnprovable(pc, "unresolved intrinsic")
@@ -428,17 +385,17 @@ def step(code: list, st: SymState) -> list[SymState]:
                  receiver_checked=False)
 
     # -- superinstructions ----------------------------------------------
-    elif op is _LOAD_GETFIELD:
+    elif op is LOAD_GETFIELD:
         obj = st.locals[arg[0]]
         st.null_check(obj)
         st.stack.append(("fld", field_key(arg[1], pc), obj, st.heapver))
-    elif op is _LOAD_LOAD:
+    elif op is LOAD_LOAD:
         st.stack += [st.locals[arg[0]], st.locals[arg[1]]]
-    elif op is _LOAD_CONST:
+    elif op is LOAD_CONST:
         st.stack += [st.locals[arg[0]], ("c", arg[1])]
-    elif op is _CMP_LT_JF or op is _CMP_EQ_JF:
+    elif op is CMP_LT_JF or op is CMP_EQ_JF:
         b, a = st.pop(), st.pop()
-        name = "cmp_lt" if op is _CMP_LT_JF else "cmp_eq"
+        name = "cmp_lt" if op is CMP_LT_JF else "cmp_eq"
         cond = ("bin", name, a, b)
         taken, fall = st.fork(), st
         taken.conds.append((cond, False))
@@ -447,10 +404,10 @@ def step(code: list, st: SymState) -> list[SymState]:
         fall.conds.append((cond, True))
         fall.pc = nxt
         return [taken, fall]
-    elif op is _INC:
+    elif op is INC:
         i, c = arg
         st.locals[i] = ("bin", "add", st.locals[i], ("c", c))
-    elif op is _ITER_LT_JF:
+    elif op is ITER_LT_JF:
         i, limit, target = arg
         cond = ("bin", "cmp_lt", st.locals[i], ("c", limit))
         taken, fall = st.fork(), st
@@ -460,10 +417,10 @@ def step(code: list, st: SymState) -> list[SymState]:
         fall.conds.append((cond, True))
         fall.pc = nxt
         return [taken, fall]
-    elif op is _ADD_STORE:
+    elif op is ADD_STORE:
         b, a = st.pop(), st.pop()
         st.locals[arg] = ("bin", "add", a, b)
-    elif op is _ADD_PUTFIELD:
+    elif op is ADD_PUTFIELD:
         # ``arg`` is the shared pristine PUTFIELD Instr; the interpreter
         # direct-indexes ``obj.fields[arg.resolved]`` and reads the hook
         # live off it.
@@ -471,23 +428,23 @@ def step(code: list, st: SymState) -> list[SymState]:
         value = ("bin", "add", st.pop(), b)
         obj = st.pop()
         _putfield(st, field_key(arg.resolved, pc), obj, value, arg)
-    elif op is _ADD_RETURN:
+    elif op is ADD_RETURN:
         b, a = st.pop(), st.pop()
         st.ret = ("v", ("bin", "add", a, b))
         return [st]
-    elif op is _LOAD_RETURN:
+    elif op is LOAD_RETURN:
         st.ret = ("v", st.locals[arg])
         return [st]
     elif op in _LOAD_ARITH:
         name = _LOAD_ARITH[op]
         a = st.pop()
         st.stack.append(("bin", name, a, st.locals[arg]))
-    elif op is _GETFIELD_RETURN:
+    elif op is GETFIELD_RETURN:
         obj = st.locals[arg[0]]
         st.null_check(obj)
         st.ret = ("v", ("fld", field_key(arg[1], pc), obj, st.heapver))
         return [st]
-    elif op is _FIELD_INC:
+    elif op is FIELD_INC:
         i, pf, c = arg
         obj = st.locals[i]
         key = field_key(pf.resolved, pc)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bytecode.opcodes import CALL_OPS, OP_INFO, Op
+from repro.bytecode.opcodes import CALL_OPS, OP_INFO, RETURN, Op
 
 _BRANCHES = frozenset(op for op, info in OP_INFO.items() if info.is_branch)
-_RETURN = Op.RETURN
 
 
 class Instr:
@@ -75,5 +74,5 @@ def relink_targets(code: list[Instr], index_map: dict[int, int]) -> None:
     transforms that delete or reorder instructions.
     """
     for instr in code:
-        if instr.is_branch and instr.op != _RETURN and instr.arg is not None:
+        if instr.is_branch and instr.op != RETURN and instr.arg is not None:
             instr.arg = index_map[instr.arg]

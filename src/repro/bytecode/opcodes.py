@@ -129,6 +129,12 @@ class Op(enum.IntEnum):
     #                      PUTFIELD f (field increment); arg: (i, pf, c)
 
 
+# Every member as a module constant (``LOAD is Op.LOAD``), as ``re``
+# does for its flags.  The dispatch ladders of the interpreter, the
+# linker, the verifiers, the quickener and translation validation import
+# these: a module-global read costs a fraction of an ``Op.X`` read.
+globals().update(Op.__members__)
+
 #: Placeholder for "stack effect depends on the instruction argument".
 VARIABLE = None
 
@@ -272,7 +278,6 @@ def op_width(op: Op) -> int:
 _WHOLE_ARG_BRANCHES = frozenset({
     Op.JUMP, Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE, Op.CMP_LT_JF, Op.CMP_EQ_JF,
 })
-_ITER_LT_JF = Op.ITER_LT_JF
 
 
 def branch_target(instr) -> int | None:
@@ -285,7 +290,7 @@ def branch_target(instr) -> int | None:
     op = instr.op
     if op in _WHOLE_ARG_BRANCHES:
         return instr.arg if isinstance(instr.arg, int) else None
-    if op is _ITER_LT_JF:
+    if op is ITER_LT_JF:
         return instr.arg[2]
     return None
 

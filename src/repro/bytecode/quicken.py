@@ -53,7 +53,11 @@ from typing import Any
 import threading
 
 from repro.bytecode.instructions import Instr
-from repro.bytecode.opcodes import Op
+from repro.bytecode.opcodes import (
+    ADD_PUTFIELD, ADD_RETURN, ADD_STORE, FIELD_INC, GETFIELD_RETURN, INC,
+    INVOKEINTERFACE, INVOKEINTERFACE_QUICK, INVOKEVIRTUAL, INVOKEVIRTUAL_QUICK,
+    ITER_LT_JF, LOAD, LOAD_CONST, LOAD_GETFIELD, LOAD_LOAD, LOAD_RETURN, Op,
+)
 from repro.vm.compiled import BaselineCompiled
 
 #: Fusable (first op, second op) -> fused opcode.  The top half are the
@@ -88,25 +92,6 @@ _IDIOM_FIELD_INC = (Op.LOAD, Op.LOAD, Op.GETFIELD, Op.CONST,
 #: Accessor body ``return this.f`` — the classic getter.
 _IDIOM_GETTER = (Op.LOAD, Op.GETFIELD, Op.RETURN)
 
-# Opcode members bound once: ``_rewrite`` runs on every method's first
-# interpreted call, and an ``Op.X`` read costs several times a
-# module-global read.
-_ADD_PUTFIELD = Op.ADD_PUTFIELD
-_ADD_RETURN = Op.ADD_RETURN
-_ADD_STORE = Op.ADD_STORE
-_FIELD_INC = Op.FIELD_INC
-_GETFIELD_RETURN = Op.GETFIELD_RETURN
-_INC = Op.INC
-_INVOKEINTERFACE = Op.INVOKEINTERFACE
-_INVOKEINTERFACE_QUICK = Op.INVOKEINTERFACE_QUICK
-_INVOKEVIRTUAL = Op.INVOKEVIRTUAL
-_INVOKEVIRTUAL_QUICK = Op.INVOKEVIRTUAL_QUICK
-_ITER_LT_JF = Op.ITER_LT_JF
-_LOAD = Op.LOAD
-_LOAD_CONST = Op.LOAD_CONST
-_LOAD_GETFIELD = Op.LOAD_GETFIELD
-_LOAD_LOAD = Op.LOAD_LOAD
-_LOAD_RETURN = Op.LOAD_RETURN
 _LOAD_ARITH = frozenset({Op.LOAD_ADD, Op.LOAD_SUB, Op.LOAD_MUL})
 
 
@@ -371,7 +356,7 @@ class Quickener:
             op = instr.op
             if (
                 i + 5 < n
-                and op is _LOAD
+                and op is LOAD
                 and (code[i].op, code[i + 1].op, code[i + 2].op,
                      code[i + 3].op, code[i + 4].op,
                      code[i + 5].op) == _IDIOM_FIELD_INC
@@ -381,7 +366,7 @@ class Quickener:
                 # Keep the shared PUTFIELD Instr in the arg so its
                 # resolved slot and state hook are read live.
                 quick[i] = Instr(
-                    _FIELD_INC,
+                    FIELD_INC,
                     (instr.arg, code[i + 5], code[i + 3].arg),
                     instr.line,
                 )
@@ -391,13 +376,13 @@ class Quickener:
                 ops4 = (op, code[i + 1].op, code[i + 2].op, code[i + 3].op)
                 if ops4 == _IDIOM_INC and instr.arg == code[i + 3].arg:
                     quick[i] = Instr(
-                        _INC, (instr.arg, code[i + 1].arg), instr.line
+                        INC, (instr.arg, code[i + 1].arg), instr.line
                     )
                     self.fused += 1
                     continue
                 if ops4 == _IDIOM_ITER:
                     quick[i] = Instr(
-                        _ITER_LT_JF,
+                        ITER_LT_JF,
                         (instr.arg, code[i + 1].arg, code[i + 3].arg),
                         instr.line,
                     )
@@ -405,12 +390,12 @@ class Quickener:
                     continue
             if (
                 i + 2 < n
-                and op is _LOAD
+                and op is LOAD
                 and (op, code[i + 1].op, code[i + 2].op) == _IDIOM_GETTER
             ):
                 second = code[i + 1]
                 new_i = Instr(
-                    _GETFIELD_RETURN,
+                    GETFIELD_RETURN,
                     (instr.arg, second.resolved, second.arg[1]),
                     second.line,
                 )
@@ -431,9 +416,9 @@ class Quickener:
                     quick[i] = self._fuse(fused_op, instr, code[i + 1])
                     self.fused += 1
                     continue
-            if op is _INVOKEVIRTUAL:
+            if op is INVOKEVIRTUAL:
                 offset, returns = instr.resolved
-                new = Instr(_INVOKEVIRTUAL_QUICK, instr.arg, instr.line)
+                new = Instr(INVOKEVIRTUAL_QUICK, instr.arg, instr.line)
                 new.resolved = VirtualIC(
                     offset, instr.arg[2], returns,
                     f"{qname}@{i}", quick, i, instr,
@@ -441,9 +426,9 @@ class Quickener:
                 self.caches.append(new.resolved)
                 quick[i] = new
                 self.sites += 1
-            elif op is _INVOKEINTERFACE:
+            elif op is INVOKEINTERFACE:
                 slot, key, returns = instr.resolved
-                new = Instr(_INVOKEINTERFACE_QUICK, instr.arg, instr.line)
+                new = Instr(INVOKEINTERFACE_QUICK, instr.arg, instr.line)
                 new.resolved = InterfaceIC(
                     slot, key, instr.arg[2], returns,
                     f"{qname}@{i}", quick, i, instr,
@@ -457,7 +442,7 @@ class Quickener:
     @staticmethod
     def _fuse(fused_op: Op, first: Instr, second: Instr) -> Instr:
         """Build the superinstruction covering ``(first, second)``."""
-        if fused_op is _LOAD_GETFIELD:
+        if fused_op is LOAD_GETFIELD:
             # Carry the GETFIELD's line so a null-receiver error points
             # at the same source line the unfused pair would.
             new = Instr(
@@ -465,19 +450,19 @@ class Quickener:
                 (first.arg, second.resolved, second.arg[1]),
                 second.line,
             )
-        elif fused_op is _LOAD_LOAD or fused_op is _LOAD_CONST:
+        elif fused_op is LOAD_LOAD or fused_op is LOAD_CONST:
             new = Instr(fused_op, (first.arg, second.arg), first.line)
-        elif fused_op is _ADD_STORE:
+        elif fused_op is ADD_STORE:
             new = Instr(fused_op, second.arg, first.line)
-        elif fused_op is _ADD_PUTFIELD:
+        elif fused_op is ADD_PUTFIELD:
             # Carry the shared PUTFIELD Instr itself: the interpreter
             # reads its ``resolved`` slot and — live, on every execution
             # — its ``state_hook``, so hooks installed mid-run by the
             # online controller fire through the fused form too.
             new = Instr(fused_op, second, second.line)
-        elif fused_op is _ADD_RETURN:
+        elif fused_op is ADD_RETURN:
             new = Instr(fused_op, None, first.line)
-        elif fused_op is _LOAD_RETURN or fused_op in _LOAD_ARITH:
+        elif fused_op is LOAD_RETURN or fused_op in _LOAD_ARITH:
             new = Instr(fused_op, first.arg, first.line)
         else:  # CMP_LT_JF / CMP_EQ_JF: carry the branch target
             new = Instr(fused_op, second.arg, first.line)

@@ -30,26 +30,12 @@ from __future__ import annotations
 from repro.bytecode.classfile import MethodInfo
 from repro.bytecode.instructions import Instr
 from repro.bytecode.opcodes import (
-    CALL_OPS,
-    OP_INFO,
-    QUICK_OPS,
-    Op,
-    branch_target,
-    op_width,
+    CALL_OPS, INTRINSIC, JUMP, LOAD, LOAD_LOAD, OP_INFO, QUICK_OPS, RETURN,
+    RETURN_VOID, STORE, Op, branch_target, op_width,
 )
 
 
-# Opcode members bound once: an ``Op.X`` attribute read costs several
-# times a module-global read, and the setup path checks each pristine
-# instruction against these.
-_LOAD = Op.LOAD
-_STORE = Op.STORE
-_JUMP = Op.JUMP
-_RETURN = Op.RETURN
-_RETURN_VOID = Op.RETURN_VOID
-_INTRINSIC = Op.INTRINSIC
 _COND_JUMPS = frozenset({Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE})
-_LOAD_LOAD = Op.LOAD_LOAD
 _IC_CALLS = frozenset({Op.INVOKEVIRTUAL_QUICK, Op.INVOKEINTERFACE_QUICK})
 #: Quick ops whose arg is one local index, and those whose packed arg
 #: holds one at ``arg[0]`` (see :func:`_quick_local_indices`).
@@ -87,7 +73,7 @@ def stack_effect(instr: Instr, *, returns_value: bool | None = None) -> tuple[in
     op = instr.op
     if op in CALL_OPS:
         return instr.arg[2], 1 if returns_value in (True, None) else 0
-    if op is _INTRINSIC:
+    if op is INTRINSIC:
         return instr.arg[1], 1 if returns_value in (True, None) else 0
     info = OP_INFO[op]
     return info.pops, info.pushes
@@ -129,14 +115,14 @@ def verify_method(
         if instr.is_branch:
             if not isinstance(instr.arg, int) or not (0 <= instr.arg < n):
                 raise VerifyError(method, i, f"bad branch target {instr.arg!r}")
-        elif op is _LOAD or op is _STORE:
+        elif op is LOAD or op is STORE:
             if not (0 <= instr.arg < max_locals):
                 raise VerifyError(
                     method, i,
                     f"local index {instr.arg} out of range "
                     f"(max_locals={max_locals})",
                 )
-        elif op in CALL_OPS or op is _INTRINSIC:
+        elif op in CALL_OPS or op is INTRINSIC:
             nargs = instr.arg[2] if op in CALL_OPS else instr.arg[1]
             if nargs < 0:
                 raise VerifyError(method, i, f"negative arg count {nargs}")
@@ -165,11 +151,11 @@ def verify_method(
             )
         out = depth - pops + pushes
         successors: tuple[int, ...]
-        if op is _JUMP:
+        if op is JUMP:
             successors = (instr.arg,)
         elif op in _COND_JUMPS:
             successors = (instr.arg, i + 1)
-        elif op is _RETURN or op is _RETURN_VOID:
+        elif op is RETURN or op is RETURN_VOID:
             successors = ()
         else:
             successors = (i + 1,)
@@ -220,7 +206,7 @@ def _quick_local_indices(instr: Instr) -> tuple[int, ...]:
         return (a,)
     if op in _LOCAL_ARG0_OPS:
         return (a[0],)
-    if op is _LOAD_LOAD:
+    if op is LOAD_LOAD:
         return (a[0], a[1])
     return ()
 
@@ -245,7 +231,7 @@ def stack_effect_quick(instr: Instr) -> tuple[int, int]:
         if ic is None:
             return instr.arg[2], 1
         return ic.argc, 1 if ic.returns else 0
-    if op is _INTRINSIC:
+    if op is INTRINSIC:
         intr = instr.resolved
         if intr is None:
             return instr.arg[1], 1
@@ -281,7 +267,7 @@ def stack_depths(code: list[Instr], fail) -> dict[int, int]:
         nxt = i + op_width(op)
         if op in _QUICK_TERMINATORS:
             successors: tuple = ()
-        elif op is _JUMP:
+        elif op is JUMP:
             successors = (instr.arg,)
         elif op in _QUICK_COND_BRANCHES:
             successors = (branch_target(instr), nxt)
@@ -344,7 +330,7 @@ def verify_quick_depths(method: MethodInfo,
                     f"local index {local} out of range "
                     f"(max_locals={method.max_locals})",
                 )
-        if instr.op in CALL_OPS or instr.op is _INTRINSIC:
+        if instr.op in CALL_OPS or instr.op is INTRINSIC:
             nargs = (instr.arg[2] if instr.op in CALL_OPS
                      else instr.arg[1])
             if nargs < 0:

@@ -13,9 +13,10 @@ stamps are ignored by lookups and removed by ``clear``).
 
 A pack holds one entry per line: the key, a space, and the JSON
 document ``{"key", "meta", "artifact_sha", "artifact"}``.  Its name
-starts with the digest of the program every one of its keys commits to
-(see :mod:`repro.cache.keys`), so a lookup reads only the packs of its
-own program however many programs share the directory.
+starts with the digest of the program its keys commit to (see
+:mod:`repro.cache.keys`), so a lookup reads only its own program's
+packs however many programs share the directory; a key that
+:meth:`CompileCache.key_for` did not make has the empty program.
 ``artifact_sha`` is verified on load, so a truncated or hand-poisoned
 entry is detected and treated as a miss (the poisoning tests assert a
 recompile, never a mis-link), while the other entries of its pack
@@ -25,16 +26,15 @@ Writes are behind and atomic.  :meth:`CompileCache.store` serializes
 the entry and keeps only that text in memory, where
 :meth:`~CompileCache.load` on the same instance sees it at once.
 :meth:`CompileCache.flush` writes every entry stored since the last
-flush as one pack (one per program, and a VM runs one program) — one
-temp file, one ``os.replace`` — and drops the texts; the VM flushes
-when its outermost :meth:`~repro.vm.runtime.VM.call_static` returns or
-raises.  Other instances and processes see the entries once the pack
-lands: a lookup that misses re-lists the stamp directory and indexes
-the packs of its program that this instance has not read yet (each
-entry's offset, not its text), so each pack is scanned at most once
-per instance, and a hit reads and parses only its own entry.  A key in
-two packs (two processes compiled it at once) links from any valid
-copy.
+flush as one pack per program (a VM runs one) — one temp file, one
+``os.replace`` — and drops the texts; the VM flushes when its outermost
+:meth:`~repro.vm.runtime.VM.call_static` returns or raises.  Other
+instances and processes see the entries once the pack lands: a lookup
+that misses re-lists the stamp directory and reads its program's packs
+that this instance has not read yet into its index (key -> entry
+texts), so each pack is read at most once per instance, and a hit
+parses only its own entry.  A key in two packs (two processes compiled
+it at once) links from any valid copy.
 
 Concurrency: one :class:`CompileCache` instance may be shared by many
 threads (the ``repro.server`` sessions all hold the code space's
@@ -59,7 +59,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro import __version__
 from repro.cache.keys import (
@@ -133,12 +133,8 @@ from repro.cache.keys import (
 SCHEMA_VERSION = 15
 
 _PACK_SUFFIX = ".pack"
-#: A pack's name starts with this many hex digits of the program digest
-#: its keys commit to, so a lookup reads only its own program's packs.
+#: A pack's name starts with this many hex digits of its program digest.
 _PROGRAM_PREFIX = 16
-#: The name prefix of entries stored under keys :meth:`key_for` never
-#: made; only lookups of such keys read those packs.
-_NO_PROGRAM = "unkeyed"
 
 
 def cache_stamp() -> str:
@@ -167,26 +163,18 @@ def _environment_digest(vm: Any) -> str:
     return memo[1]
 
 
-def _pack_lines(path: Path) -> Iterator[tuple[str, int, bytes]]:
-    """``(key, offset, entry text)`` for each line of one pack file, the
-    offset being where the entry text starts.  Raises ``OSError`` when
-    the file cannot be read."""
-    with open(path, "rb") as handle:
-        offset = 0
-        for line in handle:
-            key, _, text = line.rstrip(b"\n").partition(b" ")
-            yield key.decode("ascii", "replace"), offset + len(key) + 1, text
-            offset += len(line)
-
-
 def read_pack(path: Path) -> list[tuple[str, str]]:
     """``(key, entry text)`` for each line of one pack file.  Bytes that
     do not decode become replacement characters, so damage to one
-    entry makes only that entry fail its checks."""
-    return [
-        (key, text.decode("utf-8", "replace"))
-        for key, _, text in _pack_lines(path)
-    ]
+    entry makes only that entry fail its checks.  Raises ``OSError``
+    when the file cannot be read."""
+    with open(path, encoding="utf-8", errors="replace",
+              newline="\n") as handle:
+        pairs = []
+        for line in handle:
+            key, _, text = line.rstrip("\n").partition(" ")
+            pairs.append((key, text))
+        return pairs
 
 
 def write_pack(path: Path, entries: Iterable[tuple[str, str]]) -> None:
@@ -206,7 +194,7 @@ def write_pack(path: Path, entries: Iterable[tuple[str, str]]) -> None:
         raise
 
 
-def _checked_artifact(key: str, text: str | bytes) -> dict | None:
+def _checked_artifact(key: str, text: str) -> dict | None:
     """The artifact of one entry text, or None unless the text parses,
     names ``key`` and matches its checksum."""
     try:
@@ -246,7 +234,7 @@ class CompileCache:
     One instance may serve many VMs (or many instances may share one
     directory).  Persistent state lives in the stamp directory's packs;
     in memory are counters, the entries stored since the last flush,
-    and where each entry of the packs read so far lies.
+    and the entries of the packs read so far.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -267,12 +255,13 @@ class CompileCache:
         self._key_locks: dict[str, threading.Lock] = {}
         #: key -> entry text stored since the last flush.
         self._pending: dict[str, str] = {}
-        #: key -> (pack name, offset, length) of each copy of its entry
-        #: in the packs read so far.
-        self._index: dict[str, list[tuple[str, int, int]]] = {}
+        #: key -> the text of each copy of its entry in the packs read
+        #: so far.
+        self._index: dict[str, list[str]] = {}
         self._packs_read: set[str] = set()
-        #: key -> the program-digest prefix that names its packs, for
-        #: every key :meth:`key_for` made.
+        #: key -> the program-digest prefix of every key :meth:`key_for`
+        #: made, which names the packs its entry is written to and read
+        #: from.
         self._program_of: dict[str, str] = {}
         #: Serializes flushes and pack reads.
         self._io_lock = threading.Lock()
@@ -347,36 +336,30 @@ class CompileCache:
             return _checked_artifact(key, text)
         artifact = self._load_indexed(key)
         if artifact is None and self._read_new_packs(
-            self._program_of.get(key)
+            self._program_of.get(key, "")
         ):
             artifact = self._load_indexed(key)
         return artifact
 
     def _load_indexed(self, key: str) -> dict | None:
-        for name, offset, length in self._index.get(key, ()):
-            try:
-                with open(self.dir / name, "rb") as handle:
-                    handle.seek(offset)
-                    text = handle.read(length)
-            except OSError:
-                continue
+        for text in self._index.get(key, ()):
             artifact = _checked_artifact(key, text)
             if artifact is not None:
                 return artifact
         return None
 
-    def _read_new_packs(self, program: str | None) -> bool:
+    def _read_new_packs(self, program: str) -> bool:
         """Index the stamp directory's packs of ``program`` (a key's
-        program-digest prefix; ``None`` for all) that this instance has
-        not read yet; returns whether there were any.  I/O errors read
-        as an empty directory."""
-        prefix = "" if program is None else f"{program}-"
+        program-digest prefix) that this instance has not read yet;
+        returns whether there were any.  I/O errors read as an empty
+        directory."""
+        prefix = f"{program}-"
         with self._io_lock:
             try:
                 names = [
                     name for name in os.listdir(self.dir)
-                    if name.endswith(_PACK_SUFFIX)
-                    and name.startswith(prefix)
+                    if name.startswith(prefix)
+                    and name.endswith(_PACK_SUFFIX)
                     and name not in self._packs_read
                 ]
             except OSError:
@@ -384,12 +367,11 @@ class CompileCache:
             for name in names:
                 self._packs_read.add(name)
                 try:
-                    for key, offset, text in _pack_lines(self.dir / name):
-                        self._index.setdefault(key, []).append(
-                            (name, offset, len(text))
-                        )
+                    pairs = read_pack(self.dir / name)
                 except OSError:
                     continue
+                for key, text in pairs:
+                    self._index.setdefault(key, []).append(text)
             return bool(names)
 
     def store(self, key: str, artifact: dict, meta: dict) -> None:
@@ -404,17 +386,16 @@ class CompileCache:
 
     def flush(self) -> None:
         """Write every entry stored since the last flush as one pack per
-        program (a VM's entries all share one) and count them in
-        ``stores`` (best-effort: an I/O error drops the entries and never
-        fails the run).  The entries stay visible to :meth:`load` until
-        their pack has landed."""
+        program and count them in ``stores`` (best-effort: an I/O error
+        drops the entries and never fails the run).  The entries stay
+        visible to :meth:`load` until their pack has landed."""
         if not self._pending:
             return
         with self._io_lock:
-            batch = dict(self._pending)
+            batch = list(self._pending.items())
             by_program: dict[str, list[tuple[str, str]]] = {}
-            for key, text in batch.items():
-                program = self._program_of.pop(key, _NO_PROGRAM)
+            for key, text in batch:
+                program = self._program_of.get(key, "")
                 by_program.setdefault(program, []).append((key, text))
             try:
                 self.dir.mkdir(parents=True, exist_ok=True)
@@ -424,7 +405,7 @@ class CompileCache:
                     self.stores += len(entries)
             except OSError:
                 pass
-            for key in batch:
+            for key, _ in batch:
                 del self._pending[key]
 
     # -- maintenance --------------------------------------------------------

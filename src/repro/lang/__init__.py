@@ -12,7 +12,7 @@ import threading
 from collections.abc import Iterable
 
 from repro.bytecode.classfile import ClassInfo, ProgramUnit
-from repro.bytecode.opcodes import CALL_OPS, Op
+from repro.bytecode.opcodes import CALL_OPS, INTRINSIC
 from repro.bytecode.verify import verify_method
 from repro.lang.codegen import generate
 from repro.lang.errors import JxError, LexError, ParseError, SemanticError
@@ -34,7 +34,6 @@ __all__ = [
     "tokenize",
 ]
 
-_INTRINSIC = Op.INTRINSIC
 
 #: The standard library as compiled once per process (the boot image):
 #: never linked, only copied.  ``None`` until the first request.
@@ -142,7 +141,7 @@ def verify_program_with_intrinsics(
                         f"{cls_name}.{key}"
                     )
                 call_returns[i] = target.return_type.name != "void"
-            elif instr.op is _INTRINSIC:
+            elif instr.op is INTRINSIC:
                 name, _ = instr.arg
                 if name not in returns:
                     raise SemanticError(

@@ -25,7 +25,17 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bytecode.opcodes import Op
+from repro.bytecode.opcodes import (
+    ADD, ADD_PUTFIELD, ADD_RETURN, ADD_STORE, ALOAD, ARRAYLEN, ASTORE, BAND,
+    BOR, BXOR, CHECKCAST, CMP_EQ, CMP_EQ_JF, CMP_GE, CMP_GT, CMP_LE, CMP_LT,
+    CMP_LT_JF, CMP_NE, CONCAT, CONST, D2I, DUP, FDIV, FIELD_INC, GETFIELD,
+    GETFIELD_RETURN, GETSTATIC, I2D, IDIV, INC, INSTANCEOF, INTRINSIC,
+    INVOKEINTERFACE, INVOKEINTERFACE_QUICK, INVOKESPECIAL, INVOKESTATIC,
+    INVOKEVIRTUAL, INVOKEVIRTUAL_QUICK, IREM, ITER_LT_JF, JUMP, JUMP_IF_FALSE,
+    JUMP_IF_TRUE, LOAD, LOAD_ADD, LOAD_CONST, LOAD_GETFIELD, LOAD_LOAD,
+    LOAD_MUL, LOAD_RETURN, LOAD_SUB, MUL, NEG, NEW, NEWARRAY, NOP, NOT, POP,
+    PUTFIELD, PUTSTATIC, RETURN, RETURN_VOID, SHL, SHR, STORE, SUB, SWAP, Op,
+)
 from repro.vm.values import (
     ArrayBoundsError,
     ClassCastError,
@@ -37,74 +47,6 @@ from repro.vm.values import (
     jx_truncate_div,
 )
 
-_LOAD = Op.LOAD
-_STORE = Op.STORE
-_CONST = Op.CONST
-_GETFIELD = Op.GETFIELD
-_PUTFIELD = Op.PUTFIELD
-_GETSTATIC = Op.GETSTATIC
-_PUTSTATIC = Op.PUTSTATIC
-_ADD = Op.ADD
-_SUB = Op.SUB
-_MUL = Op.MUL
-_IDIV = Op.IDIV
-_FDIV = Op.FDIV
-_IREM = Op.IREM
-_NEG = Op.NEG
-_I2D = Op.I2D
-_D2I = Op.D2I
-_SHL = Op.SHL
-_SHR = Op.SHR
-_BAND = Op.BAND
-_BOR = Op.BOR
-_BXOR = Op.BXOR
-_CMP_LT = Op.CMP_LT
-_CMP_LE = Op.CMP_LE
-_CMP_GT = Op.CMP_GT
-_CMP_GE = Op.CMP_GE
-_CMP_EQ = Op.CMP_EQ
-_CMP_NE = Op.CMP_NE
-_NOT = Op.NOT
-_CONCAT = Op.CONCAT
-_JUMP = Op.JUMP
-_JUMP_IF_TRUE = Op.JUMP_IF_TRUE
-_JUMP_IF_FALSE = Op.JUMP_IF_FALSE
-_RETURN = Op.RETURN
-_RETURN_VOID = Op.RETURN_VOID
-_NEW = Op.NEW
-_INVOKEVIRTUAL = Op.INVOKEVIRTUAL
-_INVOKESPECIAL = Op.INVOKESPECIAL
-_INVOKESTATIC = Op.INVOKESTATIC
-_INVOKEINTERFACE = Op.INVOKEINTERFACE
-_INSTANCEOF = Op.INSTANCEOF
-_CHECKCAST = Op.CHECKCAST
-_NEWARRAY = Op.NEWARRAY
-_ALOAD = Op.ALOAD
-_ASTORE = Op.ASTORE
-_ARRAYLEN = Op.ARRAYLEN
-_INTRINSIC = Op.INTRINSIC
-_POP = Op.POP
-_DUP = Op.DUP
-_SWAP = Op.SWAP
-_NOP = Op.NOP
-_INVOKEVIRTUAL_QUICK = Op.INVOKEVIRTUAL_QUICK
-_INVOKEINTERFACE_QUICK = Op.INVOKEINTERFACE_QUICK
-_LOAD_GETFIELD = Op.LOAD_GETFIELD
-_LOAD_LOAD = Op.LOAD_LOAD
-_LOAD_CONST = Op.LOAD_CONST
-_CMP_LT_JF = Op.CMP_LT_JF
-_CMP_EQ_JF = Op.CMP_EQ_JF
-_INC = Op.INC
-_ITER_LT_JF = Op.ITER_LT_JF
-_ADD_STORE = Op.ADD_STORE
-_ADD_PUTFIELD = Op.ADD_PUTFIELD
-_ADD_RETURN = Op.ADD_RETURN
-_LOAD_RETURN = Op.LOAD_RETURN
-_LOAD_ADD = Op.LOAD_ADD
-_LOAD_SUB = Op.LOAD_SUB
-_LOAD_MUL = Op.LOAD_MUL
-_GETFIELD_RETURN = Op.GETFIELD_RETURN
-_FIELD_INC = Op.FIELD_INC
 
 #: Ticks credited per method entry — the shared definition from the
 #: adaptive system (`AdaptiveConfig.ENTRY_TICKS`); `repro.vm.compiled`
@@ -169,7 +111,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
             instr = code[pc]
             op = instr.op
             pc += 1
-            if op is _LOAD_GETFIELD:
+            if op is LOAD_GETFIELD:
                 a = instr.arg
                 obj = locals_[a[0]]
                 if obj is None:
@@ -178,23 +120,23 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                     )
                 stack.append(obj.fields[a[1]])
                 pc += 1
-            elif op is _LOAD:
+            elif op is LOAD:
                 stack.append(locals_[instr.arg])
-            elif op is _LOAD_LOAD:
+            elif op is LOAD_LOAD:
                 a = instr.arg
                 stack.append(locals_[a[0]])
                 stack.append(locals_[a[1]])
                 pc += 1
-            elif op is _CONST:
+            elif op is CONST:
                 stack.append(instr.arg)
-            elif op is _GETFIELD:
+            elif op is GETFIELD:
                 obj = stack.pop()
                 if obj is None:
                     raise NullPointerError(
                         f"null receiver reading field {instr.arg[1]!r}"
                     )
                 stack.append(obj.fields[instr.resolved])
-            elif op is _INVOKEVIRTUAL_QUICK:
+            elif op is INVOKEVIRTUAL_QUICK:
                 ic = instr.resolved
                 argc = ic.argc
                 callargs = stack[-argc:]
@@ -235,7 +177,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                     result = ic.miss(vm, receiver, callargs)
                 if ic.returns:
                     stack.append(result)
-            elif op is _CMP_LT_JF:
+            elif op is CMP_LT_JF:
                 b = stack.pop()
                 a = stack.pop()
                 pc += 1
@@ -248,7 +190,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                             if entry is not None:
                                 return entry(vm, locals_)
                     pc = target
-            elif op is _JUMP_IF_FALSE:
+            elif op is JUMP_IF_FALSE:
                 if not stack.pop():
                     target = instr.arg
                     if target < pc:
@@ -258,7 +200,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                             if entry is not None:
                                 return entry(vm, locals_)
                     pc = target
-            elif op is _ITER_LT_JF:
+            elif op is ITER_LT_JF:
                 a = instr.arg
                 pc += 3
                 if not (locals_[a[0]] < a[1]):
@@ -270,12 +212,12 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                             if entry is not None:
                                 return entry(vm, locals_)
                     pc = target
-            elif op is _INC:
+            elif op is INC:
                 a = instr.arg
                 i = a[0]
                 locals_[i] = locals_[i] + a[1]
                 pc += 3
-            elif op is _ADD_PUTFIELD:
+            elif op is ADD_PUTFIELD:
                 second = instr.arg
                 b = stack.pop()
                 value = stack.pop() + b
@@ -292,7 +234,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                 if hook is not None:
                     hook(vm, obj)
                 pc += 1
-            elif op is _FIELD_INC:
+            elif op is FIELD_INC:
                 a = instr.arg
                 obj = locals_[a[0]]
                 pf = a[1]
@@ -308,21 +250,21 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                 if hook is not None:
                     hook(vm, obj)
                 pc += 5
-            elif op is _ADD_STORE:
+            elif op is ADD_STORE:
                 b = stack.pop()
                 locals_[instr.arg] = stack.pop() + b
                 pc += 1
-            elif op is _LOAD_CONST:
+            elif op is LOAD_CONST:
                 a = instr.arg
                 stack.append(locals_[a[0]])
                 stack.append(a[1])
                 pc += 1
-            elif op is _STORE:
+            elif op is STORE:
                 locals_[instr.arg] = stack.pop()
-            elif op is _ADD:
+            elif op is ADD:
                 b = stack.pop()
                 stack[-1] = stack[-1] + b
-            elif op is _ALOAD:
+            elif op is ALOAD:
                 idx = stack.pop()
                 arr = stack.pop()
                 if arr is None:
@@ -332,7 +274,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                         f"index {idx} out of range [0, {len(arr.data)})"
                     )
                 stack.append(arr.data[idx])
-            elif op is _GETFIELD_RETURN:
+            elif op is GETFIELD_RETURN:
                 a = instr.arg
                 obj = locals_[a[0]]
                 if obj is None:
@@ -340,16 +282,16 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                         f"null receiver reading field {a[2]!r}"
                     )
                 return obj.fields[a[1]]
-            elif op is _LOAD_RETURN:
+            elif op is LOAD_RETURN:
                 return locals_[instr.arg]
-            elif op is _RETURN:
+            elif op is RETURN:
                 return stack.pop()
-            elif op is _ADD_RETURN:
+            elif op is ADD_RETURN:
                 b = stack.pop()
                 return stack.pop() + b
-            elif op is _RETURN_VOID:
+            elif op is RETURN_VOID:
                 return None
-            elif op is _JUMP:
+            elif op is JUMP:
                 target = instr.arg
                 if target < pc:
                     samples.ticks += 1
@@ -358,7 +300,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                         if entry is not None:
                             return entry(vm, locals_)
                 pc = target
-            elif op is _CMP_EQ_JF:
+            elif op is CMP_EQ_JF:
                 b = stack.pop()
                 a = stack.pop()
                 eq = (a is b) if _is_ref(a) or _is_ref(b) else (a == b)
@@ -372,7 +314,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                             if entry is not None:
                                 return entry(vm, locals_)
                     pc = target
-            elif op is _INVOKEINTERFACE_QUICK:
+            elif op is INVOKEINTERFACE_QUICK:
                 ic = instr.resolved
                 argc = ic.argc
                 callargs = stack[-argc:]
@@ -413,7 +355,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                     result = ic.miss(vm, receiver, callargs)
                 if ic.returns:
                     stack.append(result)
-            elif op is _PUTFIELD:
+            elif op is PUTFIELD:
                 value = stack.pop()
                 obj = stack.pop()
                 if obj is None:
@@ -428,16 +370,16 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                 hook = instr.state_hook
                 if hook is not None:
                     hook(vm, obj)
-            elif op is _MUL:
+            elif op is MUL:
                 b = stack.pop()
                 stack[-1] = stack[-1] * b
-            elif op is _IREM:
+            elif op is IREM:
                 b = stack.pop()
                 stack[-1] = jx_rem(stack[-1], b)
-            elif op is _SUB:
+            elif op is SUB:
                 b = stack.pop()
                 stack[-1] = stack[-1] - b
-            elif op is _ASTORE:
+            elif op is ASTORE:
                 value = stack.pop()
                 idx = stack.pop()
                 arr = stack.pop()
@@ -448,16 +390,16 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                         f"index {idx} out of range [0, {len(arr.data)})"
                     )
                 arr.data[idx] = value
-            elif op is _LOAD_ADD:
+            elif op is LOAD_ADD:
                 stack[-1] = stack[-1] + locals_[instr.arg]
                 pc += 1
-            elif op is _LOAD_SUB:
+            elif op is LOAD_SUB:
                 stack[-1] = stack[-1] - locals_[instr.arg]
                 pc += 1
-            elif op is _LOAD_MUL:
+            elif op is LOAD_MUL:
                 stack[-1] = stack[-1] * locals_[instr.arg]
                 pc += 1
-            elif op is _INVOKESTATIC:
+            elif op is INVOKESTATIC:
                 argc = instr.arg[2]
                 callargs = stack[-argc:] if argc else []
                 if argc:
@@ -466,7 +408,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                 result = cell.compiled.invoke(vm, callargs)
                 if returns:
                     stack.append(result)
-            elif op is _INVOKESPECIAL:
+            elif op is INVOKESPECIAL:
                 argc = instr.arg[2]
                 callargs = stack[-argc:]
                 del stack[-argc:]
@@ -478,26 +420,26 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                 result = target_rm.compiled.invoke(vm, callargs)
                 if returns:
                     stack.append(result)
-            elif op is _CMP_LT:
+            elif op is CMP_LT:
                 b = stack.pop()
                 stack[-1] = stack[-1] < b
-            elif op is _CMP_EQ:
+            elif op is CMP_EQ:
                 b = stack.pop()
                 a = stack[-1]
                 stack[-1] = (a is b) if _is_ref(a) or _is_ref(b) else (a == b)
-            elif op is _IDIV:
+            elif op is IDIV:
                 b = stack.pop()
                 stack[-1] = jx_truncate_div(stack[-1], b)
-            elif op is _ARRAYLEN:
+            elif op is ARRAYLEN:
                 arr = stack.pop()
                 if arr is None:
                     raise NullPointerError("null array in length")
                 stack.append(len(arr.data))
-            elif op is _POP:
+            elif op is POP:
                 stack.pop()
-            elif op is _DUP:
+            elif op is DUP:
                 stack.append(stack[-1])
-            elif op is _JUMP_IF_TRUE:
+            elif op is JUMP_IF_TRUE:
                 if stack.pop():
                     target = instr.arg
                     if target < pc:
@@ -507,22 +449,22 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                             if entry is not None:
                                 return entry(vm, locals_)
                     pc = target
-            elif op is _CMP_LE:
+            elif op is CMP_LE:
                 b = stack.pop()
                 stack[-1] = stack[-1] <= b
-            elif op is _CMP_GT:
+            elif op is CMP_GT:
                 b = stack.pop()
                 stack[-1] = stack[-1] > b
-            elif op is _CMP_GE:
+            elif op is CMP_GE:
                 b = stack.pop()
                 stack[-1] = stack[-1] >= b
-            elif op is _CMP_NE:
+            elif op is CMP_NE:
                 b = stack.pop()
                 a = stack[-1]
                 stack[-1] = (
                     (a is not b) if _is_ref(a) or _is_ref(b) else (a != b)
                 )
-            elif op is _INTRINSIC:
+            elif op is INTRINSIC:
                 intr = instr.resolved
                 n = intr.nargs
                 if n:
@@ -533,17 +475,17 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                     result = intr.fn(vm.intrinsic_ctx)
                 if intr.returns:
                     stack.append(result)
-            elif op is _CONCAT:
+            elif op is CONCAT:
                 b = stack.pop()
                 stack[-1] = jx_str(stack[-1]) + jx_str(b)
-            elif op is _GETSTATIC:
+            elif op is GETSTATIC:
                 stack.append(vm.jtoc.get(instr.resolved))
-            elif op is _PUTSTATIC:
+            elif op is PUTSTATIC:
                 vm.jtoc.set(instr.resolved, stack.pop())
                 hook = instr.state_hook
                 if hook is not None:
                     hook(vm, None)
-            elif op is _INVOKEVIRTUAL:
+            elif op is INVOKEVIRTUAL:
                 # A pristine body, or a megamorphic site de-quickened
                 # back to the plain path.
                 argc = instr.arg[2]
@@ -558,7 +500,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                 result = receiver.tib.entries[offset].invoke(vm, callargs)
                 if returns:
                     stack.append(result)
-            elif op is _INVOKEINTERFACE:
+            elif op is INVOKEINTERFACE:
                 argc = instr.arg[2]
                 callargs = stack[-argc:]
                 del stack[-argc:]
@@ -702,22 +644,22 @@ def _h_nop(vm: Any, instr: Any, stack: list) -> None:
 
 def _build_cold_table() -> list:
     table: list[Any] = [None] * (max(Op) + 1)
-    table[_FDIV] = _h_fdiv
-    table[_NEG] = _h_neg
-    table[_NOT] = _h_not
-    table[_I2D] = _h_i2d
-    table[_D2I] = _h_d2i
-    table[_SHL] = _h_shl
-    table[_SHR] = _h_shr
-    table[_BAND] = _h_band
-    table[_BOR] = _h_bor
-    table[_BXOR] = _h_bxor
-    table[_INSTANCEOF] = _h_instanceof
-    table[_CHECKCAST] = _h_checkcast
-    table[_NEW] = _h_new
-    table[_NEWARRAY] = _h_newarray
-    table[_SWAP] = _h_swap
-    table[_NOP] = _h_nop
+    table[FDIV] = _h_fdiv
+    table[NEG] = _h_neg
+    table[NOT] = _h_not
+    table[I2D] = _h_i2d
+    table[D2I] = _h_d2i
+    table[SHL] = _h_shl
+    table[SHR] = _h_shr
+    table[BAND] = _h_band
+    table[BOR] = _h_bor
+    table[BXOR] = _h_bxor
+    table[INSTANCEOF] = _h_instanceof
+    table[CHECKCAST] = _h_checkcast
+    table[NEW] = _h_new
+    table[NEWARRAY] = _h_newarray
+    table[SWAP] = _h_swap
+    table[NOP] = _h_nop
     return table
 
 

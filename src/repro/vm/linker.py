@@ -27,30 +27,17 @@ from repro.bytecode.classfile import (
     ProgramUnit,
     STATIC_INIT_NAME,
 )
-from repro.bytecode.opcodes import Op
+from repro.bytecode.opcodes import (
+    CHECKCAST, GETFIELD, GETSTATIC, INSTANCEOF, INTRINSIC, INVOKEINTERFACE,
+    INVOKESPECIAL, INVOKESTATIC, INVOKEVIRTUAL, NEW, NEWARRAY, PUTFIELD,
+    PUTSTATIC,
+)
 from repro.vm.compiled import BaselineCompiled, CompiledMethod, MethodSamples
 from repro.vm.imt import IMT, DirectEntry, imt_slot_for
 from repro.vm.intrinsics import INTRINSICS
 from repro.vm.jtoc import JTOC, JTOCMethodCell
 from repro.vm.tib import TIB, TIBSpaceTracker
 from repro.vm.values import VMObject
-
-
-# Opcode members bound once (an ``Op.X`` read costs several module-global
-# reads), since linking checks every instruction of the program.
-_GETFIELD = Op.GETFIELD
-_PUTFIELD = Op.PUTFIELD
-_GETSTATIC = Op.GETSTATIC
-_PUTSTATIC = Op.PUTSTATIC
-_INVOKEVIRTUAL = Op.INVOKEVIRTUAL
-_INVOKESPECIAL = Op.INVOKESPECIAL
-_INVOKESTATIC = Op.INVOKESTATIC
-_INVOKEINTERFACE = Op.INVOKEINTERFACE
-_NEW = Op.NEW
-_NEWARRAY = Op.NEWARRAY
-_INSTANCEOF = Op.INSTANCEOF
-_CHECKCAST = Op.CHECKCAST
-_INTRINSIC = Op.INTRINSIC
 
 
 class LinkError(Exception):
@@ -340,7 +327,7 @@ class Linker:
 
     def _resolve_instr(self, instr, rm: RuntimeMethod) -> None:
         op = instr.op
-        if op is _GETFIELD or op is _PUTFIELD:
+        if op is GETFIELD or op is PUTFIELD:
             cls_name, field_name = instr.arg
             finfo = self.unit.lookup_field(cls_name, field_name)
             if finfo is None or finfo.is_static:
@@ -349,7 +336,7 @@ class Linker:
                     f"{cls_name}.{field_name}"
                 )
             instr.resolved = finfo.slot
-        elif op is _GETSTATIC or op is _PUTSTATIC:
+        elif op is GETSTATIC or op is PUTSTATIC:
             cls_name, field_name = instr.arg
             finfo = self.unit.lookup_field(cls_name, field_name)
             if finfo is None or not finfo.is_static:
@@ -358,7 +345,7 @@ class Linker:
                     f"{cls_name}.{field_name}"
                 )
             instr.resolved = finfo.slot
-        elif op is _INVOKEVIRTUAL:
+        elif op is INVOKEVIRTUAL:
             cls_name, key, _ = instr.arg
             target_rc = self.classes[cls_name]
             offset = target_rc.vtable_layout.get(key)
@@ -369,7 +356,7 @@ class Linker:
                 )
             returns = self._returns(target_rc.vtable_rms[offset])
             instr.resolved = (offset, returns)
-        elif op is _INVOKESPECIAL:
+        elif op is INVOKESPECIAL:
             cls_name, key, _ = instr.arg
             target_rm = self._find_declared(cls_name, key)
             if target_rm is None:
@@ -378,7 +365,7 @@ class Linker:
                     f"{cls_name}.{key}"
                 )
             instr.resolved = (target_rm, self._returns(target_rm))
-        elif op is _INVOKESTATIC:
+        elif op is INVOKESTATIC:
             cls_name, key, _ = instr.arg
             target_rm = self._find_declared(cls_name, key)
             if target_rm is None or target_rm.jtoc_cell is None:
@@ -386,7 +373,7 @@ class Linker:
                     f"{rm.qualified_name}: no static method {cls_name}.{key}"
                 )
             instr.resolved = (target_rm.jtoc_cell, self._returns(target_rm))
-        elif op is _INVOKEINTERFACE:
+        elif op is INVOKEINTERFACE:
             iface_name, key, _ = instr.arg
             target = self.unit.lookup_method(iface_name, key)
             if target is None:
@@ -398,9 +385,9 @@ class Linker:
                 )
             returns = target.return_type.name != "void"
             instr.resolved = (imt_slot_for(key), key, returns)
-        elif op is _NEW:
+        elif op is NEW:
             instr.resolved = self.classes[instr.arg]
-        elif op is _NEWARRAY:
+        elif op is NEWARRAY:
             type_str = instr.arg
             dims = 0
             base = type_str
@@ -408,9 +395,9 @@ class Linker:
                 base = base[:-2]
                 dims += 1
             instr.resolved = JxType(base, dims).default_value()
-        elif op is _INSTANCEOF or op is _CHECKCAST:
+        elif op is INSTANCEOF or op is CHECKCAST:
             instr.resolved = self.classes[instr.arg]
-        elif op is _INTRINSIC:
+        elif op is INTRINSIC:
             name, _ = instr.arg
             instr.resolved = INTRINSICS[name]
 
