@@ -257,6 +257,9 @@ class ProgramUnit:
         self.classes: dict[str, ClassInfo] = dict(classes or {})
         self.entry_class = entry_class
         self.entry_method = entry_method
+        #: Names of the classes that are unlinked copies of the
+        #: process-wide stdlib compile (set by ``compile_source``).
+        self.stdlib_names: frozenset[str] = frozenset()
 
     def add_class(self, cls: ClassInfo) -> None:
         if cls.name in self.classes:

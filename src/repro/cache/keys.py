@@ -28,21 +28,30 @@ a compile key commits to
 The VM-version stamp is *not* part of the per-entry key: it is baked
 into the cache directory name (see :mod:`repro.cache.store`), so a
 version upgrade busts the whole cache at once.
+
+Every unit's stdlib classes are unlinked copies of one process-wide
+compile (:func:`repro.lang.compile_stdlib`), and linking writes nothing
+a payload reads, so their renderings are made once per process from
+that pristine compile and reused by every unit's digests.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict
 from typing import Any
 
 
+def _canonical(payload: Any) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=repr)
+
+
 def stable_digest(payload: Any) -> str:
     """SHA-256 over a canonical JSON rendering of ``payload``."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=repr)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -76,22 +85,53 @@ def _class_payload(cinfo: Any) -> list:
     ]
 
 
+@functools.cache
+def _stdlib_renders() -> dict[str, tuple[str, dict[str, str]]]:
+    """Per stdlib class: its payload's canonical text and its methods'
+    digests, rendered from the pristine stdlib compile."""
+    from repro.lang import _pristine_stdlib
+
+    return {
+        cls.name: (
+            _canonical(_class_payload(cls)),
+            {key: method_digest(m) for key, m in cls.methods.items()},
+        )
+        for cls in _pristine_stdlib()
+    }
+
+
 def program_digest(unit: Any) -> str:
     """Digest of the whole program: any bytecode, field, or hierarchy
-    change anywhere produces a different digest (inlining closure)."""
-    payload = [
-        [unit.entry_class, unit.entry_method],
-        sorted(
-            (_class_payload(c) for c in unit.classes.values()),
-            key=lambda row: row[0],
-        ),
-    ]
-    return stable_digest(payload)
+    change anywhere produces a different digest (inlining closure).
+
+    It is :func:`stable_digest` of ``[[entry class, entry method],
+    [class payloads sorted by name]]``, with each class's text rendered
+    on its own (a list's canonical text is its items' texts, comma
+    separated) so that stdlib classes reuse their per-process text."""
+    stdlib = _stdlib_renders() if unit.stdlib_names else {}
+    rows = sorted(
+        (c.name, stdlib[c.name][0] if c.name in unit.stdlib_names
+         else _canonical(_class_payload(c)))
+        for c in unit.classes.values()
+    )
+    text = "[{},[{}]]".format(
+        _canonical([unit.entry_class, unit.entry_method]),
+        ",".join(row for _, row in rows),
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def method_digest(minfo: Any) -> str:
     """Per-method bytecode digest (diagnostics + key-splitting tests)."""
     return stable_digest(_method_payload(minfo))
+
+
+def unit_method_digest(unit: Any, minfo: Any) -> str:
+    """:func:`method_digest` of one of ``unit``'s methods; a stdlib
+    method's digest is rendered once per process."""
+    if minfo.declaring_class in unit.stdlib_names:
+        return _stdlib_renders()[minfo.declaring_class][1][minfo.key]
+    return method_digest(minfo)
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,9 @@ from repro import __version__
 from repro.cache.keys import (
     compile_key,
     environment_payload,
-    method_digest,
     program_digest,
     stable_digest,
+    unit_method_digest,
 )
 
 #: Bump when the artifact or key format changes incompatibly.
@@ -130,7 +130,9 @@ from repro.cache.keys import (
 #: two-hex-digit shard directories; and the key carries the opt
 #: config's digest instead of its rendering, as it does the
 #: environment's.
-SCHEMA_VERSION = 15
+#: v16: ``InlineConfig.max_depth`` is gone (every depth of 1 or more
+#: built the same IR), so the opt config's digest changed.
+SCHEMA_VERSION = 16
 
 _PACK_SUFFIX = ".pack"
 #: A pack's name starts with this many hex digits of its program digest.
@@ -312,7 +314,9 @@ class CompileCache:
         info = rm.info
         method = getattr(info, "_jxcache_method_digest", None)
         if method is None:
-            method = info._jxcache_method_digest = method_digest(info)
+            method = info._jxcache_method_digest = unit_method_digest(
+                vm.unit, info
+            )
         key = compile_key(vm, rm, opt_level, bindings, config, entry_pc,
                           program_dig=program, method_dig=method,
                           env_dig=_environment_digest(vm),

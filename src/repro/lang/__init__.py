@@ -104,10 +104,11 @@ def compile_source(
     program_ast = parse_source(source, filename)
     unit = analyze(program_ast, prebuilt, entry_class, entry_method)
     generate(program_ast, unit)
+    unit.stdlib_names = frozenset(cls.name for cls in prebuilt)
     if verify:
-        stdlib = {id(cls) for cls in prebuilt}
         verify_program_with_intrinsics(unit, [
-            cls for cls in unit.classes.values() if id(cls) not in stdlib
+            cls for cls in unit.classes.values()
+            if cls.name not in unit.stdlib_names
         ])
     return unit
 

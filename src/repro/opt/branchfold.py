@@ -10,14 +10,15 @@ Three transforms, iterated to fixpoint by the pipeline:
 * trivial jump chains are threaded and single-predecessor blocks merged
   into their predecessor.
 
-Each transform walks the CFG a constant number of times per call; block
-merging patches predecessor lists as it splices instead of recomputing
-them after every merge.
+Each transform edits the graph through the
+:class:`~repro.opt.ir.IRFunction` edit methods, so the function's cached
+reverse postorder is recomputed only after a transform changed
+something.  Block merging patches its own copy of the predecessor lists
+as it splices instead of recomputing them after every merge.
 """
 
 from __future__ import annotations
 
-from repro.opt.cfg import predecessors
 from repro.opt.ir import Const, Extra, IRFunction, IRInstr
 
 
@@ -31,14 +32,14 @@ def fold_branches(fn: IRFunction) -> int:
         cond = term.args[0]
         if isinstance(cond, Const):
             target = term.extra.if_true if cond.value else term.extra.if_false
-            block.instrs[-1] = IRInstr(
+            fn.set_terminator(block, IRInstr(
                 "jump", None, [], Extra(target=target), term.line
-            )
+            ))
             changed += 1
         elif term.extra.if_true == term.extra.if_false:
-            block.instrs[-1] = IRInstr(
+            fn.set_terminator(block, IRInstr(
                 "jump", None, [], Extra(target=term.extra.if_true), term.line
-            )
+            ))
             changed += 1
     return changed
 
@@ -47,7 +48,7 @@ def remove_unreachable(fn: IRFunction) -> int:
     reachable = fn.reachable_ids()
     dead = [bid for bid in fn.blocks if bid not in reachable]
     for bid in dead:
-        del fn.blocks[bid]
+        fn.remove_block(bid)
     return len(dead)
 
 
@@ -76,16 +77,16 @@ def thread_jumps(fn: IRFunction) -> int:
         if term.op == "jump":
             target = final_target(term.extra.target)
             if target != term.extra.target and target != block.id:
-                term.extra.target = target
+                fn.retarget(term, "target", target)
                 changed += 1
         elif term.op == "br":
             t = final_target(term.extra.if_true)
             f = final_target(term.extra.if_false)
             if t != term.extra.if_true and t != block.id:
-                term.extra.if_true = t
+                fn.retarget(term, "if_true", t)
                 changed += 1
             if f != term.extra.if_false and f != block.id:
-                term.extra.if_false = f
+                fn.retarget(term, "if_false", f)
                 changed += 1
     return changed
 
@@ -95,13 +96,13 @@ def merge_blocks(fn: IRFunction) -> int:
 
     One reverse-postorder pass: a block keeps absorbing its jump target
     while that target has no other predecessor, and the predecessor
-    lists of the absorbed block's successors are patched in place.
+    lists of the absorbed block's successors are patched in a copy.
     Merging a block's only successor into it removes just that
     successor from the reverse postorder and leaves every other block's
     predecessor count unchanged, so this makes the same merges in the
     same order as restarting the scan after each one would.
     """
-    preds = predecessors(fn)
+    preds = dict(fn.predecessors())
     changed = 0
     for block in fn.block_order():
         if block.id not in fn.blocks:
@@ -115,11 +116,10 @@ def merge_blocks(fn: IRFunction) -> int:
                 break
             if len(preds.get(target, [])) != 1:
                 break
-            target_block = fn.blocks.pop(target)
             del preds[target]
-            block.instrs.pop()
-            block.instrs.extend(target_block.instrs)
-            for s in target_block.successors():
+            fn.set_instrs(block, block.instrs[:-1] + fn.blocks[target].instrs)
+            fn.remove_block(target)
+            for s in block.successors():
                 preds[s] = [
                     block.id if p == target else p for p in preds[s]
                 ]

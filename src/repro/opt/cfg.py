@@ -1,9 +1,11 @@
-"""CFG utilities over the IR: predecessors, dominators, natural loops.
+"""CFG utilities over the IR: dominators, natural loops, loop depths.
 
 These mirror :mod:`repro.opt.bytecode_cfg` but operate on
-:class:`~repro.opt.ir.IRFunction` block graphs, for use by the
-optimization passes (loop depth guides inlining heuristics; dominators
-guide bounds-check elimination).
+:class:`~repro.opt.ir.IRFunction` block graphs (codegen nests its
+dispatch by natural loop).  They read the function's cached reverse
+postorder and predecessor lists (:meth:`IRFunction.block_order`,
+:meth:`IRFunction.predecessors`), which the function keeps until an edit
+method changes its graph.
 """
 
 from __future__ import annotations
@@ -11,26 +13,11 @@ from __future__ import annotations
 from repro.opt.ir import IRFunction
 
 
-def predecessors(fn: IRFunction) -> dict[int, list[int]]:
-    """Predecessor lists for every reachable block, each in reverse
-    postorder, from one walk of the CFG."""
-    order = fn.block_order()
-    preds: dict[int, list[int]] = {block.id: [] for block in order}
-    for block in order:
-        for s in block.successors():
-            preds[s].append(block.id)
-    return preds
-
-
-def reverse_postorder(fn: IRFunction) -> list[int]:
-    return [b.id for b in fn.block_order()]
-
-
 def immediate_dominators(fn: IRFunction) -> dict[int, int | None]:
     """Iterative dominator computation (CHK) over the reachable graph."""
-    rpo = reverse_postorder(fn)
+    rpo = [b.id for b in fn.block_order()]
     order = {b: i for i, b in enumerate(rpo)}
-    preds = predecessors(fn)
+    preds = fn.predecessors()
     idom: dict[int, int | None] = {fn.entry: fn.entry}
 
     def intersect(a: int, b: int) -> int:
@@ -72,7 +59,7 @@ def dominates(idom: dict[int, int | None], a: int, b: int) -> bool:
 def natural_loops(fn: IRFunction) -> list[tuple[int, set[int]]]:
     """``(header, body)`` pairs; back edges to one header are merged."""
     idom = immediate_dominators(fn)
-    preds = predecessors(fn)
+    preds = fn.predecessors()
     by_header: dict[int, set[int]] = {}
     for block in fn.block_order():
         for s in block.successors():

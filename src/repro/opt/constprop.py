@@ -15,18 +15,23 @@ block boundary can never reach a use; a block's out-state is its
 in-state plus its own writes to exposed registers.  Block-local temps
 therefore never ride along through the meet, and each sweep costs the
 exposed set per block instead of every register the function assigns.
-Dropping the others can change which blocks the worklist revisits, not
+Block states also leave out every register that no ``mov``, unary or
+binary instruction defines: calls, loads and allocations make their
+destinations NAC, so such a register reads as NAC at every use whether
+a state carries it or not.
+Dropping registers can change which blocks the worklist revisits, not
 the fixpoint it reaches: when every register is assigned on each path
 to its reads, the transfer functions are monotone and the answer does
-not depend on visit order.
+not depend on visit order.  The order only sets the cost: taking the
+queued block earliest in reverse postorder carries a change at a loop
+header through the whole body before the next trip round the loop.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from typing import Any
 
-from repro.opt.cfg import predecessors
 from repro.opt.fold import NoFold, fold_op
 from repro.opt.ir import (
     BINARY_OPS,
@@ -93,11 +98,13 @@ def _transfer_instr(instr, state: dict[str, Any]) -> None:
     state[name] = NAC
 
 
-def _exposed_registers(blocks) -> tuple[set[str], dict[int, list[str]]]:
-    """The upward-exposed registers of the function, and per block the
-    registers it writes that are not exposed anywhere (its local temps,
-    dropped from its out-state)."""
+def _tracked_registers(blocks) -> tuple[set[str], dict[int, list[str]]]:
+    """The registers block states carry (upward-exposed ones that some
+    ``mov``, unary or binary instruction defines), and per block the
+    registers it writes that are not carried (dropped from its
+    out-state)."""
     exposed: set[str] = set()
+    may_be_const: set[str] = set()
     writes: dict[int, set[str]] = {}
     for block in blocks:
         written: set[str] = set()
@@ -105,33 +112,41 @@ def _exposed_registers(blocks) -> tuple[set[str], dict[int, list[str]]]:
             for a in instr.args:
                 if isinstance(a, Reg) and a.name not in written:
                     exposed.add(a.name)
-            if instr.dest is not None:
-                written.add(instr.dest.name)
+            dest = instr.dest
+            if dest is not None:
+                written.add(dest.name)
+                op = instr.op
+                if op == "mov" or op in BINARY_OPS or op in UNARY_OPS:
+                    may_be_const.add(dest.name)
         writes[block.id] = written
+    tracked = exposed & may_be_const
     local = {
-        bid: [name for name in written if name not in exposed]
+        bid: [name for name in written if name not in tracked]
         for bid, written in writes.items()
     }
-    return exposed, local
+    return tracked, local
 
 
 def constant_propagation(fn: IRFunction) -> int:
     """Run the analysis + rewrite; returns number of operands rewritten."""
-    preds = predecessors(fn)
+    preds = fn.predecessors()
     blocks = fn.block_order()
     order = [b.id for b in blocks]
-    exposed, local = _exposed_registers(blocks)
+    tracked, local = _tracked_registers(blocks)
     entry_state: dict[str, Any] = {
-        f"l{i}": NAC for i in range(fn.num_args) if f"l{i}" in exposed
+        f"l{i}": NAC for i in range(fn.num_args) if f"l{i}" in tracked
     }
     in_states: dict[int, dict[str, Any]] = {fn.entry: entry_state}
     out_states: dict[int, dict[str, Any]] = {}
 
-    # A FIFO worklist with a membership set, seeded in reverse postorder.
-    work = deque(order)
+    # A worklist that always takes the queued block earliest in reverse
+    # postorder (a heap of positions), so a change at a loop header
+    # reaches the whole body in one pass; seeded with every block.
+    position = {bid: i for i, bid in enumerate(order)}
+    work = list(range(len(order)))
     queued = set(order)
     while work:
-        bid = work.popleft()
+        bid = order[heapq.heappop(work)]
         queued.discard(bid)
         if bid == fn.entry:
             in_state = dict(entry_state)
@@ -155,7 +170,7 @@ def constant_propagation(fn: IRFunction) -> int:
             for s in fn.blocks[bid].successors():
                 if s not in queued:
                     queued.add(s)
-                    work.append(s)
+                    heapq.heappush(work, position[s])
 
     # Rewrite sweep.
     rewritten = 0

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.opt.cfg import predecessors
 from repro.opt.ir import IRFunction, PURE_OPS, Reg
 
 
 def _block_liveness(fn: IRFunction) -> dict[int, set[str]]:
     """Fixpoint live-out sets per block."""
-    preds = predecessors(fn)
+    preds = fn.predecessors()
     order = [b.id for b in fn.block_order()]
     live_in: dict[int, set[str]] = {bid: set() for bid in order}
     live_out: dict[int, set[str]] = {bid: set() for bid in order}

@@ -21,11 +21,23 @@ Specialization interplay (paper §5):
   state fields in the callee; inline iff ``N > M + k`` (``k`` tunable;
   very negative k => always inline, very positive => always specialize).
 
-Rounds: each round repeatedly scans for the first inlinable call in
+:meth:`Inliner.run` repeatedly scans for the first inlinable call in
 reverse postorder and splices it, until a scan finds none or the growth
-budget runs out.  A scan walks the CFG once; the register producers and
-``this`` aliases that only lifetime-constant receivers consult are built
-on demand, at most once per scan.
+budget runs out.  A scan also walks the callee blocks spliced in before
+it, so inlining is transitive, bounded by the growth budget, the callee
+size limits and the guard against inlining the root method into itself.
+A scan reads the function's cached block order, which only a splice
+invalidates; the register producers and ``this`` aliases that only
+lifetime-constant receivers consult are built on demand, at most once
+per scan.
+
+Memos: one :class:`Inliner` serves one compile, and it lowers each
+callee and answers each CHA query (declared class, vtable offset) once.
+Neither input changes during a compile: lowering reads only the
+callee's linked bytecode, and JxVM loads every class up front.  The
+splice reads the lowered callee without changing it, so only
+lifetime-constant specialization, which rewrites loads in place, works
+on a clone.
 """
 
 from __future__ import annotations
@@ -34,9 +46,13 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.opt.ir import Const, Extra, IRFunction, IRInstr, Reg
+from repro.opt.ir import Const, Extra, IRFunction, IRInstr, Reg, clone_ir
 from repro.opt.lowering import lower_method
 from repro.opt.specialize import SpecBindings, specialize_ir, this_aliases
+
+
+#: A CHA query not answered yet this compile (None is an answer).
+_UNASKED = object()
 
 
 @dataclass(frozen=True)
@@ -46,9 +62,9 @@ class InlineConfig:
     enabled: bool = True
     #: Maximum callee bytecode length considered for inlining.
     max_callee_size: int = 40
-    #: Rounds of inlining (bounds transitive depth).
-    max_depth: int = 2
-    #: IR-instruction growth budget per compiled method.
+    #: IR-instruction growth budget per compiled method; with the
+    #: callee size limits and the root-recursion guard, the only bound
+    #: on transitive inlining.
     max_growth: int = 300
     #: The specialization-inlining trade-off constant (paper §5).
     k: int = 0
@@ -60,7 +76,7 @@ class InlineConfig:
 
 
 class Inliner:
-    """Performs inlining rounds over one function's IR."""
+    """Inlines call sites into one function's IR, for one compile."""
 
     def __init__(
         self,
@@ -78,6 +94,10 @@ class Inliner:
         self.inlined_count = 0
         #: Qualified names on the inline stack (recursion guard).
         self._stack = {root_rm.info.qualified_name}
+        #: Callee RuntimeMethod -> its lowered IR, never mutated.
+        self._lowered: dict[Any, IRFunction] = {}
+        #: (declared class, vtable offset) -> CHA's single target or None.
+        self._cha: dict[tuple[str, int | None], Any] = {}
 
     # -- target resolution ---------------------------------------------------
 
@@ -92,8 +112,13 @@ class Inliner:
 
     def _devirtualize(self, instr: IRInstr) -> Any:
         """CHA: the single concrete target of a virtual call, or None."""
-        decl = instr.extra.name
-        offset = instr.extra.offset
+        query = (instr.extra.name, instr.extra.offset)
+        target = self._cha.get(query, _UNASKED)
+        if target is _UNASKED:
+            target = self._cha[query] = self._single_target(*query)
+        return target
+
+    def _single_target(self, decl: str, offset: int | None) -> Any:
         targets = set()
         for rc in self.vm.classes.values():
             if rc.is_interface or not rc.is_subtype_of(decl):
@@ -244,8 +269,13 @@ class Inliner:
         block = fn.blocks[block_id]
         call = block.instrs[call_index]
 
-        callee_fn = lower_method(target_rm.info)
+        callee_fn = self._lowered.get(target_rm)
+        if callee_fn is None:
+            callee_fn = self._lowered[target_rm] = lower_method(
+                target_rm.info
+            )
         if olc is not None and olc:
+            callee_fn = clone_ir(callee_fn)
             specialize_ir(callee_fn, olc)
         self.budget -= callee_fn.instr_count()
 
@@ -253,7 +283,7 @@ class Inliner:
 
         # Continuation block receives the instructions after the call.
         cont = fn.new_block()
-        cont.instrs = block.instrs[call_index + 1:]
+        fn.set_instrs(cont, block.instrs[call_index + 1:])
 
         # Caller block: bind parameters, jump to the cloned entry.
         head = block.instrs[:call_index]
@@ -267,7 +297,7 @@ class Inliner:
                 Extra(target=block_map[callee_fn.entry]), call.line,
             )
         )
-        block.instrs = head
+        fn.set_instrs(block, head)
 
         # Rewrite callee rets into result-mov + jump to continuation.
         # An inlined hooked constructor carries its constructor-exit
@@ -299,7 +329,7 @@ class Inliner:
                     )
                 else:
                     out.append(instr)
-            fn.blocks[new_bid].instrs = out
+            fn.set_instrs(fn.blocks[new_bid], out)
         self.inlined_count += 1
 
     # -- driver --------------------------------------------------------------------
@@ -307,24 +337,19 @@ class Inliner:
     def run(self) -> int:
         if not self.config.enabled:
             return 0
-        for _round in range(self.config.max_depth):
-            site = self._find_site()
-            inlined_this_round = 0
-            while site is not None:
-                block_id, index, target_rm, olc = site
-                self._inline_site(block_id, index, target_rm, olc)
-                inlined_this_round += 1
-                if self.budget <= 0:
-                    return self.inlined_count
-                site = self._find_site()
-            if not inlined_this_round:
+        site = self._find_site()
+        while site is not None:
+            self._inline_site(*site)
+            if self.budget <= 0:
                 break
+            site = self._find_site()
         return self.inlined_count
 
     def _find_site(self):
-        """The first inlinable call in reverse postorder.  One walk of
-        the CFG; the producers and aliases a lifetime-constant receiver
-        needs are built only if some site asks, once per scan."""
+        """The first inlinable call in reverse postorder, read from the
+        cached order (a walk only after a splice); the producers and
+        aliases a lifetime-constant receiver needs are built only if
+        some site asks, once per scan."""
         blocks = self.fn.block_order()
 
         @functools.cache

@@ -223,7 +223,16 @@ class Block:
 
 
 class IRFunction:
-    """One method's IR: parameters, locals, and a block graph."""
+    """One method's IR: parameters, locals, and a block graph.
+
+    The reverse postorder and the predecessor lists are computed on
+    first request and kept until the block graph changes.  Every edit
+    that can change the graph goes through a method below:
+    :meth:`set_entry`, :meth:`set_instrs`, :meth:`set_terminator` and
+    :meth:`retarget` drop the cached order; :meth:`new_block` and
+    :meth:`remove_block` cannot change it.  A pass that rewrites only
+    non-terminator instructions assigns ``block.instrs`` directly.
+    """
 
     def __init__(
         self,
@@ -243,42 +252,93 @@ class IRFunction:
         #: index-aligned with l0..l(num_args-1); filled by the lowerer and
         #: consumed by type inference.
         self.param_kinds: list[str] = []
+        #: The cached reverse postorder and predecessor lists (None
+        #: until asked for, and again after each graph edit).
+        self._order: tuple[Block, ...] | None = None
+        self._preds: dict[int, list[int]] | None = None
+
+    # -- the block graph --------------------------------------------------
+
+    def block_order(self) -> tuple[Block, ...]:
+        """Blocks in reverse postorder from the entry."""
+        if self._order is None:
+            self._order = self._walk()
+        return self._order
+
+    def predecessors(self) -> dict[int, list[int]]:
+        """Predecessor lists for every reachable block, each in reverse
+        postorder.  Callers must not mutate them."""
+        if self._preds is None:
+            order = self.block_order()
+            preds: dict[int, list[int]] = {block.id: [] for block in order}
+            for block in order:
+                for s in block.successors():
+                    preds[s].append(block.id)
+            self._preds = preds
+        return self._preds
+
+    def reachable_ids(self) -> set[int]:
+        return {b.id for b in self.block_order()}
+
+    def _walk(self) -> tuple[Block, ...]:
+        """One depth-first walk of the graph from the entry."""
+        blocks = self.blocks
+        seen = {self.entry}
+        postorder: list[int] = []
+        stack = [(self.entry, iter(blocks[self.entry].successors()))]
+        while stack:
+            cur, succ_iter = stack[-1]
+            for s in succ_iter:
+                if s not in seen:
+                    seen.add(s)
+                    stack.append((s, iter(blocks[s].successors())))
+                    break
+            else:
+                postorder.append(cur)
+                stack.pop()
+        return tuple(blocks[b] for b in reversed(postorder))
+
+    def _graph_changed(self) -> None:
+        self._order = self._preds = None
+
+    # -- graph edits ----------------------------------------------------------
 
     def new_block(self) -> Block:
+        """Add an empty block.  Nothing jumps to it yet, so the cached
+        order stands until a terminator names it."""
         block = Block(self._next_block_id)
         self.blocks[block.id] = block
         self._next_block_id += 1
         return block
 
+    def remove_block(self, bid: int) -> None:
+        """Delete block ``bid``, which the entry must not reach (the
+        cached order covers only blocks it reaches)."""
+        del self.blocks[bid]
+
+    def set_entry(self, bid: int) -> None:
+        self.entry = bid
+        self._graph_changed()
+
+    def set_instrs(self, block: Block, instrs: list[IRInstr]) -> None:
+        """Replace ``block``'s instructions, terminator included."""
+        block.instrs = instrs
+        self._graph_changed()
+
+    def set_terminator(self, block: Block, term: IRInstr) -> None:
+        block.instrs[-1] = term
+        self._graph_changed()
+
+    def retarget(self, term: IRInstr, edge: str, target: int) -> None:
+        """Point ``term``'s ``edge`` (``"target"``, ``"if_true"`` or
+        ``"if_false"``) at block ``target``, in place."""
+        setattr(term.extra, edge, target)
+        self._graph_changed()
+
+    # -- queries ----------------------------------------------------------------
+
     def local_reg(self, index: int) -> Reg:
         return Reg(f"l{index}")
-
-    def block_order(self) -> list[Block]:
-        """Blocks in reverse postorder from the entry."""
-        seen: set[int] = set()
-        postorder: list[int] = []
-
-        def visit(bid: int) -> None:
-            stack = [(bid, iter(self.blocks[bid].successors()))]
-            seen.add(bid)
-            while stack:
-                cur, succ_iter = stack[-1]
-                advanced = False
-                for s in succ_iter:
-                    if s not in seen:
-                        seen.add(s)
-                        stack.append((s, iter(self.blocks[s].successors())))
-                        advanced = True
-                        break
-                if not advanced:
-                    postorder.append(cur)
-                    stack.pop()
-
-        visit(self.entry)
-        return [self.blocks[b] for b in reversed(postorder)]
-
-    def reachable_ids(self) -> set[int]:
-        return {b.id for b in self.block_order()}
 
     def instr_count(self) -> int:
         return sum(len(b.instrs) for b in self.blocks.values())

@@ -106,7 +106,7 @@ class Lowerer:
         reachable = set(self.cfg.reverse_postorder())
         for bid in list(self.fn.blocks):
             if bid not in reachable:
-                del self.fn.blocks[bid]
+                self.fn.remove_block(bid)
         return self.fn
 
     def _emit_entry_copies(
@@ -396,7 +396,7 @@ def lower_method_osr(method: MethodInfo, pc: int) -> IRFunction:
     entry = lw.cfg.block_of_instr[pc]
     if lw.cfg.blocks[entry].start != pc:
         raise ValueError(f"OSR pc {pc} is not a block leader")
-    fn.entry = entry
+    fn.set_entry(entry)
     # All locals arrive as arguments; unknown kinds for the non-param
     # slots (type inference treats "?" as top).
     fn.param_kinds = fn.param_kinds + ["?"] * (

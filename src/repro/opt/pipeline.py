@@ -5,9 +5,11 @@ JxVM's opt0 is the interpreter, so the optimizing pipeline covers opt1
 and opt2):
 
 * **opt1** — lower, simplify, constant propagation, CFG cleanup, DCE.
-* **opt2** — opt1's pipeline plus inlining (with specialization
-  inlining), strength reduction, and bounds-check elimination, iterated
-  to a fixpoint.
+* **opt2** — inlining (with specialization inlining), opt1's passes to
+  a fixpoint, strength reduction and bounds-check elimination, then the
+  opt1 passes to a fixpoint again.  That second sweep is skipped when it
+  cannot change the IR: the first one reached its fixpoint and neither
+  strength reduction nor bounds-check elimination rewrote anything.
 
 Both tiers emit Python code through :class:`PyCodegen`, like Jikes
 compiles every tier to machine code; opt1 code also counts back-edge
@@ -18,6 +20,9 @@ specialization pass right after lowering/inlining so the bound state
 fields feed the whole downstream pipeline — this is how "the mutable
 functions can be compiled with grade specialized to 0, 1, 2, or 3"
 (paper §2.2) happens here.
+
+Every pass is looked up in this module's globals when it runs, so a
+profiler can time each one by rebinding its name here.
 """
 
 from __future__ import annotations
@@ -74,7 +79,8 @@ class OptCompiler:
         self.config = config or OptConfig()
         #: The compile-cache key's opt-config digest, once per compiler.
         self.config_digest = opt_config_digest(self.config)
-        #: id(RuntimeMethod) -> post-inline opt2 IR snapshot.
+        #: id(RuntimeMethod) -> post-inline opt2 IR snapshot, kept for
+        #: mutable methods only (no other method is ever specialized).
         self._ir_snapshots: dict[int, Any] = {}
 
     # ------------------------------------------------------------------
@@ -94,7 +100,11 @@ class OptCompiler:
         tel.observe(f"opt.pass_seconds.{name}", seconds)
         return result
 
-    def _run_core_pipeline(self, fn) -> None:
+    def _run_core_pipeline(self, fn) -> bool:
+        """Sweep the core passes until one sweep changes nothing or
+        ``max_iterations`` run out; returns whether the fixpoint was
+        reached.  A pass that reports no change leaves the IR as it
+        was, so at the fixpoint another sweep would change nothing."""
         run = self._pass
         for _ in range(self.config.max_iterations):
             changed = run("simplify", simplify, fn)
@@ -103,7 +113,18 @@ class OptCompiler:
             changed += run("cleanup_cfg", cleanup_cfg, fn)
             changed += run("dce", dead_code_elimination, fn)
             if not changed:
-                break
+                return True
+        return False
+
+    def _run_opt2_passes(self, fn) -> None:
+        """opt2's schedule after lowering, inlining and specialization:
+        a core sweep, strength reduction and bounds-check elimination,
+        then a second core sweep unless it cannot change the IR."""
+        fixpoint = self._run_core_pipeline(fn)
+        changed = self._pass("strength", strength_reduce, fn)
+        changed += self._pass("boundselim", eliminate_bounds_checks, fn)
+        if changed or not fixpoint:
+            self._run_core_pipeline(fn)
 
     def build_ir(
         self,
@@ -114,11 +135,13 @@ class OptCompiler:
     ):
         """Produce optimized IR for ``rm`` at ``opt_level``.
 
-        The post-inline IR of an opt2 *general* compile is snapshotted on
-        the RuntimeMethod; specialized versions clone that snapshot
+        The post-inline IR of an opt2 *general* compile of a mutable
+        method is snapshotted; specialized versions clone that snapshot
         instead of re-lowering and re-inlining (Fig. 5 generates the
         general and all special versions together, so the snapshot is
-        always fresh when the manager asks for specials).
+        always fresh when the manager asks for specials).  A special of
+        a method compiled before it became mutable (an online attach)
+        finds no snapshot and lowers and inlines afresh.
 
         ``entry_pc`` builds an OSR continuation instead: the method
         lowered with its entry at that loop header
@@ -149,7 +172,7 @@ class OptCompiler:
                     ),
                     fn,
                 )
-                if entry_pc is None:
+                if entry_pc is None and rm.is_mutable:
                     self._ir_snapshots[id(rm)] = clone_ir(fn)
         if bindings:
             self._pass(
@@ -168,10 +191,9 @@ class OptCompiler:
                     lambda f: insert_deopt_points(f, rm, bindings.tib),
                     fn,
                 )
-        self._run_core_pipeline(fn)
         if opt_level >= 2:
-            self._pass("strength", strength_reduce, fn)
-            self._pass("boundselim", eliminate_bounds_checks, fn)
+            self._run_opt2_passes(fn)
+        else:
             self._run_core_pipeline(fn)
         return fn
 

@@ -80,6 +80,41 @@ def test_method_digest_tracks_only_that_method():
         method_digest(b.classes["Main"].own_methods["main"].info)
 
 
+def test_stdlib_digests_equal_a_full_render():
+    """Program and method digests reuse the stdlib renders made once per
+    process, and each still equals a full fresh render of the unit, once
+    linked and again after a run (with a plan on salarydb), so no compile
+    key changes."""
+    from repro.cache.keys import (
+        _class_payload, _method_payload, unit_method_digest,
+    )
+
+    for name, scale in (("salarydb", 0.05), ("simlogic", 0.02),
+                        ("csvtoxml", 0.02), ("java2xhtml", 0.01),
+                        ("weka", 0.05), ("jbb2000", 0.02),
+                        ("jbb2005", 0.02)):
+        spec = get_workload(name)
+        source = spec.source(scale)
+        entry = dict(entry_class=spec.entry_class,
+                     entry_method=spec.entry_method)
+        plan = (build_mutation_plan(source, **entry)
+                if name == "salarydb" else None)
+        vm = VM(compile_source(source, **entry), mutation_plan=plan)
+        unit = vm.unit
+        assert {"Object", "Sys"} <= unit.stdlib_names
+        for _ in range(2):
+            assert program_digest(unit) == stable_digest([
+                [unit.entry_class, unit.entry_method],
+                sorted((_class_payload(c) for c in unit.classes.values()),
+                       key=lambda row: row[0]),
+            ]), name
+            for cls in unit.classes.values():
+                for m in cls.methods.values():
+                    assert unit_method_digest(unit, m) == \
+                        stable_digest(_method_payload(m)), m.qualified_name
+            vm.run()
+
+
 def test_opt_level_and_config_change_key():
     vm = _vm()
     assert _key(vm, opt_level=1) != _key(vm, opt_level=2)
@@ -259,7 +294,7 @@ def test_schema_v9_opt1_ir_entry_is_a_miss(tmp_path):
     """Before schema v10 an opt1 entry held serialized IR.  Such an
     entry is stale by stamp, and even one planted under a current key
     is a counted link error and a recompile, never a crash."""
-    assert cache_stamp().startswith("v15-")
+    assert cache_stamp().startswith("v16-")
     cache_dir = tmp_path / "jxcache"
     out_cold = _vm(adaptive_config=OPT1_ONLY,
                    compile_cache=str(cache_dir)).run().output

@@ -6,7 +6,6 @@ from repro.mutation import build_mutation_plan
 from repro.opt import constprop
 from repro.opt.boundselim import eliminate_bounds_checks
 from repro.opt.branchfold import cleanup_cfg, merge_blocks
-from repro.opt.cfg import predecessors
 from repro.opt.constprop import (
     NAC,
     _meet_states,
@@ -18,6 +17,7 @@ from repro.opt.fold import NoFold, fold_op
 from repro.opt.inline import Inliner
 from repro.opt.ir import Const, Extra, IRFunction, IRInstr, Reg, clone_ir
 from repro.opt.lowering import lower_method
+from repro.opt.pipeline import OptCompiler, OptConfig
 from repro.opt.simplify import simplify
 from repro.opt.specialize import SpecBindings, specialize_ir, this_aliases
 from repro.opt.strength import strength_reduce
@@ -292,7 +292,7 @@ def test_simplify_algebraic_identities():
 def _dense_constant_propagation(fn: IRFunction) -> int:
     """Reference: every block state carries every assigned register, on
     a list worklist."""
-    preds = predecessors(fn)
+    preds = fn.predecessors()
     order = [b.id for b in fn.block_order()]
     entry_state = {f"l{i}": NAC for i in range(fn.num_args)}
     in_states = {fn.entry: entry_state}
@@ -345,7 +345,7 @@ def _restart_merge_blocks(fn: IRFunction) -> int:
     then recompute predecessors and the order and start over."""
     changed = 0
     while True:
-        preds = predecessors(fn)
+        preds = fn.predecessors()
         for block in list(fn.block_order()):
             if block.id not in fn.blocks:
                 continue
@@ -357,8 +357,8 @@ def _restart_merge_blocks(fn: IRFunction) -> int:
                 continue
             if len(preds.get(target, [])) != 1:
                 continue
-            block.instrs = block.instrs[:-1] + fn.blocks[target].instrs
-            del fn.blocks[target]
+            fn.set_instrs(block, block.instrs[:-1] + fn.blocks[target].instrs)
+            fn.remove_block(target)
             changed += 1
             break
         else:
@@ -371,11 +371,36 @@ ORACLE_WORKLOADS = (("java2xhtml", 0.01), ("jbb2005", 0.02),
 
 
 @pytest.fixture(scope="module")
-def pipeline_inputs():
+def oracle_programs():
+    """``(source, entry, plan)`` of each oracle workload."""
+    programs = []
+    for name, scale in ORACLE_WORKLOADS:
+        spec = get_workload(name)
+        source = spec.source(scale)
+        entry = dict(entry_class=spec.entry_class,
+                     entry_method=spec.entry_method)
+        programs.append((source, entry, build_mutation_plan(source, **entry)))
+    return programs
+
+
+def _run_oracle_programs(mp, programs):
+    """Run each oracle workload with its plan (general, special and OSR
+    compiles); returns each run's total code bytes."""
+    # A compile cache would link methods instead of compiling them.
+    mp.delenv("JX_CACHE_DIR", raising=False)
+    code_bytes = []
+    for source, entry, plan in programs:
+        vm = VM(compile_source(source, **entry), mutation_plan=plan)
+        vm.run()
+        code_bytes.append(vm.compile_stats.total_code_bytes)
+    return code_bytes
+
+
+@pytest.fixture(scope="module")
+def pipeline_inputs(oracle_programs):
     """Clones of every IR function the pipeline hands to constant
     propagation and to block merging while it compiles the oracle
-    workloads, each run with a mutation plan (general, special and OSR
-    compiles)."""
+    workloads."""
     import repro.opt.branchfold as branchfold
     import repro.opt.pipeline as pipeline
 
@@ -388,19 +413,11 @@ def pipeline_inputs():
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        # A compile cache would link methods instead of compiling them.
-        mp.delenv("JX_CACHE_DIR", raising=False)
         mp.setattr(pipeline, "constant_propagation",
                    capture("constprop", pipeline.constant_propagation))
         mp.setattr(branchfold, "merge_blocks",
                    capture("merge", branchfold.merge_blocks))
-        for name, scale in ORACLE_WORKLOADS:
-            spec = get_workload(name)
-            source = spec.source(scale)
-            entry = dict(entry_class=spec.entry_class,
-                         entry_method=spec.entry_method)
-            plan = build_mutation_plan(source, **entry)
-            VM(compile_source(source, **entry), mutation_plan=plan).run()
+        _run_oracle_programs(mp, oracle_programs)
     return seen
 
 
@@ -441,14 +458,15 @@ def _br(cond, if_true, if_false):
 def test_constprop_loop_join_and_block_local_temps(monkeypatch):
     """``l1`` is carried around the loop (0, then l1 + 5): not folded.
     ``l3`` is 5 on both paths into the loop header: folded.  ``t0`` and
-    ``t1`` are read only in the block that writes them: they never
-    enter a block state."""
+    ``t1`` are read only in the block that writes them, and only a load
+    defines ``l2``: none of them ever enters a block state."""
     fn = IRFunction("loop", 1, 4, True)
     entry, left, right, head, body, exit_ = (
         fn.new_block() for _ in range(6)
     )
     entry.instrs = [
         IRInstr("mov", Reg("l1"), [Const(0)]),
+        IRInstr("getfield", Reg("l2"), [Reg("l0")], Extra(slot=0)),
         IRInstr("add", Reg("t0"), [Reg("l0"), Const(1)]),
         _br(Reg("t0"), left, right),
     ]
@@ -462,7 +480,10 @@ def test_constprop_loop_join_and_block_local_temps(monkeypatch):
         IRInstr("add", Reg("l1"), [Reg("l1"), Reg("l3")]),
         _jump(head),
     ]
-    exit_.instrs = [IRInstr("ret", None, [Reg("l1")])]
+    exit_.instrs = [
+        IRInstr("putfield", None, [Reg("l0"), Reg("l2")], Extra(slot=0)),
+        IRInstr("ret", None, [Reg("l1")]),
+    ]
     ref = clone_ir(fn)
 
     met = []
@@ -477,23 +498,24 @@ def test_constprop_loop_join_and_block_local_temps(monkeypatch):
     assert fn.pretty() == ref.pretty()
     assert body.instrs[0].args == [Reg("l1"), Const(5)]
     assert head.instrs[0].args == [Reg("l1"), Const(10)]
-    assert exit_.instrs[0].args == [Reg("l1")]
+    assert exit_.instrs[1].args == [Reg("l1")]
     assert met, "the loop header is a join"
-    assert all("t0" not in st and "t1" not in st for st in met)
+    assert all(not {"t0", "t1", "l2"} & set(st) for st in met)
 
 
 # -- cost pins ---------------------------------------------------------------------
 
 def _count_walks(monkeypatch, fn_filter=lambda fn: True):
+    """Count real CFG walks, not requests for the cached order."""
     walks = []
-    real = IRFunction.block_order
+    real = IRFunction._walk
 
-    def block_order(self):
+    def walk(self):
         if fn_filter(self):
             walks.append(self)
         return real(self)
 
-    monkeypatch.setattr(IRFunction, "block_order", block_order)
+    monkeypatch.setattr(IRFunction, "_walk", walk)
     return walks
 
 
@@ -560,3 +582,182 @@ def test_inliner_walks_once_per_site_scan(monkeypatch):
     assert roots and len(scans) > len(roots), "some site was inlined"
     assert len(walks) == len(scans)
     assert aliases == []
+
+
+# -- reuse oracles -------------------------------------------------------------
+#
+# The compiler reuses what has not changed: each function's block order
+# and predecessor lists until its graph is edited, the inliner's lowered
+# callees and CHA answers within one compile, and opt2's first sweep
+# when nothing after it can change the IR.  The references below compute
+# everything afresh, as the compiler did before it reused anything.
+
+
+def _fresh_predecessors(fn: IRFunction) -> dict[int, list[int]]:
+    """Reference: predecessor lists from a fresh walk."""
+    order = fn._walk()
+    preds = {block.id: [] for block in order}
+    for block in order:
+        for s in block.successors():
+            preds[s].append(block.id)
+    return preds
+
+
+class _Forgetful(dict):
+    """Reference inliner memo: remembers nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _compile_oracle_programs(programs, max_iterations, reference):
+    """Every generated source of the oracle workloads' runs, in compile
+    order, and each run's total code bytes; with ``reference``, through
+    the references instead of the reuses."""
+    import repro.opt.pipeline as pipeline
+
+    sources = []
+    real_compiler_init = OptCompiler.__init__
+    real_compile = OptCompiler._compile
+    real_init = Inliner.__init__
+
+    def compiler_init(self, vm, config=None):
+        real_compiler_init(self, vm, OptConfig(max_iterations=max_iterations))
+
+    def compile_(self, rm, opt_level, bindings, entry_pc):
+        cm = real_compile(self, rm, opt_level, bindings, entry_pc)
+        sources.append((rm.info.qualified_name, opt_level,
+                        bindings.label if bindings else None, entry_pc,
+                        cm.source_text))
+        return cm
+
+    def two_sweeps(self, fn):
+        self._run_core_pipeline(fn)
+        self._pass("strength", pipeline.strength_reduce, fn)
+        self._pass("boundselim", pipeline.eliminate_bounds_checks, fn)
+        self._run_core_pipeline(fn)
+
+    def forgetful_inliner(self, *args):
+        real_init(self, *args)
+        self._lowered, self._cha = _Forgetful(), _Forgetful()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OptCompiler, "__init__", compiler_init)
+        mp.setattr(OptCompiler, "_compile", compile_)
+        if reference:
+            mp.setattr(IRFunction, "block_order", IRFunction._walk)
+            mp.setattr(IRFunction, "predecessors", _fresh_predecessors)
+            mp.setattr(pipeline, "constant_propagation",
+                       _dense_constant_propagation)
+            mp.setattr(OptCompiler, "_run_opt2_passes", two_sweeps)
+            mp.setattr(Inliner, "__init__", forgetful_inliner)
+        code_bytes = _run_oracle_programs(mp, programs)
+    return sources, code_bytes
+
+
+@pytest.mark.parametrize("max_iterations", [5, 1])
+def test_reuses_generate_the_same_code_as_the_references(
+        oracle_programs, max_iterations):
+    """With one iteration per sweep, opt2's first sweep mostly stops
+    short of its fixpoint, so its second sweep must still run."""
+    shipped, reference = (
+        _compile_oracle_programs(oracle_programs, max_iterations, ref)
+        for ref in (False, True)
+    )
+    assert len(shipped[0]) > 50
+    assert shipped == reference
+
+
+def test_inliner_memo_keeps_each_callee_as_lowered(oracle_programs):
+    """Lifetime-constant specialization works on a clone: after every
+    splice, each memoised callee still equals a fresh lowering.  (An
+    OSR compile that raises is a miss the VM swallows, so mismatches
+    are collected, not asserted where they are found.)"""
+    specialized, changed = [], []
+    real_splice = Inliner._inline_site
+
+    def splice(self, block_id, index, target_rm, olc):
+        real_splice(self, block_id, index, target_rm, olc)
+        specialized.append(olc is not None)
+        changed.extend(
+            rm.info.qualified_name for rm, callee in self._lowered.items()
+            if callee.pretty() != lower_method(rm.info).pretty()
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Inliner, "_inline_site", splice)
+        _run_oracle_programs(mp, oracle_programs)
+    assert any(specialized) and not all(specialized)
+    assert changed == []
+
+
+def test_cached_cfg_order_is_never_stale(oracle_programs):
+    """After every optimizer pass and every inliner splice, a cached
+    order and cached predecessor lists equal a fresh walk's (collected,
+    since the VM swallows an OSR compile that raises)."""
+    checked, stale = [], []
+
+    def check(fn):
+        if fn._order is not None:
+            fresh = fn._walk()
+            if ([b.id for b in fn._order] != [b.id for b in fresh]
+                    or any(fn.blocks.get(b.id) is not b
+                           for b in fn._order)):
+                stale.append(fn.name)
+            checked.append(fn)
+        if fn._preds is not None and fn._preds != _fresh_predecessors(fn):
+            stale.append(fn.name)
+
+    real_pass, real_splice = OptCompiler._pass, Inliner._inline_site
+
+    def pass_(self, name, pass_fn, fn):
+        result = real_pass(self, name, pass_fn, fn)
+        if isinstance(fn, IRFunction):
+            check(fn)
+        elif isinstance(result, IRFunction):
+            check(result)
+        return result
+
+    def splice(self, *args):
+        real_splice(self, *args)
+        check(self.fn)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OptCompiler, "_pass", pass_)
+        mp.setattr(Inliner, "_inline_site", splice)
+        _run_oracle_programs(mp, oracle_programs)
+    assert len(checked) > 500
+    assert stale == []
+
+
+def test_graph_edits_drop_the_cached_order():
+    """Each edit that can change the graph drops the cached order and
+    predecessor lists; adding a block or deleting an unreachable one
+    leaves them valid."""
+    fn = IRFunction("edits", 1, 1, False)
+    a, b, c, d = (fn.new_block() for _ in range(4))
+    a.instrs = [_br(Reg("l0"), b, c)]
+    b.instrs = [_jump(d)]
+    c.instrs = [_jump(d)]
+    d.instrs = [IRInstr("ret", None, [])]
+
+    def fresh(expected):
+        assert [x.id for x in fn.block_order()] == expected
+        assert [x.id for x in fn._walk()] == expected
+        assert fn.predecessors() == _fresh_predecessors(fn)
+
+    fresh([a.id, c.id, b.id, d.id])
+    fn.retarget(a.terminator, "if_false", b.id)
+    fresh([a.id, b.id, d.id])
+    assert fn.predecessors()[b.id] == [a.id, a.id]
+    fn.remove_block(c.id)
+    fresh([a.id, b.id, d.id])
+    fn.set_terminator(a, _jump(b))
+    fresh([a.id, b.id, d.id])
+    e = fn.new_block()
+    e.instrs = [_jump(d)]
+    fresh([a.id, b.id, d.id])
+    fn.set_instrs(b, [_jump(e)])
+    fresh([a.id, b.id, e.id, d.id])
+    fn.set_entry(b.id)
+    fresh([b.id, e.id, d.id])
