@@ -2,10 +2,10 @@
 
 A whole-program analysis layer over the bytecode IR:
 
-* :mod:`.cfg` — instruction-level CFGs (pristine and quickened
-  bodies);
 * :mod:`.dataflow` — a generic forward/backward worklist engine with
-  configurable lattices;
+  configurable lattices, run over the instruction graph of
+  :func:`repro.bytecode.opcodes.successors` (pristine and quickened
+  bodies);
 * :mod:`.escape` — flow-sensitive escape analysis for private reference
   fields (backs the lifetime-constant analysis);
 * :mod:`.specsafety` — hook-completeness findings and the attach-time
@@ -20,7 +20,6 @@ A whole-program analysis layer over the bytecode IR:
 * :mod:`.lint` — the ``jx lint`` aggregation over a built VM.
 """
 
-from repro.analysis.cfg import InstrCFG
 from repro.analysis.dataflow import solve_backward, solve_forward
 from repro.analysis.escape import RefFieldFacts, analyze_ref_fields
 from repro.analysis.findings import Finding
@@ -51,7 +50,6 @@ from repro.analysis.tv import (
 )
 
 __all__ = [
-    "InstrCFG",
     "solve_backward",
     "solve_forward",
     "RefFieldFacts",

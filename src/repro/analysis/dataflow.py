@@ -1,12 +1,13 @@
 """A generic worklist fixed-point dataflow engine.
 
 The engine is deliberately graph-shaped rather than bytecode-shaped: it
-takes explicit successor lists (usually from
-:class:`repro.analysis.cfg.InstrCFG`, but the IR block graph or any
-other digraph works), a join, and a per-node transfer function, and
-iterates to a fixed point.  Clients configure the lattice entirely
-through ``join``/``transfer``/``top`` — booleans with AND (must
-analyses), frozensets with union (may analyses), or arbitrary tuples.
+takes explicit successor lists (usually one
+:func:`repro.bytecode.opcodes.successors` tuple per instruction, but the
+IR block graph or any other digraph works), a join, and a per-node
+transfer function, and iterates to a fixed point.  Clients configure the
+lattice entirely through ``join``/``transfer``/``top`` — booleans with
+AND (must analyses), frozensets with union (may analyses), or arbitrary
+tuples.
 
 Directions:
 

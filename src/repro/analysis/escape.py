@@ -7,7 +7,8 @@ at every block leader, so any candidate-field value that crosses a
 branch join — e.g. a ``g`` sitting under a ternary sub-expression used
 as a call argument — silently loses its identity and its escape is
 missed.  Here the same per-value facts are carried through joins by a
-forward dataflow over :class:`repro.analysis.cfg.InstrCFG`.
+forward dataflow over the instruction graph that the successor rule
+(:func:`repro.bytecode.opcodes.successors`) gives.
 
 Abstract values are *provenance tag sets* (one frozenset per stack slot
 and local slot):
@@ -22,7 +23,7 @@ and local slot):
 
 The join is pointwise union, the tag domain is finite, and transfers
 only add tags or rebuild slots, so the fixed point exists.  Only normal
-CFG edges are followed: Jx has no catch handlers, so an exception
+edges are followed: Jx has no catch handlers, so an exception
 unwinds the method and performs no further program actions.
 
 Escape/assignment effects fire as (monotone, idempotent) side effects
@@ -39,8 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.bytecode.classfile import MethodInfo, ProgramUnit
-from repro.bytecode.opcodes import CALL_OPS, OP_INFO, Op
-from repro.analysis.cfg import InstrCFG
+from repro.bytecode.opcodes import CALL_OPS, OP_INFO, Op, successors
 from repro.analysis.dataflow import solve_forward
 from repro.mutation.stacksim import _call_returns
 
@@ -104,8 +104,6 @@ class _FlowWalker:
             self.facts[key].escaped = True
 
     def transfer(self, i: int, state: tuple) -> tuple:
-        if i >= len(self.code):
-            return state  # the CFG's synthetic EXIT node
         stack, locals_ = list(state[0]), state[1]
         instr = self.code[i]
         op = instr.op
@@ -168,10 +166,6 @@ class _FlowWalker:
                     )
             if self.call_returns.get(i, True):
                 stack.append(_UNKNOWN)
-        elif op in (Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE):
-            stack.pop()
-        elif op is Op.JUMP or op is Op.RETURN_VOID or op is Op.NOP:
-            pass
         elif op is Op.RETURN:
             self._escape(stack.pop())
         elif op is Op.ASTORE:
@@ -196,9 +190,8 @@ class _FlowWalker:
         return (tuple(stack), locals_)
 
     def run(self) -> None:
-        cfg = InstrCFG(self.code)
         solve_forward(
-            cfg.succs,
+            [successors(instr, pc) for pc, instr in enumerate(self.code)],
             self.transfer,
             join=_join,
             boundary={0: self.entry_state()},

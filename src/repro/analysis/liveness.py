@@ -1,8 +1,9 @@
 """Live-local analysis — the OSR frame-mapping client.
 
-A backward may-liveness over the instruction-level CFG
-(:class:`~repro.analysis.cfg.InstrCFG`): a local slot is *live-in* at an
-instruction when some path from it reads the slot before overwriting it.
+A backward may-liveness over the instruction graph that the successor
+rule (:func:`repro.bytecode.opcodes.successors`) gives: a local slot is
+*live-in* at an instruction when some path from it reads the slot before
+overwriting it.
 On-stack replacement (:mod:`repro.vm.osr`) uses the per-instruction
 live-in sets as its compensation sets — a captured frame only needs the
 live slots transferred; everything else materializes as ``None``
@@ -20,10 +21,9 @@ shared by both encodings (which is all of them).
 
 from __future__ import annotations
 
-from repro.analysis.cfg import InstrCFG
 from repro.analysis.dataflow import solve_backward
 from repro.bytecode.instructions import Instr
-from repro.bytecode.opcodes import Op
+from repro.bytecode.opcodes import Op, successors
 
 
 def local_effects(instr: Instr) -> tuple[frozenset[int], frozenset[int]]:
@@ -53,28 +53,24 @@ def local_effects(instr: Instr) -> tuple[frozenset[int], frozenset[int]]:
     return none, none
 
 
-def live_locals(
-    code: list[Instr], *, quick: bool = False
-) -> list[frozenset[int]]:
+def live_locals(code: list[Instr]) -> list[frozenset[int]]:
     """Per-instruction live-in local sets for one code array.
 
     ``result[pc]`` is the set of local slots whose values an execution
     resumed at ``pc`` may still read.  Computed as the least fixed point
     of the classic backward equations (``in = uses ∪ (out − defs)``)
-    over the normal-flow CFG.
+    over normal flow; a return's out set is empty.
     """
-    cfg = InstrCFG(code, quick=quick)
     effects = [local_effects(instr) for instr in code]
 
     def transfer(i: int, out: frozenset[int]) -> frozenset[int]:
         uses, defs = effects[i]
         return uses | (out - defs)
 
-    states = solve_backward(
-        succs=cfg.succs,
+    return solve_backward(
+        succs=[successors(instr, pc) for pc, instr in enumerate(code)],
         transfer=transfer,
         join=lambda a, b: a | b,
         top=frozenset(),
-        boundary={cfg.exit: frozenset()},
+        boundary={},
     )
-    return states[: len(code)]

@@ -56,6 +56,7 @@ from repro.bytecode.opcodes import branch_target, op_width
 from repro.bytecode.verify import (
     VerifyError,
     stack_depths,
+    stack_effect_quick,
     verify_quick_depths,
 )
 from repro.analysis.findings import Finding
@@ -152,11 +153,10 @@ def validate_quick_method(rm: Any, quick: list | None = None
         return [Finding("tv-quicken", qname, e.index, qname, str(e))]
     max_locals = rm.info.max_locals
     findings = []
-    for pc in sorted(depths):
+    for pc, depth in enumerate(depths):
         instr = qc[pc]
-        if instr is code[pc]:
-            continue  # untransformed slot: trivially equivalent
-        depth = depths[pc]
+        if depth is None or instr is code[pc]:
+            continue  # unexecuted or untransformed: trivially equivalent
         width = op_width(instr.op)
         try:
             quick = step_outcomes(qc, pc, depth, max_locals)
@@ -242,12 +242,12 @@ def _osr_entry_problem(rm: Any, pc: int, dead: tuple) -> str | None:
     """
     code = rm.info.code
     try:
-        depths = stack_depths(code, TVUnprovable)
+        depth = stack_depths(code, stack_effect_quick, TVUnprovable)[pc]
     except TVUnprovable as e:
         return f"pristine body is unverifiable: {e}"
-    if depths.get(pc) != 0:
+    if depth != 0:
         return (
-            f"entry pc {pc} has stack depth {depths.get(pc)!r}; the "
+            f"entry pc {pc} has stack depth {depth!r}; the "
             f"frame transfer assumes an empty operand stack"
         )
     if not _is_loop_header(code, pc):
@@ -334,12 +334,14 @@ def tv_osr_findings(vm: Any) -> list[Finding]:
                     continue
                 ex = instr.extra
                 if depths is None:
-                    depths = stack_depths(code, TVUnprovable)
-                if depths.get(ex.pc) != 0:
+                    depths = stack_depths(
+                        code, stack_effect_quick, TVUnprovable
+                    )
+                if depths[ex.pc] != 0:
                     findings.append(Finding(
                         "tv-osr", qname, ex.pc, f"{qname}@{ex.pc}",
                         f"deoptcheck resumes at stack depth "
-                        f"{depths.get(ex.pc)!r}; the interpreter frame "
+                        f"{depths[ex.pc]!r}; the interpreter frame "
                         f"reconstruction assumes depth 0",
                     ))
                     continue

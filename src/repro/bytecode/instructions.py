@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bytecode.opcodes import CALL_OPS, OP_INFO, RETURN, Op
+from repro.bytecode.opcodes import CALL_OPS, OP_INFO, Op
 
 _BRANCHES = frozenset(op for op, info in OP_INFO.items() if info.is_branch)
 
@@ -65,14 +65,3 @@ class Instr:
 
     def __hash__(self) -> int:
         return hash((self.op, repr(self.arg)))
-
-
-def relink_targets(code: list[Instr], index_map: dict[int, int]) -> None:
-    """Rewrite branch targets through ``index_map`` after code motion.
-
-    ``index_map`` maps old instruction indices to new ones.  Used by code
-    transforms that delete or reorder instructions.
-    """
-    for instr in code:
-        if instr.is_branch and instr.op != RETURN and instr.arg is not None:
-            instr.arg = index_map[instr.arg]

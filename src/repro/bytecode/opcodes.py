@@ -235,11 +235,6 @@ CALL_OPS = frozenset(
     {Op.INVOKEVIRTUAL, Op.INVOKESPECIAL, Op.INVOKESTATIC, Op.INVOKEINTERFACE}
 )
 
-#: Opcodes that end a basic block.
-BRANCH_OPS = frozenset(
-    {Op.JUMP, Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE, Op.RETURN, Op.RETURN_VOID}
-)
-
 #: Commutative binary arithmetic opcodes (used by algebraic simplification).
 COMMUTATIVE_OPS = frozenset({Op.ADD, Op.MUL, Op.BAND, Op.BOR, Op.BXOR,
                              Op.CMP_EQ, Op.CMP_NE})
@@ -293,6 +288,33 @@ def branch_target(instr) -> int | None:
     if op is ITER_LT_JF:
         return instr.arg[2]
     return None
+
+
+#: Per opcode: how many slots control falls through by (0 when it cannot
+#: fall through), and whether the op also branches.
+_FLOW = {
+    op: (0 if info.is_terminator else op_width(op), info.is_branch)
+    for op, info in OP_INFO.items()
+}
+
+
+def successors(instr, pc: int) -> tuple:
+    """The slots control can reach next after ``instr`` at slot ``pc``.
+
+    ``()`` after a return, ``(target,)`` after ``JUMP``,
+    ``(pc + width, target)`` after a conditional branch and
+    ``(pc + width,)`` after anything else.  Derived from
+    :data:`OP_INFO`'s ``is_branch``/``is_terminator`` flags,
+    :func:`op_width` and :func:`branch_target`, so it holds for pristine
+    and quickened bodies alike.  The slots are not range-checked, and a
+    branch whose arg is not an int has target ``None``: the verifiers
+    reject both.
+    """
+    fall, branches = _FLOW[instr.op]
+    if not branches:
+        return (pc + fall,) if fall else ()
+    target = branch_target(instr)
+    return (pc + fall, target) if fall else (target,)
 
 
 #: Runtime-only opcodes produced by the quickener; the verifier, the

@@ -16,26 +16,29 @@ The verifier returns the per-instruction entry stack depth map, which the
 IR lowering reuses.
 
 Quickened bodies (``rm.quick_code``) have their own entry,
-:func:`verify_quick`: the same structural rules, but execution is
-width-aware (a superinstruction covers several slots and the next
-instruction executed is ``pc + width``), branch targets come from the
-packed args (:func:`~repro.bytecode.opcodes.branch_target`) and may
-legally land *inside* a fused region (fusion is slot-preserving), and
-call push-counts come from the linked resolution state instead of a
-frontend-provided map.
+:func:`verify_quick`.  Both entries run one stack-depth walk,
+:func:`stack_depths`, over the successor rule
+:func:`~repro.bytecode.opcodes.successors`: a superinstruction covers
+several slots, and a branch may land *inside* a fused region because
+fusion is slot-preserving.  They differ in their per-slot checks and in
+the stack-effect rule: a quickened call's push count comes from the
+linked resolution state instead of a frontend-provided map.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.bytecode.classfile import MethodInfo
 from repro.bytecode.instructions import Instr
 from repro.bytecode.opcodes import (
-    CALL_OPS, INTRINSIC, JUMP, LOAD, LOAD_LOAD, OP_INFO, QUICK_OPS, RETURN,
-    RETURN_VOID, STORE, Op, branch_target, op_width,
+    CALL_OPS, INTRINSIC, LOAD, LOAD_LOAD, OP_INFO, QUICK_OPS, STORE, Op,
+    branch_target, op_width, successors,
 )
 
 
-_COND_JUMPS = frozenset({Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE})
+#: ``(pops, pushes)`` per opcode (``VARIABLE`` for calls and intrinsics).
+_EFFECT = {op: (info.pops, info.pushes) for op, info in OP_INFO.items()}
 _IC_CALLS = frozenset({Op.INVOKEVIRTUAL_QUICK, Op.INVOKEINTERFACE_QUICK})
 #: Quick ops whose arg is one local index, and those whose packed arg
 #: holds one at ``arg[0]`` (see :func:`_quick_local_indices`).
@@ -58,25 +61,24 @@ class VerifyError(Exception):
         super().__init__(f"{method.qualified_name} @{index}: {message}")
 
 
-def stack_effect(instr: Instr, *, returns_value: bool | None = None) -> tuple[int, int]:
-    """Return ``(pops, pushes)`` for ``instr``.
+def stack_effect(call_returns: dict[int, bool], instr: Instr,
+                 pc: int) -> tuple[int, int]:
+    """``(pops, pushes)`` for ``instr`` at slot ``pc`` of a pristine body.
 
     For call instructions the pop count comes from the encoded ``nargs``;
     whether the call pushes depends on the callee's return type, which the
-    verifier does not know — callers pass ``returns_value`` when they do.
-    The verifier itself treats unknown-return calls as pushing a value if
-    followed by anything other than an immediate POP-less terminator; to
-    stay sound it instead requires the *frontend* to emit an explicit POP
-    after void-returning expression statements, so here a call is assumed
-    to push exactly when ``returns_value`` is not ``False``.
+    verifier does not know — ``call_returns`` maps a call's slot to it
+    when the caller knows.  To stay sound the verifier requires the
+    *frontend* to emit an explicit POP after void-returning expression
+    statements, so here a call is assumed to push exactly when its
+    ``call_returns`` entry is not ``False``.
     """
     op = instr.op
     if op in CALL_OPS:
-        return instr.arg[2], 1 if returns_value in (True, None) else 0
+        return instr.arg[2], 1 if call_returns.get(pc) in (True, None) else 0
     if op is INTRINSIC:
-        return instr.arg[1], 1 if returns_value in (True, None) else 0
-    info = OP_INFO[op]
-    return info.pops, info.pushes
+        return instr.arg[1], 1 if call_returns.get(pc) in (True, None) else 0
+    return _EFFECT[op]
 
 
 def verify_method(
@@ -103,19 +105,11 @@ def verify_method(
 
     n = len(code)
     max_locals = method.max_locals
-    # Branch-target validity.
+    # Per-slot checks (the op classes are disjoint; the most common
+    # come first).
     for i, instr in enumerate(code):
         op = instr.op
-        if op in QUICK_OPS:
-            raise VerifyError(
-                method, i,
-                f"runtime-only quickened opcode {op.name} "
-                f"in pristine code",
-            )
-        if instr.is_branch:
-            if not isinstance(instr.arg, int) or not (0 <= instr.arg < n):
-                raise VerifyError(method, i, f"bad branch target {instr.arg!r}")
-        elif op is LOAD or op is STORE:
+        if op is LOAD or op is STORE:
             if not (0 <= instr.arg < max_locals):
                 raise VerifyError(
                     method, i,
@@ -126,72 +120,81 @@ def verify_method(
             nargs = instr.arg[2] if op in CALL_OPS else instr.arg[1]
             if nargs < 0:
                 raise VerifyError(method, i, f"negative arg count {nargs}")
+        elif op in QUICK_OPS:
+            raise VerifyError(
+                method, i,
+                f"runtime-only quickened opcode {op.name} "
+                f"in pristine code",
+            )
+        elif OP_INFO[op].is_branch:
+            if not isinstance(instr.arg, int) or not (0 <= instr.arg < n):
+                raise VerifyError(method, i, f"bad branch target {instr.arg!r}")
 
     # Fall-through-off-the-end check.
-    last = code[-1].op
-    if not OP_INFO[last].is_terminator and last not in _COND_JUMPS:
-        raise VerifyError(method, n - 1, "control can fall off end of code")
-    if last in _COND_JUMPS:
-        raise VerifyError(method, n - 1, "conditional branch at end of code")
+    last = code[-1]
+    if n in successors(last, n - 1):
+        raise VerifyError(method, n - 1, (
+            "conditional branch at end of code" if last.is_branch
+            else "control can fall off end of code"
+        ))
 
-    # Stack-depth dataflow.
+    depths = stack_depths(
+        code, partial(stack_effect, call_returns),
+        lambda i, message: VerifyError(method, i, message),
+    )
+    return [d if d is not None else 0 for d in depths]
+
+
+def stack_depths(code: list[Instr], effect, fail) -> list[int | None]:
+    """Entry stack depth of every slot of ``code`` that control reaches
+    from slot 0 (``None`` at the others).
+
+    The one stack-depth walk of :func:`verify_method`,
+    :func:`verify_quick` and translation validation, which differ only
+    in the stack-effect rule ``effect(instr, pc) -> (pops, pushes)``.
+    Control flow is :func:`~repro.bytecode.opcodes.successors`, so the
+    walk is width-aware: after a superinstruction at slot ``i`` the next
+    slot executed is ``i + op_width(op)``.  ``fail(index, message)``
+    builds the exception raised on a stack underflow, a successor
+    outside the body, or a depth that disagrees at a join.
+    """
+    n = len(code)
     depths: list[int | None] = [None] * n
     depths[0] = 0
     work = [0]
     while work:
         i = work.pop()
         depth = depths[i]
-        assert depth is not None
         instr = code[i]
-        op = instr.op
-        pops, pushes = stack_effect(instr, returns_value=call_returns.get(i))
+        pops, pushes = effect(instr, i)
         if depth < pops:
-            raise VerifyError(
-                method, i, f"stack underflow (depth={depth}, pops={pops})"
-            )
+            raise fail(i, f"stack underflow (depth={depth}, pops={pops})")
         out = depth - pops + pushes
-        successors: tuple[int, ...]
-        if op is JUMP:
-            successors = (instr.arg,)
-        elif op in _COND_JUMPS:
-            successors = (instr.arg, i + 1)
-        elif op is RETURN or op is RETURN_VOID:
-            successors = ()
-        else:
-            successors = (i + 1,)
-        for s in successors:
-            if depths[s] is None:
+        succs = successors(instr, i)
+        if len(succs) == 2:
+            # A branch target first, then the fall-through, which the
+            # LIFO worklist then walks first.
+            succs = succs[::-1]
+        for s in succs:
+            if s is None or not 0 <= s < n:
+                raise fail(i, (
+                    "control can fall off end of quickened code"
+                    if s == i + op_width(instr.op)
+                    else f"bad branch target {s!r}"
+                ))
+            known = depths[s]
+            if known is None:
                 depths[s] = out
                 work.append(s)
-            elif depths[s] != out:
-                raise VerifyError(
-                    method, s,
-                    f"inconsistent stack depth at join: {depths[s]} vs {out}",
+            elif known != out:
+                raise fail(
+                    s, f"inconsistent stack depth at join: {known} vs {out}"
                 )
-    return [d if d is not None else 0 for d in depths]
+    return depths
 
 
 # ---------------------------------------------------------------------------
 # Quickened bodies.
-
-#: Ops that end execution of a quickened body (fused returns included).
-_QUICK_TERMINATORS = frozenset({
-    Op.RETURN,
-    Op.RETURN_VOID,
-    Op.ADD_RETURN,
-    Op.LOAD_RETURN,
-    Op.GETFIELD_RETURN,
-})
-
-#: Two-successor ops in quickened code (fall-through is ``i + width``).
-_QUICK_COND_BRANCHES = frozenset({
-    Op.JUMP_IF_TRUE,
-    Op.JUMP_IF_FALSE,
-    Op.CMP_LT_JF,
-    Op.CMP_EQ_JF,
-    Op.ITER_LT_JF,
-})
-
 
 def _quick_local_indices(instr: Instr) -> tuple[int, ...]:
     """Local-variable indices a (possibly fused) quick op reads/writes.
@@ -211,13 +214,14 @@ def _quick_local_indices(instr: Instr) -> tuple[int, ...]:
     return ()
 
 
-def stack_effect_quick(instr: Instr) -> tuple[int, int]:
+def stack_effect_quick(instr: Instr, pc: int) -> tuple[int, int]:
     """``(pops, pushes)`` for an instruction in a quickened body.
 
     Unlike :func:`stack_effect`, call push-counts come from the *linked*
     resolution state (``instr.resolved``) — a quickened body only exists
     after the method ran, so every call site is resolved.  An unresolved
     call (possible in hand-built test code) falls back to "pushes".
+    ``pc`` is unused; it makes this a :func:`stack_depths` rule.
     """
     op = instr.op
     if op in CALL_OPS:
@@ -236,64 +240,13 @@ def stack_effect_quick(instr: Instr) -> tuple[int, int]:
         if intr is None:
             return instr.arg[1], 1
         return intr.nargs, 1 if intr.returns else 0
-    info = OP_INFO[op]
-    return info.pops, info.pushes
-
-
-def stack_depths(code: list[Instr], fail) -> dict[int, int]:
-    """Entry stack depth of every *executed* slot of ``code``.
-
-    The width-aware walk both :func:`verify_quick` and translation
-    validation run: after an instruction at slot ``i`` the next one
-    executed is ``i + op_width(op)``, and branch targets come from
-    :func:`~repro.bytecode.opcodes.branch_target`.  Pristine bodies work
-    too (every pristine op has width 1).  Slots no path reaches are
-    absent.  ``fail(index, message)`` builds the exception raised on a
-    stack underflow, a successor outside the body, or a depth that
-    disagrees at a join.
-    """
-    n = len(code)
-    depths: dict[int, int] = {0: 0}
-    work = [0]
-    while work:
-        i = work.pop()
-        depth = depths[i]
-        instr = code[i]
-        op = instr.op
-        pops, pushes = stack_effect_quick(instr)
-        if depth < pops:
-            raise fail(i, f"stack underflow (depth={depth}, pops={pops})")
-        out = depth - pops + pushes
-        nxt = i + op_width(op)
-        if op in _QUICK_TERMINATORS:
-            successors: tuple = ()
-        elif op is JUMP:
-            successors = (instr.arg,)
-        elif op in _QUICK_COND_BRANCHES:
-            successors = (branch_target(instr), nxt)
-        else:
-            successors = (nxt,)
-        for s in successors:
-            if s is None or not 0 <= s < n:
-                raise fail(i, (
-                    "control can fall off end of quickened code"
-                    if s == nxt else f"bad branch target {s!r}"
-                ))
-            if s not in depths:
-                depths[s] = out
-                work.append(s)
-            elif depths[s] != out:
-                raise fail(
-                    s,
-                    f"inconsistent stack depth at join: {depths[s]} vs {out}",
-                )
-    return depths
+    return _EFFECT[op]
 
 
 def verify_quick_depths(method: MethodInfo,
-                        code: list[Instr]) -> dict[int, int]:
+                        code: list[Instr]) -> list[int | None]:
     """Verify a quickened body; return the entry stack depth of each
-    executed slot (see :func:`stack_depths`).
+    executed slot, ``None`` at the others (see :func:`stack_depths`).
 
     The structural rules of :func:`verify_method`, adapted to quickened
     execution:
@@ -337,15 +290,16 @@ def verify_quick_depths(method: MethodInfo,
                 raise VerifyError(method, i, f"negative arg count {nargs}")
 
     return stack_depths(
-        code, lambda i, message: VerifyError(method, i, message)
+        code, stack_effect_quick,
+        lambda i, message: VerifyError(method, i, message),
     )
 
 
 def verify_quick(method: MethodInfo, code: list[Instr]) -> list[int]:
-    """:func:`verify_quick_depths` as a list with one entry per slot
-    (an unreached slot reads depth 0)."""
+    """:func:`verify_quick_depths` with an unreached slot's depth read
+    as 0."""
     depths = verify_quick_depths(method, code)
-    return [depths.get(i, 0) for i in range(len(code))]
+    return [d if d is not None else 0 for d in depths]
 
 
 def verify_quick_method(rm) -> list[int]:

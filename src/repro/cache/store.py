@@ -339,9 +339,10 @@ class CompileCache:
         if text is not None:
             return _checked_artifact(key, text)
         artifact = self._load_indexed(key)
-        if artifact is None and self._read_new_packs(
-            self._program_of.get(key, "")
-        ):
+        if artifact is None:
+            # Look again even if this call reads no new pack: another
+            # reader may have indexed the key's pack since the miss.
+            self._read_new_packs(self._program_of.get(key, ""))
             artifact = self._load_indexed(key)
         return artifact
 
@@ -352,11 +353,10 @@ class CompileCache:
                 return artifact
         return None
 
-    def _read_new_packs(self, program: str) -> bool:
+    def _read_new_packs(self, program: str) -> None:
         """Index the stamp directory's packs of ``program`` (a key's
-        program-digest prefix) that this instance has not read yet;
-        returns whether there were any.  I/O errors read as an empty
-        directory."""
+        program-digest prefix) that this instance has not read yet.  I/O
+        errors read as an empty directory."""
         prefix = f"{program}-"
         with self._io_lock:
             try:
@@ -367,7 +367,7 @@ class CompileCache:
                     and name not in self._packs_read
                 ]
             except OSError:
-                return False
+                return
             for name in names:
                 self._packs_read.add(name)
                 try:
@@ -376,7 +376,6 @@ class CompileCache:
                     continue
                 for key, text in pairs:
                     self._index.setdefault(key, []).append(text)
-            return bool(names)
 
     def store(self, key: str, artifact: dict, meta: dict) -> None:
         """Serialize one entry and keep it until the next :meth:`flush`;

@@ -296,7 +296,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     ))
     stats = vm.mutation_stats
     print(f"osr          enters={stats.osr_enters} "
-          f"deopts={stats.osr_deopts}")
+          f"deopts={stats.osr_deopts} "
+          f"compile_failures={stats.osr_compile_failures}")
     # Same single-source-of-truth rule as the swap accounting: these
     # read the VMStats fields that the telemetry counters and the
     # ``tv_validated`` events bump in lockstep (three-way agreement is

@@ -28,6 +28,7 @@ from repro.bytecode.classfile import MethodInfo
 from repro.bytecode.instructions import Instr
 from repro.bytecode.opcodes import CALL_OPS, OP_INFO, Op
 from repro.bytecode.verify import verify_method
+from repro.opt.bytecode_cfg import BytecodeCFG
 
 OTHER = ("other",)
 
@@ -135,15 +136,7 @@ def walk_method(
     depths = verify_method(method, call_returns)
 
     # Block leaders: reset points.
-    leaders = {0}
-    for i, instr in enumerate(code):
-        if instr.op in (Op.JUMP, Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE):
-            leaders.add(instr.arg)
-            if i + 1 < len(code):
-                leaders.add(i + 1)
-        elif instr.op in (Op.RETURN, Op.RETURN_VOID):
-            if i + 1 < len(code):
-                leaders.add(i + 1)
+    leaders = {block.start for block in BytecodeCFG(method).blocks}
 
     is_instance = not method.is_static
     stack: list[SymValue] = []
@@ -212,16 +205,12 @@ def walk_method(
                 taint = frozenset().union(*(a.taint for a in args)) if args \
                     else frozenset()
                 stack.append(SymValue.other(taint))
-        elif op in (Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE):
+        elif op is Op.JUMP_IF_TRUE or op is Op.JUMP_IF_FALSE:
             cond = stack.pop()
             events.on_branch(i, instr, cond)
-        elif op is Op.JUMP:
-            pass
         elif op is Op.RETURN:
             value = stack.pop()
             events.on_return(i, instr, value)
-        elif op is Op.RETURN_VOID:
-            pass
         elif op is Op.ASTORE:
             value = stack.pop()
             stack.pop()

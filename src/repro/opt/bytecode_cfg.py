@@ -1,20 +1,23 @@
-"""Control-flow analysis over *bytecode* (pre-IR).
+"""Basic blocks over *bytecode* (pre-IR).
 
-Used by the bytecode-to-IR lowering (block partition) and by the offline
-state-field analysis (paper EQ1 needs the loop nesting level ``Li`` of
-each branch/assignment instruction).
+Used by the bytecode-to-IR lowering (block partition), the offline
+stack simulation (block leaders) and the offline state-field analysis
+(paper EQ1 needs the loop nesting level ``Li`` of each branch and
+assignment instruction).
 
-Implements: leader-based block partition, iterative dominator analysis
-(Cooper-Harvey-Kennedy style on reverse postorder), natural-loop
-detection from back edges, and per-instruction loop depth.
+Blocks come from the successor rule
+(:func:`repro.bytecode.opcodes.successors`); dominators and natural loops
+from :mod:`repro.opt.cfg`, computed on first use because only EQ1 asks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.bytecode.classfile import MethodInfo
-from repro.bytecode.opcodes import Op
+from repro.bytecode.opcodes import successors
+from repro.opt.cfg import loop_depths, predecessors, reverse_postorder
 
 
 @dataclass
@@ -25,159 +28,54 @@ class BcBlock:
     start: int
     end: int
     succs: list[int] = field(default_factory=list)
-    preds: list[int] = field(default_factory=list)
 
 
 class BytecodeCFG:
-    """CFG, dominators, and loop nesting for one method's bytecode."""
+    """The basic blocks of one method's bytecode."""
 
     def __init__(self, method: MethodInfo) -> None:
         self.method = method
-        self.blocks: list[BcBlock] = []
-        self.block_of_instr: list[int] = []
-        self._build()
-        self.idom = self._dominators()
-        self.loop_depth = self._loop_depths()
-
-    # ------------------------------------------------------------------
-
-    def _build(self) -> None:
-        code = self.method.code
+        code = method.code
         n = len(code)
         leaders = {0}
         for i, instr in enumerate(code):
-            if instr.op is Op.JUMP:
-                leaders.add(instr.arg)
-                if i + 1 < n:
-                    leaders.add(i + 1)
-            elif instr.op in (Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE):
-                leaders.add(instr.arg)
+            succs = successors(instr, i)
+            if instr.is_branch or not succs:
+                # A branch or a return ends its block: the next slot and
+                # each successor start one.
+                leaders.update(succs)
                 leaders.add(i + 1)
-            elif instr.op in (Op.RETURN, Op.RETURN_VOID):
-                if i + 1 < n:
-                    leaders.add(i + 1)
-        starts = sorted(leaders)
-        start_to_block = {s: idx for idx, s in enumerate(starts)}
-        self.block_of_instr = [0] * n
-        for idx, start in enumerate(starts):
-            end = starts[idx + 1] if idx + 1 < len(starts) else n
-            self.blocks.append(BcBlock(id=idx, start=start, end=end))
-            for i in range(start, end):
-                self.block_of_instr[i] = idx
-        for block in self.blocks:
-            last = code[block.end - 1]
-            if last.op is Op.JUMP:
-                block.succs = [start_to_block[last.arg]]
-            elif last.op in (Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE):
-                # Fall-through first, then the branch target.
-                block.succs = [
-                    start_to_block[block.end],
-                    start_to_block[last.arg],
-                ]
-            elif last.op in (Op.RETURN, Op.RETURN_VOID):
-                block.succs = []
-            else:
-                block.succs = [start_to_block[block.end]]
-        for block in self.blocks:
-            for s in block.succs:
-                self.blocks[s].preds.append(block.id)
-
-    # ------------------------------------------------------------------
-
-    def reverse_postorder(self) -> list[int]:
-        seen: set[int] = set()
-        postorder: list[int] = []
-        stack = [(0, iter(self.blocks[0].succs))]
-        seen.add(0)
-        while stack:
-            cur, succ_iter = stack[-1]
-            advanced = False
-            for s in succ_iter:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append((s, iter(self.blocks[s].succs)))
-                    advanced = True
-                    break
-            if not advanced:
-                postorder.append(cur)
-                stack.pop()
-        return list(reversed(postorder))
-
-    def _dominators(self) -> dict[int, int | None]:
-        """Immediate dominators (entry's idom is None)."""
-        rpo = self.reverse_postorder()
-        order = {b: i for i, b in enumerate(rpo)}
-        idom: dict[int, int | None] = {0: 0}
-
-        def intersect(a: int, b: int) -> int:
-            while a != b:
-                while order.get(a, -1) > order.get(b, -1):
-                    a = idom[a]
-                while order.get(b, -1) > order.get(a, -1):
-                    b = idom[b]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for b in rpo:
-                if b == 0:
-                    continue
-                preds = [
-                    p for p in self.blocks[b].preds if p in idom and p in order
-                ]
-                if not preds:
-                    continue
-                new_idom = preds[0]
-                for p in preds[1:]:
-                    new_idom = intersect(new_idom, p)
-                if idom.get(b) != new_idom:
-                    idom[b] = new_idom
-                    changed = True
-        result: dict[int, int | None] = dict(idom)
-        result[0] = None
-        return result
-
-    def dominates(self, a: int, b: int) -> bool:
-        """True if block ``a`` dominates block ``b``."""
-        cur: int | None = b
-        while cur is not None:
-            if cur == a:
-                return True
-            cur = self.idom.get(cur)
-        return False
-
-    def natural_loops(self) -> list[tuple[int, set[int]]]:
-        """``(header, body-block-ids)``, back edges to one header merged."""
-        by_header: dict[int, set[int]] = {}
-        reachable = set(self.reverse_postorder())
-        for block in self.blocks:
-            if block.id not in reachable:
-                continue
-            for s in block.succs:
-                if self.dominates(s, block.id):
-                    body = by_header.setdefault(s, {s})
-                    work = [block.id]
-                    while work:
-                        b = work.pop()
-                        if b in body:
-                            continue
-                        body.add(b)
-                        work.extend(self.blocks[b].preds)
-        return sorted(by_header.items())
-
-    def _loop_depths(self) -> list[int]:
-        """Loop nesting depth for every instruction index."""
-        depth_of_block = [0] * len(self.blocks)
-        for _, body in self.natural_loops():
-            for b in body:
-                depth_of_block[b] += 1
-        if not self.method.code:
-            return []
-        return [
-            depth_of_block[self.block_of_instr[i]]
-            for i in range(len(self.method.code))
+        starts = sorted(s for s in leaders if s < n)
+        block_at = {start: idx for idx, start in enumerate(starts)}
+        self.blocks = [
+            BcBlock(idx, start, end)
+            for idx, (start, end) in enumerate(zip(starts, starts[1:] + [n]))
         ]
+        self.block_of_instr = [0] * n
+        for block in self.blocks:
+            for i in range(block.start, block.end):
+                self.block_of_instr[i] = block.id
+            last = block.end - 1
+            # Fall-through first, then the branch target.
+            block.succs = [block_at[s] for s in successors(code[last], last)]
+
+    def _succs(self, bid: int) -> list[int]:
+        return self.blocks[bid].succs
+
+    @cached_property
+    def order(self) -> list[int]:
+        """Reachable block ids in reverse postorder from block 0."""
+        return reverse_postorder(0, self._succs)
+
+    def graph(self) -> tuple[int, list[int], dict[int, list[int]]]:
+        """The reachable block graph as :mod:`repro.opt.cfg` takes it."""
+        return 0, self.order, predecessors(self.order, self._succs)
+
+    @cached_property
+    def loop_depth(self) -> list[int]:
+        """Loop nesting depth of every instruction (0 when unreachable)."""
+        depth = loop_depths(*self.graph())
+        return [depth.get(b, 0) for b in self.block_of_instr]
 
     def instr_loop_depth(self, index: int) -> int:
         return self.loop_depth[index]

@@ -1,40 +1,76 @@
-"""CFG utilities over the IR: dominators, natural loops, loop depths.
+"""Dominators and natural loops of a control-flow graph.
 
-These mirror :mod:`repro.opt.bytecode_cfg` but operate on
-:class:`~repro.opt.ir.IRFunction` block graphs (codegen nests its
-dispatch by natural loop).  They read the function's cached reverse
-postorder and predecessor lists (:meth:`IRFunction.block_order`,
-:meth:`IRFunction.predecessors`), which the function keeps until an edit
-method changes its graph.
+One implementation serves both block graphs the VM builds: the IR's
+(:meth:`IRFunction.graph <repro.opt.ir.IRFunction.graph>`; codegen nests
+its dispatch by natural loop) and the bytecode's
+(:meth:`BytecodeCFG.graph <repro.opt.bytecode_cfg.BytecodeCFG.graph>`;
+paper EQ1 weighs each site by its loop depth).  A graph is given as its
+entry, its reachable nodes in reverse postorder, and each reachable
+node's reachable predecessors, so an unreachable node is in no loop.
 """
 
 from __future__ import annotations
 
-from repro.opt.ir import IRFunction
+from typing import Callable, Iterable, Mapping, Sequence
+
+#: Each reachable node's reachable predecessors.
+Preds = Mapping[int, Sequence[int]]
+#: A node's successors, asked only of nodes the walk reaches.
+Succs = Callable[[int], Iterable[int]]
 
 
-def immediate_dominators(fn: IRFunction) -> dict[int, int | None]:
-    """Iterative dominator computation (CHK) over the reachable graph."""
-    rpo = [b.id for b in fn.block_order()]
-    order = {b: i for i, b in enumerate(rpo)}
-    preds = fn.predecessors()
-    idom: dict[int, int | None] = {fn.entry: fn.entry}
+def reverse_postorder(entry: int, succs: Succs) -> list[int]:
+    """The nodes reachable from ``entry``, in reverse postorder of one
+    depth-first walk that visits successors in ``succs(node)`` order."""
+    seen = {entry}
+    postorder: list[int] = []
+    stack = [(entry, iter(succs(entry)))]
+    while stack:
+        cur, succ_iter = stack[-1]
+        for s in succ_iter:
+            if s not in seen:
+                seen.add(s)
+                stack.append((s, iter(succs(s))))
+                break
+        else:
+            postorder.append(cur)
+            stack.pop()
+    postorder.reverse()
+    return postorder
+
+
+def predecessors(order: Sequence[int], succs: Succs) -> dict[int, list[int]]:
+    """Predecessor lists of the nodes in ``order`` (a reverse
+    postorder), each listed in that order."""
+    preds: dict[int, list[int]] = {b: [] for b in order}
+    for b in order:
+        for s in succs(b):
+            preds[s].append(b)
+    return preds
+
+
+def immediate_dominators(entry: int, order: Sequence[int],
+                         preds: Preds) -> dict[int, int | None]:
+    """Iterative dominator computation (Cooper, Harvey and Kennedy) over
+    the reachable graph; the entry's idom is None."""
+    index = {b: i for i, b in enumerate(order)}
+    idom: dict[int, int | None] = {entry: entry}
 
     def intersect(a: int, b: int) -> int:
         while a != b:
-            while order[a] > order[b]:
+            while index[a] > index[b]:
                 a = idom[a]  # type: ignore[assignment]
-            while order[b] > order[a]:
+            while index[b] > index[a]:
                 b = idom[b]  # type: ignore[assignment]
         return a
 
     changed = True
     while changed:
         changed = False
-        for b in rpo:
-            if b == fn.entry:
+        for b in order:
+            if b == entry:
                 continue
-            candidates = [p for p in preds.get(b, []) if p in idom]
+            candidates = [p for p in preds[b] if p in idom]
             if not candidates:
                 continue
             new_idom = candidates[0]
@@ -43,11 +79,11 @@ def immediate_dominators(fn: IRFunction) -> dict[int, int | None]:
             if idom.get(b) != new_idom:
                 idom[b] = new_idom
                 changed = True
-    idom[fn.entry] = None
+    idom[entry] = None
     return idom
 
 
-def dominates(idom: dict[int, int | None], a: int, b: int) -> bool:
+def dominates(idom: Mapping[int, int | None], a: int, b: int) -> bool:
     cur: int | None = b
     while cur is not None:
         if cur == a:
@@ -56,29 +92,30 @@ def dominates(idom: dict[int, int | None], a: int, b: int) -> bool:
     return False
 
 
-def natural_loops(fn: IRFunction) -> list[tuple[int, set[int]]]:
+def natural_loops(entry: int, order: Sequence[int],
+                  preds: Preds) -> list[tuple[int, set[int]]]:
     """``(header, body)`` pairs; back edges to one header are merged."""
-    idom = immediate_dominators(fn)
-    preds = fn.predecessors()
+    idom = immediate_dominators(entry, order, preds)
     by_header: dict[int, set[int]] = {}
-    for block in fn.block_order():
-        for s in block.successors():
-            if dominates(idom, s, block.id):
-                body = by_header.setdefault(s, {s})
-                work = [block.id]
+    for header in order:
+        for latch in preds[header]:
+            if dominates(idom, header, latch):
+                body = by_header.setdefault(header, {header})
+                work = [latch]
                 while work:
                     b = work.pop()
                     if b in body:
                         continue
                     body.add(b)
-                    work.extend(preds.get(b, []))
+                    work.extend(preds[b])
     return sorted(by_header.items())
 
 
-def loop_depths(fn: IRFunction) -> dict[int, int]:
-    """Loop nesting depth per reachable block id."""
-    depths = {bid: 0 for bid in fn.reachable_ids()}
-    for _, body in natural_loops(fn):
+def loop_depths(entry: int, order: Sequence[int],
+                preds: Preds) -> dict[int, int]:
+    """Loop nesting depth per reachable node."""
+    depths = dict.fromkeys(order, 0)
+    for _, body in natural_loops(entry, order, preds):
         for b in body:
             depths[b] += 1
     return depths

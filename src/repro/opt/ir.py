@@ -43,6 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.opt.cfg import predecessors, reverse_postorder
+
 # -- operand kinds ----------------------------------------------------------
 
 
@@ -269,34 +271,31 @@ class IRFunction:
         """Predecessor lists for every reachable block, each in reverse
         postorder.  Callers must not mutate them."""
         if self._preds is None:
-            order = self.block_order()
-            preds: dict[int, list[int]] = {block.id: [] for block in order}
-            for block in order:
-                for s in block.successors():
-                    preds[s].append(block.id)
-            self._preds = preds
+            self._preds = predecessors(
+                [block.id for block in self.block_order()],
+                self._successors,
+            )
         return self._preds
+
+    def graph(self) -> tuple[int, list[int], dict[int, list[int]]]:
+        """The reachable block graph as :mod:`repro.opt.cfg` takes it:
+        the entry, the block ids in reverse postorder, and their
+        predecessors."""
+        return (self.entry, [b.id for b in self.block_order()],
+                self.predecessors())
 
     def reachable_ids(self) -> set[int]:
         return {b.id for b in self.block_order()}
 
+    def _successors(self, bid: int) -> list[int]:
+        return self.blocks[bid].successors()
+
     def _walk(self) -> tuple[Block, ...]:
         """One depth-first walk of the graph from the entry."""
         blocks = self.blocks
-        seen = {self.entry}
-        postorder: list[int] = []
-        stack = [(self.entry, iter(blocks[self.entry].successors()))]
-        while stack:
-            cur, succ_iter = stack[-1]
-            for s in succ_iter:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append((s, iter(blocks[s].successors())))
-                    break
-            else:
-                postorder.append(cur)
-                stack.pop()
-        return tuple(blocks[b] for b in reversed(postorder))
+        return tuple(
+            blocks[b] for b in reverse_postorder(self.entry, self._successors)
+        )
 
     def _graph_changed(self) -> None:
         self._order = self._preds = None

@@ -100,10 +100,10 @@ class Lowerer:
         # Create IR blocks 1:1 with bytecode blocks (same ids).
         for _ in self.cfg.blocks:
             self.fn.new_block()
-        for bid in self.cfg.reverse_postorder():
+        for bid in self.cfg.order:
             self._lower_block(bid)
         # Drop blocks never lowered (unreachable bytecode).
-        reachable = set(self.cfg.reverse_postorder())
+        reachable = set(self.cfg.order)
         for bid in list(self.fn.blocks):
             if bid not in reachable:
                 self.fn.remove_block(bid)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.cache.artifact import UnlinkableArtifact, encode_value, hook_ref
+from repro.opt.cfg import natural_loops
 from repro.opt.ir import Const, IRFunction, IRInstr, Operand, Reg
 from repro.vm.interpreter import _is_ref
 from repro.vm.values import (
@@ -116,12 +117,10 @@ class _LoopNode:
 def _build_loop_tree(fn: IRFunction) -> _LoopNode:
     """Nest natural loops by body inclusion; every block is owned by the
     innermost loop containing it (or the root)."""
-    from repro.opt.cfg import natural_loops
-
     blocks = {b.id: b for b in fn.block_order()}
     root = _LoopNode(set(blocks), is_root=True)
     loops = sorted(
-        natural_loops(fn), key=lambda hl: (len(hl[1]), hl[0])
+        natural_loops(*fn.graph()), key=lambda hl: (len(hl[1]), hl[0])
     )
     nodes = [_LoopNode(set(body)) for _, body in loops]
     for i, node in enumerate(nodes):

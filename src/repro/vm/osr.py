@@ -134,6 +134,8 @@ class OSRManager:
             # interpreter would finish; the frame just keeps
             # interpreting.  (Promotion of *future* invocations is
             # unaffected — the general recompile already happened.)
+            # The count keeps a compiler fault from vanishing.
+            vm.mutation_stats.osr_compile_failures += 1
             seconds = time.perf_counter() - start
             if tel is not None:
                 tel.emit(

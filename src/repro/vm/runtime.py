@@ -138,6 +138,9 @@ class VMStats:
     #: Mid-frame deopts: specialized frames bailed back to the
     #: interpreter after a TIB swap invalidated their speculation.
     osr_deopts: int = 0
+    #: OSR continuations whose compile raised; each such frame kept
+    #: interpreting.  Counted with telemetry off too.
+    osr_compile_failures: int = 0
     #: Transformed bodies run through the translation validator
     #: (repro.analysis.tv): quickened methods and OSR entries.
     tv_bodies_validated: int = 0

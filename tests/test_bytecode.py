@@ -13,6 +13,7 @@ from repro.bytecode import (
     verify_method,
 )
 from repro.bytecode.classfile import INT, VOID, ClassInfo, FieldInfo, ProgramUnit
+from repro.bytecode.opcodes import OP_INFO, op_width, successors
 
 
 def build(body, num_params=0, returns=True):
@@ -163,3 +164,32 @@ def test_duplicate_class_rejected():
     unit.add_class(ClassInfo(name="A"))
     with pytest.raises(ValueError):
         unit.add_class(ClassInfo(name="A"))
+
+
+# -- the successor rule ----------------------------------------------------------
+
+#: Written out by hand, so the rule is checked against the ISA rather
+#: than against the flags it is derived from.
+RETURNS = {Op.RETURN, Op.RETURN_VOID, Op.ADD_RETURN, Op.LOAD_RETURN,
+           Op.GETFIELD_RETURN}
+COND_BRANCHES = {Op.JUMP_IF_TRUE, Op.JUMP_IF_FALSE, Op.CMP_LT_JF,
+                 Op.CMP_EQ_JF, Op.ITER_LT_JF}
+TARGET = 3
+
+
+@pytest.mark.parametrize("op", list(OP_INFO), ids=lambda op: op.name)
+def test_successor_rule(op):
+    """Every opcode, pristine and fused: a return has no successor, JUMP
+    only its target, a conditional branch its fall-through then its
+    target, and anything else its fall-through ``pc + width``."""
+    pc = 10
+    arg = (0, 5, TARGET) if op is Op.ITER_LT_JF else TARGET
+    got = successors(Instr(op, arg), pc)
+    if op in RETURNS:
+        assert got == ()
+    elif op is Op.JUMP:
+        assert got == (TARGET,)
+    elif op in COND_BRANCHES:
+        assert got == (pc + op_width(op), TARGET)
+    else:
+        assert got == (pc + op_width(op),)

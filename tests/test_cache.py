@@ -472,6 +472,35 @@ def test_one_poisoned_entry_misses_alone(tmp_path):
         (0, stored)
 
 
+def test_load_finds_a_pack_another_reader_indexed_after_its_miss(tmp_path):
+    """Force the lookup race: between ``load``'s index check and its
+    directory read, a second reader on the same instance indexes the
+    pack that holds the key.  The directory read then finds no new
+    pack, and ``load`` must still return the entry."""
+    key = "ab" + "0" * 62
+    artifact = {"kind": "opt2", "fn_name": "_jx",
+                "source": "def _jx(vm, args): return 7\n", "pins": []}
+    writer = CompileCache(tmp_path)
+    writer.store(key, artifact, meta={"opt_level": 2})
+    writer.flush()
+
+    reader = CompileCache(tmp_path)
+    real_read = reader._read_new_packs
+    second = []
+
+    def read_after_another_reader(program):
+        reader._read_new_packs = real_read  # the second reader's own read
+        other = threading.Thread(
+            target=lambda: second.append(reader.load(key)))
+        other.start()
+        other.join(timeout=30)
+        return real_read(program)
+
+    reader._read_new_packs = read_after_another_reader
+    assert reader.load(key) == artifact
+    assert second == [artifact]
+
+
 def test_threads_sharing_a_cache_store_each_key_once(tmp_path):
     """More VMs than cores on one cache, with a short switch interval so
     flushes interleave with other VMs' lookups and stores: every key

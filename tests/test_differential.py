@@ -19,7 +19,9 @@ def _run(spec, source, adaptive, plan=None, cache=None, config=None):
     unit = compile_source(source, entry_class=spec.entry_class)
     vm = VM(unit, mutation_plan=plan, adaptive_config=adaptive,
             compile_cache=cache, config=config)
-    return vm.run().output, vm
+    output = vm.run().output
+    assert vm.mutation_stats.osr_compile_failures == 0
+    return output, vm
 
 
 @pytest.mark.parametrize("name", PAPER_ORDER)

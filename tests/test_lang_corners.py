@@ -1,6 +1,9 @@
 """Language/compiler corner cases across all tiers."""
 
+from repro.bytecode import CodeBuilder, Op, make_method
+from repro.bytecode.classfile import VOID
 from repro.lang import compile_source
+from repro.opt.bytecode_cfg import BytecodeCFG
 from repro.opt.cfg import (
     dominates,
     immediate_dominators,
@@ -173,13 +176,13 @@ def test_ir_dominators_and_loops():
         Sys.print("" + acc);
         """
     )
-    idom = immediate_dominators(fn)
+    idom = immediate_dominators(*fn.graph())
     assert idom[fn.entry] is None
     for bid in fn.reachable_ids():
         assert dominates(idom, fn.entry, bid)
-    loops = natural_loops(fn)
+    loops = natural_loops(*fn.graph())
     assert len(loops) == 2
-    depths = loop_depths(fn)
+    depths = loop_depths(*fn.graph())
     assert max(depths.values()) == 2  # the inner loop body
     # The nested loop body is contained in the outer loop body.
     (h1, body1), (h2, body2) = sorted(loops, key=lambda hl: len(hl[1]))
@@ -188,5 +191,36 @@ def test_ir_dominators_and_loops():
 
 def test_ir_loop_free_function_has_no_loops():
     fn = lowered_main('Sys.print("x");')
-    assert natural_loops(fn) == []
-    assert set(loop_depths(fn).values()) <= {0}
+    assert natural_loops(*fn.graph()) == []
+    assert set(loop_depths(*fn.graph()).values()) <= {0}
+
+
+def test_unreachable_block_is_in_no_loop():
+    """A block no path from the entry reaches has loop depth 0 (EQ1's
+    ``Li``), even when it jumps into a loop body: loop bodies are
+    collected over reachable predecessors only, as in the IR."""
+    cb = CodeBuilder(num_params=0)
+    head, body, done = cb.new_label(), cb.new_label(), cb.new_label()
+    i = cb.alloc_local()
+    cb.const(0)
+    cb.store(i)
+    cb.place(head)
+    cb.load(i)
+    cb.const(10)
+    cb.emit(Op.CMP_LT)
+    cb.jump_if_false(done)
+    cb.place(body)
+    cb.load(i)
+    cb.const(1)
+    cb.emit(Op.ADD)
+    cb.store(i)
+    cb.jump(head)
+    dead = len(cb.code)
+    cb.jump(body)  # nothing reaches this block
+    cb.place(done)
+    cb.emit(Op.RETURN_VOID)
+    method = make_method("m", "C", [], VOID, cb, is_static=True)
+    cfg = BytecodeCFG(method)
+    depths = [cfg.instr_loop_depth(pc) for pc in range(len(method.code))]
+    assert depths == [0, 0] + [1] * 9 + [0, 0]
+    assert method.code[dead].op is Op.JUMP and depths[dead] == 0

@@ -1,6 +1,6 @@
 """Unit tests for the optimizing compiler's passes."""
 
-from repro import VM
+from repro import VM, VMConfig
 from repro.lang import compile_source
 from repro.mutation import build_mutation_plan
 from repro.opt import constprop
@@ -386,11 +386,14 @@ def oracle_programs():
 def _run_oracle_programs(mp, programs):
     """Run each oracle workload with its plan (general, special and OSR
     compiles); returns each run's total code bytes."""
-    # A compile cache would link methods instead of compiling them.
+    # A compile cache would link methods instead of compiling them, and
+    # OSR stays on under JX_OSR=0: its compiles are the ones that splice
+    # lifetime-constant specialized callees.
     mp.delenv("JX_CACHE_DIR", raising=False)
     code_bytes = []
     for source, entry, plan in programs:
-        vm = VM(compile_source(source, **entry), mutation_plan=plan)
+        vm = VM(compile_source(source, **entry), mutation_plan=plan,
+                config=VMConfig(osr=True))
         vm.run()
         code_bytes.append(vm.compile_stats.total_code_bytes)
     return code_bytes

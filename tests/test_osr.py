@@ -364,6 +364,34 @@ def test_failed_continuations_are_cached_as_misses():
     assert vm.osr.entry_for(rm, bad) is None  # cached, no recompile
 
 
+def test_osr_compile_failure_is_counted_and_the_frame_interprets(
+        monkeypatch):
+    """A continuation compile that raises is counted with telemetry off,
+    and the frame keeps interpreting to the same output."""
+    def promote_vm():
+        return VM(
+            compile_source(PROMOTE_SOURCE),
+            adaptive_config=AdaptiveConfig(opt1_ticks=ENTRY_TICKS + 5,
+                                           opt2_ticks=1 << 40),
+            config=VMConfig(osr=True),
+        )
+
+    reference = promote_vm()
+    expected = reference.run().output
+    assert reference.mutation_stats.osr_compile_failures == 0
+    assert reference.mutation_stats.osr_enters > 0
+    vm = promote_vm()
+    assert vm.telemetry is None
+
+    def broken(*args, **kwargs):
+        raise AssertionError("compiler fault")
+
+    monkeypatch.setattr(vm.opt_compiler, "compile_osr_continuation", broken)
+    assert vm.run().output == expected
+    assert vm.mutation_stats.osr_compile_failures == 1
+    assert vm.mutation_stats.osr_enters == 0
+
+
 def test_osr_disabled_vm_has_no_manager():
     vm = VM(compile_source(PROMOTE_SOURCE), adaptive_config=INTERP_ONLY,
             config=VMConfig(osr=False))

@@ -7,6 +7,7 @@ from repro.lang.lexer import tokenize
 from repro.lang.tokens import TokKind
 from repro.mutation import build_mutation_plan
 from repro.opt.bytecode_cfg import BytecodeCFG
+from repro.opt.cfg import dominates, immediate_dominators, natural_loops
 from repro.opt.fold import NoFold, fold_op
 from repro.vm.values import jx_rem, jx_truncate_div
 from tests.helpers import AGGRESSIVE, INTERP_ONLY, run_source, wrap_main
@@ -153,20 +154,21 @@ def test_cfg_dominator_invariants(choices, use_loop):
     source = wrap_main(body)
     unit = compile_source(source)
     method = unit.classes["Main"].methods["main"]
-    cfg = BytecodeCFG(method)
+    graph = BytecodeCFG(method).graph()
+    idoms = immediate_dominators(*graph)
     # Entry dominates every reachable block; idom is a proper ancestor.
-    reachable = cfg.reverse_postorder()
+    reachable = graph[1]
     for b in reachable:
-        assert cfg.dominates(0, b)
-        idom = cfg.idom.get(b)
+        assert dominates(idoms, 0, b)
+        idom = idoms.get(b)
         if b != 0:
             assert idom is not None
-            assert cfg.dominates(idom, b)
+            assert dominates(idoms, idom, b)
     # Loop bodies contain their headers.
-    for header, bodyset in cfg.natural_loops():
+    for header, bodyset in natural_loops(*graph):
         assert header in bodyset
         for blk in bodyset:
-            assert cfg.dominates(header, blk) or blk == header
+            assert dominates(idoms, header, blk) or blk == header
 
 
 # ---------------------------------------------------------------------------

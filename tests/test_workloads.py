@@ -20,6 +20,7 @@ def test_workload_compiles_and_runs(name):
     vm = VM(unit, adaptive_config=AGGRESSIVE)
     result = vm.run()
     assert result.output  # every workload reports something
+    assert vm.mutation_stats.osr_compile_failures == 0
 
 
 @pytest.mark.parametrize("name", PAPER_ORDER)
@@ -35,6 +36,7 @@ def test_workload_mutation_equivalence(name):
                               entry_class=spec.entry_class)
         vm = VM(unit, mutation_plan=p, adaptive_config=AGGRESSIVE)
         outs.append(vm.run().output)
+        assert vm.mutation_stats.osr_compile_failures == 0
     assert outs[0] == outs[1]
 
 
@@ -57,6 +59,7 @@ def test_jbb_slice_entry_repeatable():
     first = vm.call_static("Main", "runSlice", [])
     second = vm.call_static("Main", "runSlice", [])
     assert first > 0 and second > 0
+    assert vm.mutation_stats.osr_compile_failures == 0
 
 
 def test_jbb_lifetime_constants_match_paper_fig7():
