@@ -75,7 +75,6 @@ def resolve_pin(vm: Any, desc: list | tuple) -> Any:
 
     ========================= =========================================
     ``["value", v]``          the encoded constant itself
-    ``["frozenset", [...]]``  frozenset of encoded values
     ``["class", name]``       RuntimeClass
     ``["class_tib", name]``   a class's general TIB
     ``["method", cls, key]``  RuntimeMethod declared by ``cls``
@@ -102,8 +101,6 @@ def resolve_pin(vm: Any, desc: list | tuple) -> Any:
     try:
         if kind == "value":
             return decode_value(desc[1])
-        if kind == "frozenset":
-            return frozenset(decode_value(v) for v in desc[1])
         if kind == "class":
             return vm.classes[desc[1]]
         if kind == "class_tib":
@@ -210,7 +207,7 @@ def link_code(vm: Any, art: dict) -> tuple[str, Any]:
 
 def _base_namespace() -> dict[str, Any]:
     """The static helper globals every generated function expects."""
-    from repro.opt.pycodegen import _py_eq, _py_fdiv
+    from repro.opt.pycodegen import _py_fdiv
     from repro.vm.values import (
         ArrayBoundsError,
         ClassCastError,
@@ -225,7 +222,6 @@ def _base_namespace() -> dict[str, Any]:
         "_idiv": jx_truncate_div,
         "_irem": jx_rem,
         "_fdiv": _py_fdiv,
-        "_eq": _py_eq,
         "_jstr": jx_str,
         "_VMArray": VMArray,
         "_NPE": NullPointerError,

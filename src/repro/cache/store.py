@@ -50,6 +50,7 @@ Time spent waiting is accounted in ``lock_wait_seconds`` (surfaced as
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -132,7 +133,12 @@ from repro.cache.keys import (
 #: environment's.
 #: v16: ``InlineConfig.max_depth`` is gone (every depth of 1 or more
 #: built the same IR), so the opt config's digest changed.
-SCHEMA_VERSION = 16
+#: v17: structured code generation — every multi-block body is nested
+#: ``if``/``while`` instead of a ``_bb`` dispatch loop (so the
+#: ``frozenset`` pin kind is gone), ``==``/``!=`` are Python's own
+#: (the ``_eq`` link global is gone), and an entry embeds its artifact's
+#: canonical rendering.
+SCHEMA_VERSION = 17
 
 _PACK_SUFFIX = ".pack"
 #: A pack's name starts with this many hex digits of its program digest.
@@ -379,13 +385,14 @@ class CompileCache:
 
     def store(self, key: str, artifact: dict, meta: dict) -> None:
         """Serialize one entry and keep it until the next :meth:`flush`;
-        :meth:`load` on this instance sees it at once."""
-        self._pending[key] = json.dumps({
-            "key": key,
-            "meta": meta,
-            "artifact_sha": stable_digest(artifact),
-            "artifact": artifact,
-        }, separators=(",", ":"))
+        :meth:`load` on this instance sees it at once.  The artifact is
+        rendered once, canonically, for its digest and the entry alike;
+        a value JSON cannot encode raises ``TypeError``."""
+        text = json.dumps(artifact, sort_keys=True, separators=(",", ":"))
+        sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        head = json.dumps({"key": key, "meta": meta, "artifact_sha": sha},
+                          separators=(",", ":"))
+        self._pending[key] = head[:-1] + ',"artifact":' + text + "}"
 
     def flush(self) -> None:
         """Write every entry stored since the last flush as one pack per

@@ -1,8 +1,9 @@
 """Dominators and natural loops of a control-flow graph.
 
 One implementation serves both block graphs the VM builds: the IR's
-(:meth:`IRFunction.graph <repro.opt.ir.IRFunction.graph>`; codegen nests
-its dispatch by natural loop) and the bytecode's
+(:meth:`IRFunction.graph <repro.opt.ir.IRFunction.graph>`; codegen
+walks its dominator tree and emits each natural loop as a ``while``)
+and the bytecode's
 (:meth:`BytecodeCFG.graph <repro.opt.bytecode_cfg.BytecodeCFG.graph>`;
 paper EQ1 weighs each site by its loop depth).  A graph is given as its
 entry, its reachable nodes in reverse postorder, and each reachable
@@ -92,10 +93,14 @@ def dominates(idom: Mapping[int, int | None], a: int, b: int) -> bool:
     return False
 
 
-def natural_loops(entry: int, order: Sequence[int],
-                  preds: Preds) -> list[tuple[int, set[int]]]:
-    """``(header, body)`` pairs; back edges to one header are merged."""
-    idom = immediate_dominators(entry, order, preds)
+def natural_loops(entry: int, order: Sequence[int], preds: Preds,
+                  idom: Mapping[int, int | None] | None = None,
+                  ) -> list[tuple[int, set[int]]]:
+    """``(header, body)`` pairs; back edges to one header are merged.
+    ``idom`` is the graph's :func:`immediate_dominators`, computed here
+    when the caller has not already."""
+    if idom is None:
+        idom = immediate_dominators(entry, order, preds)
     by_header: dict[int, set[int]] = {}
     for header in order:
         for latch in preds[header]:

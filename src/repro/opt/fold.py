@@ -58,9 +58,9 @@ def fold_op(op: str, vals: list[Any]) -> Any:
         if op == "ge":
             return vals[0] >= vals[1]
         if op == "eq":
-            return _const_eq(vals[0], vals[1])
+            return vals[0] == vals[1]
         if op == "ne":
-            return not _const_eq(vals[0], vals[1])
+            return vals[0] != vals[1]
         if op == "concat":
             return jx_str(vals[0]) + jx_str(vals[1])
         if op == "neg":
@@ -78,14 +78,3 @@ def fold_op(op: str, vals: list[Any]) -> Any:
     except Exception as exc:  # TypeError on bad mixes, etc.
         raise NoFold from exc
     raise NoFold
-
-
-def _const_eq(a: Any, b: Any) -> bool:
-    """Equality over constant operands, matching interpreter CMP_EQ.
-
-    Constants are primitives/strings/None; reference identity never
-    arises here (objects are not constants).
-    """
-    if a is None or b is None:
-        return a is b
-    return a == b

@@ -204,9 +204,6 @@ class Inliner:
             return Reg(prefix + reg.name)
 
         def rename_operand(operand):
-            return rename_operand_inner(operand)
-
-        def rename_operand_inner(operand):
             if isinstance(operand, Reg):
                 return rename_reg(operand)
             return operand
@@ -215,35 +212,13 @@ class Inliner:
         for bid, block in callee_fn.blocks.items():
             out = []
             for instr in block.instrs:
-                ex = instr.extra
-                new_extra = Extra(
-                    slot=ex.slot,
-                    key=ex.key,
-                    hook=ex.hook,
-                    rc=ex.rc,
-                    rm=ex.rm,
-                    cell=ex.cell,
-                    offset=ex.offset,
-                    intrinsic=ex.intrinsic,
-                    elem=ex.elem,
-                    fill=ex.fill,
-                    bounds=ex.bounds,
-                    returns=ex.returns,
-                    target=(
-                        block_map[ex.target] if ex.target is not None else None
-                    ),
-                    if_true=(
-                        block_map[ex.if_true]
-                        if ex.if_true is not None
-                        else None
-                    ),
-                    if_false=(
-                        block_map[ex.if_false]
-                        if ex.if_false is not None
-                        else None
-                    ),
-                    name=ex.name,
-                )
+                ex = instr.extra.copy()
+                # A callee's pcs and deopt state mean nothing in the
+                # caller's frame.
+                ex.pc = ex.live = ex.tib = None
+                for edge in ("target", "if_true", "if_false"):
+                    if getattr(ex, edge) is not None:
+                        setattr(ex, edge, block_map[getattr(ex, edge)])
                 out.append(
                     IRInstr(
                         instr.op,
@@ -251,7 +226,7 @@ class Inliner:
                         if instr.dest is not None
                         else None,
                         [rename_operand(a) for a in instr.args],
-                        new_extra,
+                        ex,
                         instr.line,
                     )
                 )

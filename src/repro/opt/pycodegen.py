@@ -2,22 +2,27 @@
 
 This is JxVM's "native code": each IR instruction becomes one or two
 Python statements, compiled once with :func:`compile`/``exec`` and then
-invoked directly.  Both optimizing tiers use it; they differ only in the
-pass schedule that built the IR (:mod:`repro.opt.pipeline`).
-Specialized methods whose dispatch chains were folded away become tiny
-straight-line Python functions — which is what makes the paper's
-speedups observable on this substrate.
+invoked directly.  Both optimizing tiers, specials and OSR
+continuations use it; they differ only in the pass schedule that built
+the IR (:mod:`repro.opt.pipeline`).  Specialized methods whose dispatch
+chains were folded away become tiny straight-line Python functions —
+which is what makes the paper's speedups observable on this substrate.
 
-Code shape: single-block functions are emitted as straight-line bodies;
-multi-block functions use a block-dispatch loop (``_bb`` state variable).
-Runtime objects (runtime classes, JTOC cells, intrinsics, mutation
-hooks) are pinned into the function's globals, so the generated source
-is fully self-contained and cacheable.
+Code shape: nested ``if``/``while``, translated from the dominator tree
+(Ramsey, "Beyond Relooper", ICFP 2022) into Python's only jumps,
+single-level ``break`` and ``continue``.  A natural loop is a
+``while True:`` whose back edges ``continue``; a block goes in the arm
+that branches to it, after the ``if`` whose arms join there, or after
+the loop it leaves, behind ``break``.  An exit out of two or more loops
+sets ``_exit``, which each loop it leaves tests right after itself; a
+join that is not the next code, and a cycle with several ways in, are
+split (emitted once per way in).  Runtime objects (runtime classes,
+JTOC cells, intrinsics, mutation hooks) are pinned into the function's
+globals, so the generated source is fully self-contained and cacheable.
 
 Code below the top tier keeps feeding the adaptive system: every taken
-back-edge (a jump to a block id not above the current one) adds one tick
-to the method's samples and asks for promotion once they cross the
-threshold, so hot methods climb from opt1 to opt2.
+back edge adds one tick to the method's samples and asks for promotion
+once they cross the threshold, so hot methods climb from opt1 to opt2.
 
 Null-pointer checks are delegated to Python: dereferencing ``None``
 raises ``AttributeError``, which the function-level handler converts to
@@ -27,12 +32,13 @@ negative indexing would silently wrap).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from collections import Counter
+from typing import Any, Callable, NamedTuple
 
 from repro.cache.artifact import UnlinkableArtifact, encode_value, hook_ref
-from repro.opt.cfg import natural_loops
-from repro.opt.ir import Const, IRFunction, IRInstr, Operand, Reg
-from repro.vm.interpreter import _is_ref
+from repro.opt.cfg import (immediate_dominators, natural_loops,
+                           reverse_postorder)
+from repro.opt.ir import Const, IRFunction, IRInstr, Operand, Reg, clone_ir
 from repro.vm.values import (
     ArrayBoundsError,
     ClassCastError,
@@ -43,7 +49,11 @@ from repro.vm.values import (
     jx_truncate_div,
 )
 
-_BIN_FMT = {
+#: Ops emitted as ``dest = <expression>`` (``{tn}``: ``instanceof``'s
+#: pinned type name); a branch condition one of them computes for that
+#: branch alone is folded into the ``if``.
+_EXPR_FMT = {
+    "mov": "{0}",
     "add": "{0} + {1}",
     "sub": "{0} - {1}",
     "mul": "{0} * {1}",
@@ -59,15 +69,20 @@ _BIN_FMT = {
     "idiv": "_idiv({0}, {1})",
     "fdiv": "_fdiv({0}, {1})",
     "irem": "_irem({0}, {1})",
-    "eq": "_eq({0}, {1})",
-    "ne": "not _eq({0}, {1})",
+    # VMObject and VMArray define no __eq__, so Python's == is identity
+    # on references and value equality on primitives: the Jx rule.
+    "eq": "{0} == {1}",
+    "ne": "{0} != {1}",
     "concat": "_jstr({0}) + _jstr({1})",
-}
-_UN_FMT = {
     "neg": "-{0}",
     "not": "not {0}",
     "i2d": "float({0})",
     "d2i": "int({0})",
+    "getfield": "{0}.fields[{slot}]",
+    "getstatic": "_sf[{slot}]",
+    "arraylen": "len({0}.data)",
+    "instanceof": ("{0} is not None and {tn} in "
+                   "{0}.tib.type_info.all_supertypes"),
 }
 
 
@@ -79,67 +94,131 @@ def _py_fdiv(a: float, b: float) -> float:
     return a / b
 
 
-def _py_eq(a: Any, b: Any) -> bool:
-    return (a is b) if _is_ref(a) or _is_ref(b) else (a == b)
+def _negate(cond: str) -> str:
+    return f"not {cond}" if cond.isidentifier() else f"not ({cond})"
 
 
-class _LoopNode:
-    """One level of the loop-nesting tree used for code emission.
+class _Layout:
+    """Where each block of one body goes in the structured source:
+    ``inline`` blocks in the arm of their one forward predecessor,
+    ``seq[x]`` (joins) in order after block ``x``'s code, ``after[h]``
+    in order after loop ``h``'s ``while``.  ``fold`` blocks compute
+    their branch condition right before the branch, for it alone.
+    ``irreducible``: a retreating edge that is no back edge, if there
+    is one (then no block is placed)."""
 
-    ``dispatch_ids`` — the block ids this level can actually route to
-    (its own blocks plus everything owned by descendants).  Using the
-    owned closure (not the raw natural-loop body) guarantees a level is
-    only entered when it can make progress, even for oddly-overlapping
-    loop bodies.
-    """
+    def __init__(self, fn: IRFunction) -> None:
+        entry, order, preds = fn.graph()
+        self.blocks = blocks = fn.blocks
+        idom = immediate_dominators(entry, order, preds)
+        self.loops = loops = dict(natural_loops(entry, order, preds, idom))
+        # A retreating edge is a back edge iff the loop its target heads
+        # holds its source: a loop holds only blocks its header dominates.
+        index = {b: i for i, b in enumerate(order)}
+        self.irreducible = next((
+            (b, s) for b in order for s in blocks[b].successors()
+            if index[s] <= index[b] and b not in loops.get(s, ())), None)
+        if self.irreducible:
+            return
+        size = dict.fromkeys(order, 1)  # blocks in each dominance region
+        for b in reversed(order[1:]):  # every idom comes first in order
+            size[idom[b]] += size[b]  # type: ignore[index]
+        inner: dict[int, int] = {}  # block -> innermost loop header
+        parent: dict[int, int | None] = {}  # loop -> enclosing loop
+        for h in sorted(loops, key=lambda h: -len(loops[h])):
+            parent[h] = inner.get(h)
+            for b in loops[h]:
+                inner[b] = h
+        fwd = {y: sum(p not in loops.get(y, ()) for p in preds[y])
+               for y in order}
+        self.inline: set[int] = set()
+        self.seq: dict[int, list[int]] = {b: [] for b in order}
+        self.after: dict[int, list[int]] = {h: [] for h in loops}
+        for y in order[1:]:
+            # The loop holding y's code (a header's ``while`` is in the
+            # loop around it) and the one holding its idom's.
+            home = parent[y] if y in loops else inner.get(y)
+            loop = inner.get(idom[y])  # type: ignore[arg-type]
+            if loop == home:
+                if fwd[y] == 1:
+                    self.inline.add(y)
+                else:
+                    self.seq[idom[y]].append(y)  # type: ignore[index]
+                continue
+            while parent[loop] != home:  # type: ignore[index]
+                loop = parent[loop]  # type: ignore[index]
+            self.after[loop].append(y)  # type: ignore[index]
+        for h, ys in self.after.items():
+            # Joins follow the loop; with none, the largest exit a plain
+            # ``break`` reaches does, and the others (which only return
+            # if it is the loop's one way out) stay inline.
+            after = [y for y in ys if fwd[y] > 1] or sorted(
+                (y for y in ys if inner.get(idom[y]) == h),  # type: ignore
+                key=lambda y: -size[y])[:1]
+            self.inline.update(y for y in ys if y not in after)
+            ys[:] = after
+        uses = Counter(a.name for b in order for i in blocks[b].instrs
+                       for a in i.args if isinstance(a, Reg))
+        self.fold = {
+            b for b in order if len(blocks[b].instrs) > 1
+            and _folds(*blocks[b].instrs[-2:], uses)}
 
-    __slots__ = ("body_ids", "own_blocks", "children", "dispatch_ids",
-                 "min_id", "is_root")
 
-    def __init__(self, body_ids: set[int], is_root: bool = False) -> None:
-        self.body_ids = body_ids
-        self.own_blocks: list[Any] = []
-        self.children: list["_LoopNode"] = []
-        self.dispatch_ids: set[int] = set()
-        self.min_id = min(body_ids) if body_ids else 0
-        self.is_root = is_root
-
-    def finalize(self) -> None:
-        for child in self.children:
-            child.finalize()
-        self.dispatch_ids = {b.id for b in self.own_blocks}
-        for child in self.children:
-            self.dispatch_ids |= child.dispatch_ids
-        if self.dispatch_ids:
-            self.min_id = min(self.dispatch_ids)
+def _folds(prev: IRInstr, term: IRInstr, uses: Counter) -> bool:
+    return (term.op == "br" and term.extra.if_true != term.extra.if_false
+            and prev.op in _EXPR_FMT and prev.dest is not None
+            and term.args[0] == prev.dest and uses[prev.dest.name] == 1)
 
 
-def _build_loop_tree(fn: IRFunction) -> _LoopNode:
-    """Nest natural loops by body inclusion; every block is owned by the
-    innermost loop containing it (or the root)."""
-    blocks = {b.id: b for b in fn.block_order()}
-    root = _LoopNode(set(blocks), is_root=True)
-    loops = sorted(
-        natural_loops(*fn.graph()), key=lambda hl: (len(hl[1]), hl[0])
-    )
-    nodes = [_LoopNode(set(body)) for _, body in loops]
-    for i, node in enumerate(nodes):
-        parent = root
-        for candidate in nodes[i + 1:]:
-            if node.body_ids < candidate.body_ids:
-                parent = candidate
-                break
-        parent.children.append(node)
-    # Assign blocks to the innermost containing node (smallest first).
-    for bid, block in blocks.items():
-        owner = root
-        for node in nodes:
-            if bid in node.body_ids:
-                owner = node
-                break
-        owner.own_blocks.append(block)
-    root.finalize()
-    return root
+class _Loop(NamedTuple):
+    """An open ``while``: its header, the block ``break`` reaches, and
+    the exits out of two or more loops it tests right after itself."""
+
+    header: int
+    brk: int | None
+    exits: dict[int, None]
+
+
+def _split(fn: IRFunction, b: int, s: int) -> None:
+    """Node splitting for the retreating edge ``b -> s`` that ``s`` does
+    not dominate.  In the smallest cycle through both with several ways
+    in (a cycle with one way in is peeled of it), each way in but the
+    first gets a copy of the blocks it reaches before the first."""
+    order = [block.id for block in fn.block_order()]
+    preds = fn.predecessors()
+
+    def reach(start: int, step: Callable[[int], list[int]],
+              within: set[int]) -> set[int]:
+        return set(reverse_postorder(
+            start, lambda v: [w for w in step(v) if w in within]))
+
+    def succs(v: int) -> list[int]:
+        return fn.blocks[v].successors()
+
+    nodes = set(order)
+    while True:
+        cycle = reach(s, succs, nodes) & reach(s, preds.__getitem__, nodes)
+        ins = [v for v in order if v in cycle and (
+            v == fn.entry or any(p not in cycle for p in preds[v]))]
+        if len(ins) > 1:
+            break
+        nodes = cycle - set(ins)
+    for v in ins[1:]:
+        copy = {w: fn.new_block().id
+                for w in reach(v, succs, cycle - {ins[0]})}
+        for w, c in copy.items():
+            instrs = [instr.copy() for instr in fn.blocks[w].instrs]
+            _retarget(fn, instrs[-1], copy)
+            fn.set_instrs(fn.blocks[c], instrs)
+        for p in preds[v]:
+            if p not in cycle:
+                _retarget(fn, fn.blocks[p].terminator, {v: copy[v]})
+
+
+def _retarget(fn: IRFunction, term: IRInstr, to: dict[int, int]) -> None:
+    for edge in ("target", "if_true", "if_false"):
+        if getattr(term.extra, edge) in to:
+            fn.retarget(term, edge, to[getattr(term.extra, edge)])
 
 
 class PyCodegen:
@@ -163,7 +242,6 @@ class PyCodegen:
             "_idiv": jx_truncate_div,
             "_irem": jx_rem,
             "_fdiv": _py_fdiv,
-            "_eq": _py_eq,
             "_jstr": jx_str,
             "_VMArray": VMArray,
             "_NPE": NullPointerError,
@@ -178,6 +256,12 @@ class PyCodegen:
         self.uncacheable: list[str] = []
         #: The compiled code object (set by :meth:`generate`).
         self.code: Any = None
+        #: Node splits, and exits through ``_exit``: both 0 on every body
+        #: the shipped programs emit.
+        self.splits = 0
+        self.exit_jumps = 0
+        self._layout: _Layout | None = None
+        self._frames: list[_Loop] = []
 
     # -- helpers -----------------------------------------------------------
 
@@ -202,15 +286,6 @@ class PyCodegen:
     def _reg(reg: Reg) -> str:
         return "v_" + reg.name
 
-    @staticmethod
-    def _primitive_const(operands: list[Operand]) -> bool:
-        return any(
-            isinstance(a, Const)
-            and a.value is not None
-            and isinstance(a.value, (bool, int, float, str))
-            for a in operands
-        )
-
     def _operand(self, operand: Operand) -> str:
         if isinstance(operand, Const):
             value = operand.value
@@ -229,33 +304,26 @@ class PyCodegen:
 
     # -- instruction emission --------------------------------------------------
 
+    def _expr(self, instr: IRInstr, args: list[str]) -> str:
+        """The expression an :data:`_EXPR_FMT` instruction computes."""
+        rc = instr.extra.rc
+        tn = (self._pin("tn", rc.name, ["value", rc.name])
+              if instr.op == "instanceof" else None)
+        return _EXPR_FMT[instr.op].format(*args, slot=instr.extra.slot, tn=tn)
+
     def _emit_instr(self, instr: IRInstr, indent: int) -> None:
         op = instr.op
         args = [self._operand(a) for a in instr.args]
         dest = self._reg(instr.dest) if instr.dest is not None else None
         E = self._emit
-        if op == "mov":
-            E(indent, f"{dest} = {args[0]}")
-        elif op in ("eq", "ne") and self._primitive_const(instr.args):
-            # When either side is a non-null primitive constant, Python's
-            # ``==`` agrees with the VM's reference-identity rule (a
-            # reference never equals a primitive), so skip the helper.
-            py_op = "==" if op == "eq" else "!="
-            E(indent, f"{dest} = {args[0]} {py_op} {args[1]}")
-        elif op in _BIN_FMT:
-            E(indent, f"{dest} = {_BIN_FMT[op].format(*args)}")
-        elif op in _UN_FMT:
-            E(indent, f"{dest} = {_UN_FMT[op].format(*args)}")
-        elif op == "getfield":
-            E(indent, f"{dest} = {args[0]}.fields[{instr.extra.slot}]")
+        if op in _EXPR_FMT:
+            E(indent, f"{dest} = {self._expr(instr, args)}")
         elif op == "putfield":
             E(indent, f"{args[0]}.fields[{instr.extra.slot}] = {args[1]}")
             if instr.extra.hook is not None:
                 hook = self._pin("hook", instr.extra.hook,
                                  hook_ref(instr.extra.hook))
                 E(indent, f"{hook}(vm, {args[0]})")
-        elif op == "getstatic":
-            E(indent, f"{dest} = _sf[{instr.extra.slot}]")
         elif op == "putstatic":
             E(indent, f"_sf[{instr.extra.slot}] = {args[0]}")
             if instr.extra.hook is not None:
@@ -293,16 +361,6 @@ class PyCodegen:
                     f"raise _OOB('index ' + str({args[1]}) + ' out of range')",
                 )
             E(indent, f"{args[0]}.data[{args[1]}] = {args[2]}")
-        elif op == "arraylen":
-            E(indent, f"{dest} = len({args[0]}.data)")
-        elif op == "instanceof":
-            name = self._pin("tn", instr.extra.rc.name,
-                             ["value", instr.extra.rc.name])
-            E(
-                indent,
-                f"{dest} = {args[0]} is not None and {name} in "
-                f"{args[0]}.tib.type_info.all_supertypes",
-            )
         elif op == "checkcast":
             name = self._pin("tn", instr.extra.rc.name,
                              ["value", instr.extra.rc.name])
@@ -400,119 +458,128 @@ class PyCodegen:
         else:  # pragma: no cover
             raise AssertionError(f"cannot codegen IR op {op!r}")
 
-    def _ticks(self, src: int, target: int) -> bool:
-        """Whether the edge ``src -> target`` is a ticking back-edge."""
-        return self._tick_pin is not None and target <= src
+    # -- control flow ------------------------------------------------------------
 
-    def _emit_goto(
-        self, src: int, target: int, scope_ids: set[int], indent: int
-    ) -> None:
-        """Set _bb and either stay in the current loop level (continue)
-        or bubble out one level (break) based on static membership."""
-        E = self._emit
-        if self._ticks(src, target):
-            E(indent, "_smp.ticks += 1")
+    def _region(self, x: int, follow: int | None, indent: int) -> None:
+        """Emit block ``x`` and the blocks placed in its dominance region
+        (loop ``x``'s body, not its ``while``, when ``x`` heads the
+        innermost open loop); code that falls off the end goes on to
+        ``follow``."""
+        layout, frames = self._layout, self._frames
+        while True:
+            if x in layout.loops and not (frames and frames[-1].header == x):
+                chain = layout.after[x]
+                self._loop(x, chain[0] if chain else follow, indent)
+            else:
+                chain = layout.seq[x]
+                self._node(x, chain[0] if chain else follow, indent)
+            for y, nxt in zip(chain, chain[1:]):
+                self._region(y, nxt, indent)
+            if not chain:
+                return
+            x = chain[-1]  # the last one's follow is ours
+
+    def _loop(self, h: int, brk: int | None, indent: int) -> None:
+        frame = _Loop(h, brk, {})
+        self._frames.append(frame)
+        mark = len(self.lines)
+        self._emit(indent, "while True:")
+        self._region(h, h, indent + 1)
+        if len(self.lines) == mark + 1:
+            self._emit(indent + 1, "pass")
+        self._frames.pop()
+        if frame.exits:
+            self.lines.insert(mark, "    " * indent + "_exit = None")
+        for target in frame.exits:
+            self._emit(indent, f"if _exit == {target}:")
+            self._branch(None, target, brk, indent + 1)
+
+    def _node(self, x: int, follow: int | None, indent: int) -> None:
+        """Emit block ``x`` itself, ending in its terminator's jumps."""
+        block = self._layout.blocks[x]
+        for instr in block.instrs[:-2 if x in self._layout.fold else -1]:
+            self._emit_instr(instr, indent)
+        targets = set(block.successors())
+        if not targets:
+            self._emit_instr(block.terminator, indent)
+        elif len(targets) == 1:
+            self._branch(x, targets.pop(), follow, indent)
+        else:
+            self._if(x, follow, indent)
+
+    def _if(self, x: int, follow: int | None, indent: int) -> None:
+        """Emit block ``x``'s two-way branch: a ``break`` out of the loop
+        goes first, so the other arm needs no ``else:``, and an else-arm
+        that is a lone ``if`` continues an ``elif`` chain."""
+        layout, E = self._layout, self._emit
+        keyword = "if"
+        while True:
+            instrs = layout.blocks[x].instrs
+            cond = (self._expr(instrs[-2], [self._operand(a) for a in
+                                            instrs[-2].args])
+                    if x in layout.fold else self._operand(instrs[-1].args[0]))
+            t, f = instrs[-1].extra.if_true, instrs[-1].extra.if_false
+            if t == follow or keyword == "if" and self._frames and (
+                    f == self._frames[-1].brk != follow):
+                t, f, cond = f, t, _negate(cond)
+            E(indent, f"{keyword} {cond}:")
+            self._branch(x, t, follow, indent + 1)
+            if self.lines[-1] == "    " * indent + f"{keyword} {cond}:":
+                E(indent + 1, "pass")
+            if (f in layout.inline and f in layout.fold and len(
+                    layout.blocks[f].instrs) == 2 and f not in layout.loops
+                    and not layout.seq[f]):
+                x, keyword = f, "elif"  # the else-arm is a lone ``if``
+                continue
+            if keyword == "if" and self.lines[-1][4 * indent + 4:].startswith(
+                    ("return", "break", "continue")):
+                self._branch(x, f, follow, indent)  # no ``else:`` needed
+                return
+            E(indent, "else:")
+            self._branch(x, f, follow, indent + 1)
+            if self.lines[-1] == "    " * indent + "else:":
+                self.lines.pop()  # the false arm falls through
+            return
+
+    def _branch(self, src: int | None, target: int, follow: int | None,
+                indent: int) -> None:
+        """Emit the jump ``src -> target`` (``src`` is None for an exit
+        carried out of an inner loop by ``_exit``); a jump to ``follow``
+        emits nothing."""
+        frames, E = self._frames, self._emit
+        if src is not None and self._tick_pin is not None and any(
+                frame.header == target for frame in frames):
+            E(indent, "_smp.ticks += 1")  # a taken back edge
             E(indent, "if _smp.ticks >= _smp.threshold:")
             E(indent + 1, f"vm.adaptive.on_hot({self._tick_pin})")
-        E(indent, f"_bb = {target}")
-        E(indent, "continue" if target in scope_ids else "break")
-
-    def _emit_block_body(
-        self, block, scope_ids: set[int], indent: int
-    ) -> None:
-        E = self._emit
-        body = block.instrs
-        for instr in body[:-1]:
-            self._emit_instr(instr, indent)
-        term = body[-1]
-        if term.op == "jump":
-            self._emit_goto(block.id, term.extra.target, scope_ids, indent)
-        elif term.op == "br":
-            cond = self._operand(term.args[0])
-            t, f = term.extra.if_true, term.extra.if_false
-            t_in = t in scope_ids
-            f_in = f in scope_ids
-            if t_in == f_in and not (
-                self._ticks(block.id, t) or self._ticks(block.id, f)
-            ):
-                E(indent, f"_bb = {t} if {cond} else {f}")
-                E(indent, "continue" if t_in else "break")
-            else:
-                E(indent, f"if {cond}:")
-                self._emit_goto(block.id, t, scope_ids, indent + 1)
-                E(indent, "else:")
-                self._emit_goto(block.id, f, scope_ids, indent + 1)
-        else:
-            self._emit_instr(term, indent)
-
-    def _emit_level(self, node: "_LoopNode", indent: int) -> None:
-        """Emit one loop level: ``while True`` + dispatch over the
-        level's own blocks (binary search on block id) after O(1)
-        membership checks for child loops.  Jumping to a block outside
-        the level breaks out; the parent level re-dispatches."""
-        E = self._emit
-        E(indent, "while True:")
-        inner = indent + 1
-        first = True
-        for child in sorted(node.children, key=lambda c: c.min_id):
-            ids = self._pin("lset", frozenset(child.dispatch_ids),
-                            ["frozenset", sorted(child.dispatch_ids)])
-            E(inner, f"{'if' if first else 'elif'} _bb in {ids}:")
-            self._emit_level(child, inner + 1)
-            E(inner + 1, "continue")
-            first = False
-        own = sorted(node.own_blocks, key=lambda b: b.id)
-        body_indent = inner
-        if not first:  # children were emitted; own blocks go in `else:`
-            E(inner, "else:")
-            body_indent = inner + 1
-        if own:
-            self._emit_block_tree(own, node, body_indent)
-        else:
-            self._emit_miss(node, body_indent)
-
-    def _emit_miss(self, node: "_LoopNode", indent: int) -> None:
-        E = self._emit
-        if node.is_root:
-            E(indent, "raise AssertionError('unknown block ' + str(_bb))")
-        else:
+        if target == follow:
+            return
+        if frames and target == frames[-1].header:
+            E(indent, "continue")
+        elif frames and target == frames[-1].brk:
             E(indent, "break")
-
-    def _emit_block_tree(
-        self, own: list, node: "_LoopNode", indent: int
-    ) -> None:
-        """Binary-search dispatch over this level's own blocks."""
-        E = self._emit
-        if len(own) == 1:
-            if node.is_root and not node.children:
-                # Sole candidate: no membership check needed.
-                self._emit_block_body(own[0], node.dispatch_ids, indent)
-                return
-            E(indent, f"if _bb == {own[0].id}:")
-            self._emit_block_body(own[0], node.dispatch_ids, indent + 1)
-            E(indent, "else:")
-            self._emit_miss(node, indent + 1)
-            return
-        if len(own) == 2:
-            E(indent, f"if _bb == {own[0].id}:")
-            self._emit_block_body(own[0], node.dispatch_ids, indent + 1)
-            E(indent, f"elif _bb == {own[1].id}:")
-            self._emit_block_body(own[1], node.dispatch_ids, indent + 1)
-            E(indent, "else:")
-            self._emit_miss(node, indent + 1)
-            return
-        mid = len(own) // 2
-        E(indent, f"if _bb < {own[mid].id}:")
-        self._emit_block_tree(own[:mid], node, indent + 1)
-        E(indent, "else:")
-        self._emit_block_tree(own[mid:], node, indent + 1)
+        elif any(target in (frame.header, frame.brk) for frame in frames):
+            if src is not None:  # out of two or more loops
+                E(indent, f"_exit = {target}")
+                self.exit_jumps += 1
+            frames[-1].exits[target] = None
+            E(indent, "break")
+        else:
+            # Not placed here: a join that is not the next code, split.
+            self.splits += target not in self._layout.inline
+            self._region(target, follow, indent)
 
     # -- function emission --------------------------------------------------------
 
     def generate(self) -> tuple[str, Callable[[Any, list[Any]], Any]]:
         """Return ``(source, executor)``."""
         fn = self.fn
-        blocks = fn.block_order()
+        while (layout := _Layout(fn)).irreducible:
+            if fn is self.fn:
+                fn = clone_ir(fn)  # node splitting edits a copy
+            self.splits += 1
+            _split(fn, *layout.irreducible)
+        self._layout = layout
         E = self._emit
         E(0, f"def {self.func_name}(vm, args):")
         E(1, "try:")
@@ -525,27 +592,18 @@ class PyCodegen:
         # exist in this frame too.
         if any(
             instr.op == "deoptcheck"
-            for block in blocks
+            for block in fn.block_order()
             for instr in block.instrs
         ):
             for i in range(fn.num_args, fn.max_locals):
                 E(2, f"v_l{i} = None")
-        if self.tick_rm is not None and any(
-            target <= block.id
-            for block in blocks
-            for target in block.successors()
-        ):
+        if self.tick_rm is not None and layout.loops:
             rm = self.tick_rm
             self._tick_pin = self._pin(
                 "rm", rm, ["method", rm.rclass.name, rm.info.key]
             )
             E(2, f"_smp = {self._tick_pin}.samples")
-        if len(blocks) == 1 and blocks[0].terminator.op == "ret":
-            for instr in blocks[0].instrs:
-                self._emit_instr(instr, 2)
-        else:
-            E(2, f"_bb = {fn.entry}")
-            self._emit_level(_build_loop_tree(fn), 2)
+        self._region(fn.entry, None, 2)
         E(1, "except AttributeError as exc:")
         E(2, "raise _NPE(str(exc)) from exc")
         source = "\n".join(self.lines) + "\n"
@@ -556,4 +614,3 @@ class PyCodegen:
         self.code = code
         exec(code, namespace)
         return source, namespace[self.func_name]
-

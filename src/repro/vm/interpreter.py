@@ -302,10 +302,8 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                 pc = target
             elif op is CMP_EQ_JF:
                 b = stack.pop()
-                a = stack.pop()
-                eq = (a is b) if _is_ref(a) or _is_ref(b) else (a == b)
                 pc += 1
-                if not eq:
+                if stack.pop() != b:
                     target = instr.arg
                     if target < pc:
                         samples.ticks += 1
@@ -425,8 +423,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                 stack[-1] = stack[-1] < b
             elif op is CMP_EQ:
                 b = stack.pop()
-                a = stack[-1]
-                stack[-1] = (a is b) if _is_ref(a) or _is_ref(b) else (a == b)
+                stack[-1] = stack[-1] == b
             elif op is IDIV:
                 b = stack.pop()
                 stack[-1] = jx_truncate_div(stack[-1], b)
@@ -460,10 +457,7 @@ def interpret_quick(vm: Any, rm: Any, args: list[Any], pc: int = 0) -> Any:
                 stack[-1] = stack[-1] >= b
             elif op is CMP_NE:
                 b = stack.pop()
-                a = stack[-1]
-                stack[-1] = (
-                    (a is not b) if _is_ref(a) or _is_ref(b) else (a != b)
-                )
+                stack[-1] = stack[-1] != b
             elif op is INTRINSIC:
                 intr = instr.resolved
                 n = intr.nargs
@@ -670,10 +664,3 @@ def _frame_desc(rm: Any, code: list, pc: int) -> str:
     index = max(0, min(pc - 1, len(code) - 1))
     line = code[index].line if code else 0
     return f"{rm.qualified_name} (line {line})"
-
-
-def _is_ref(value: Any) -> bool:
-    """True for reference values whose ``==`` must mean identity."""
-    return value is not None and not isinstance(
-        value, (int, float, str, bool)
-    )

@@ -146,6 +146,35 @@ def test_multi_block_function_uses_loop_dispatch():
     assert cm.executor(vm, [100]) == 4950
 
 
+def test_long_else_if_chain_runs_at_opt1_and_opt2():
+    """Each else-arm that is a lone ``if`` becomes an ``elif``, so a
+    150-arm chain stays flat instead of nesting past Python's
+    indentation limit."""
+    arms = "\n".join(
+        f"else if (x == {i}) {{ r = {3 * i}; }}" for i in range(1, 150)
+    )
+    source = f"""
+    class M {{
+        static int f(int x) {{
+            int r = 0;
+            if (x == 0) {{ r = 7; }}
+            {arms}
+            else {{ r = -1; }}
+            return r;
+        }}
+    }}
+    class Main {{ static void main() {{ }} }}
+    """
+    vm, rm = _method(source, "M", "f")
+    compiler = OptCompiler(vm)
+    for level in (1, 2):
+        cm = compiler.compile(rm, level)
+        assert cm.source_text.count("elif ") == 149
+        for x in (-1, 0, 1, 75, 149, 150):
+            expected = 7 if x == 0 else 3 * x if 0 < x < 150 else -1
+            assert cm.executor(vm, [x]) == expected
+
+
 def test_generated_code_handles_negative_index_check():
     source = """
     class M {

@@ -221,6 +221,29 @@ def test_store_load_roundtrip_and_checksum(tmp_path):
     assert cache.load("cd" + "0" * 62) is None  # absent = miss
 
 
+def test_stored_digest_is_the_digest_of_what_load_returns(tmp_path):
+    """``store`` renders each artifact once, for its digest and the entry
+    text alike; the digest it records is ``stable_digest`` of the very
+    artifact ``load`` hands back."""
+    cache_dir = tmp_path / "jxcache"
+    vm = _vm(adaptive_config=AGGRESSIVE, compile_cache=str(cache_dir))
+    vm.run()
+    entries = cache_entries(cache_dir)
+    assert entries
+    for entry in entries:
+        artifact = vm.compile_cache.load(entry["key"])
+        assert artifact == entry["artifact"]
+        assert entry["artifact_sha"] == stable_digest(artifact)
+
+
+def test_store_refuses_an_artifact_json_cannot_encode(tmp_path):
+    cache = CompileCache(tmp_path)
+    with pytest.raises(TypeError):
+        cache.store("ab" + "0" * 62, {"kind": "opt2", "pins": [object()]},
+                    meta={})
+    assert cache.load("ab" + "0" * 62) is None
+
+
 def test_poisoned_entry_is_a_miss_and_recompiles(tmp_path):
     """Flip bytes in a stored entry: the checksum rejects it and the VM
     recompiles from scratch with identical output."""
@@ -294,7 +317,7 @@ def test_schema_v9_opt1_ir_entry_is_a_miss(tmp_path):
     """Before schema v10 an opt1 entry held serialized IR.  Such an
     entry is stale by stamp, and even one planted under a current key
     is a counted link error and a recompile, never a crash."""
-    assert cache_stamp().startswith("v16-")
+    assert cache_stamp().startswith("v17-")
     cache_dir = tmp_path / "jxcache"
     out_cold = _vm(adaptive_config=OPT1_ONLY,
                    compile_cache=str(cache_dir)).run().output

@@ -1,12 +1,14 @@
 """Runtime structure tests: linker layout, TIB, IMT, JTOC, heap."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lang import compile_source
 from repro.vm import VM, AdaptiveConfig, IMT_SLOTS, imt_slot_for
 from repro.vm.imt import ConflictStub, DirectEntry, IMT, OffsetEntry
 from repro.vm.linker import LinkError, Linker
 from repro.vm.tib import TIB, TIB_HEADER_WORDS, WORD_BYTES
+from repro.vm.values import VMArray, VMObject
 from tests.helpers import INTERP_ONLY, run_vm
 
 HIERARCHY = """
@@ -212,3 +214,43 @@ def test_clinit_runs_once_before_entry():
     vm.initialize()
     vm.initialize()  # idempotent
     assert vm.run().output == "5\n"
+
+
+# -- equality ----------------------------------------------------------------
+
+def test_no_reference_class_defines_equality():
+    """Generated code and the interpreter compare with Python's ``==``,
+    which is Jx's rule only while references compare by identity."""
+    import repro.mutation  # noqa: F401  (every module that could subclass)
+    import repro.server  # noqa: F401
+
+    todo = [VMObject, VMArray]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        for name in ("__eq__", "__ne__"):
+            assert getattr(cls, name) is getattr(object, name), (cls, name)
+
+
+def _identity_for_references(a, b) -> bool:
+    """Jx equality as the interpreter once spelled it out."""
+    def is_ref(value):
+        return value is not None and not isinstance(
+            value, (int, float, str, bool))
+
+    return (a is b) if is_ref(a) or is_ref(b) else (a == b)
+
+
+_REFS = [VMObject(None, 0), VMObject(None, 0), VMArray("int", 2, 0),
+         VMArray("int", 2, 0)]
+_VALUES = st.one_of(
+    st.integers(-3, 3), st.floats(allow_nan=True), st.booleans(),
+    st.text(max_size=2), st.none(), st.sampled_from(_REFS),
+)
+
+
+@given(_VALUES, _VALUES)
+@settings(max_examples=300, deadline=None)
+def test_python_equality_is_the_jx_rule(a, b):
+    assert (a == b) is _identity_for_references(a, b)
+    assert (a != b) is (not _identity_for_references(a, b))

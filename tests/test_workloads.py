@@ -40,6 +40,37 @@ def test_workload_mutation_equivalence(name):
     assert outs[0] == outs[1]
 
 
+#: jxbench's smoke scales.
+SMOKE_SCALES = {"salarydb": 0.05, "simlogic": 0.02, "csvtoxml": 0.02,
+                "java2xhtml": 0.01, "weka": 0.05, "jbb2000": 0.02,
+                "jbb2005": 0.02}
+
+
+@pytest.mark.parametrize("name", PAPER_ORDER)
+def test_generated_code_has_no_block_dispatch(name, monkeypatch):
+    """Every compiled body is nested ``if``/``while``: no cold run at
+    smoke scale, with or without the plan, emits a ``_bb`` dispatch."""
+    from repro.opt.pycodegen import PyCodegen
+
+    monkeypatch.delenv("JX_CACHE_DIR", raising=False)
+    sources: list[str] = []
+    real = PyCodegen.generate
+
+    def generate(self):
+        source, executor = real(self)
+        sources.append(source)
+        return source, executor
+
+    monkeypatch.setattr(PyCodegen, "generate", generate)
+    spec = get_workload(name)
+    source = spec.source(SMOKE_SCALES[name])
+    plan = build_mutation_plan(source, entry_class=spec.entry_class)
+    for p in (None, plan):
+        unit = compile_source(source, entry_class=spec.entry_class)
+        VM(unit, mutation_plan=p, seed=42).run()
+    assert sources and not any("_bb" in text for text in sources)
+
+
 @pytest.mark.parametrize("name", PAPER_ORDER)
 def test_expected_mutable_classes_found(name):
     spec = get_workload(name)
